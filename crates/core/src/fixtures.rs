@@ -61,9 +61,47 @@ pub fn nested_hypergraph() -> Hypergraph {
     ])
 }
 
+/// A hypergraph with more than 300 rows in both directions, so it spans
+/// several 64-row blocks of a packed image's sampled index: 321
+/// hyperedges over 350 hypernodes, every 10th hyperedge empty and no
+/// hyperedge touching a hypernode divisible by 7 (the last hyperedge,
+/// `{349}`, pins the ID space).
+pub fn multi_block_hypergraph() -> Hypergraph {
+    let memberships: Vec<Vec<Id>> = (0..320u32)
+        .map(|e| {
+            if e % 10 == 9 {
+                return Vec::new();
+            }
+            let mut row: Vec<Id> = (0..=e % 6)
+                .map(|k| (e * 37 + k * 101 + 13) % 350)
+                .filter(|v| v % 7 != 0)
+                .collect();
+            row.sort_unstable();
+            row.dedup();
+            row
+        })
+        .chain(std::iter::once(vec![349]))
+        .collect();
+    Hypergraph::from_memberships(&memberships)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn multi_block_fixture_has_empty_rows_past_the_first_blocks() {
+        let h = multi_block_hypergraph();
+        assert_eq!((h.num_hyperedges(), h.num_hypernodes()), (321, 350));
+        assert!(
+            (128..321).any(|e| h.edge_degree(e) == 0),
+            "empty hyperedge row"
+        );
+        assert!(
+            (128..350).any(|v| h.node_degree(v) == 0),
+            "empty hypernode row"
+        );
+    }
 
     #[test]
     fn fixture_overlap_table_is_accurate() {

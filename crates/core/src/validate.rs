@@ -167,16 +167,6 @@ pub enum InvariantViolation {
         /// `1 / |e ∩ f|` recomputed from the hypergraph.
         expected: f64,
     },
-    /// A packed (`NWHYPAK1`) image whose byte payload fails to decode:
-    /// truncated or overlong varint, sampled index disagreeing with the
-    /// payload walk, gap sum out of bounds, row lengths not summing to
-    /// the header's incidence count. Raised by `nwhy-store`'s
-    /// `Validate` impl before (and instead of) the structural checks,
-    /// which presume a decodable image.
-    PackedPayloadCorrupt {
-        /// The storage-layer decode error, rendered.
-        detail: String,
-    },
 }
 
 impl fmt::Display for InvariantViolation {
@@ -264,9 +254,6 @@ impl fmt::Display for InvariantViolation {
                 f,
                 "s-line edge ({e}, {ff}) weight {weight} != 1/overlap = {expected}"
             ),
-            PackedPayloadCorrupt { detail } => {
-                write!(f, "packed payload corrupt: {detail}")
-            }
         }
     }
 }

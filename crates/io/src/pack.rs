@@ -39,7 +39,9 @@ pub fn write_packed_file(path: &Path, h: &Hypergraph) -> Result<u64, IoError> {
 
 /// Opens an NWHYPAK1 file through the requested backend without
 /// decompressing it: the result serves neighbor queries straight off the
-/// packed image (zero-copy when mapped).
+/// packed image (zero-copy when mapped). Opening validates the whole
+/// image, so a corrupt file is an [`IoError::Parse`] here and no later
+/// query can fail.
 pub fn open_packed(path: &Path, backend: Backend) -> Result<CompressedHypergraph, IoError> {
     let _span = nwhy_obs::span("io.open_packed");
     let c = CompressedHypergraph::open(path, backend).map_err(store_err)?;
@@ -51,8 +53,7 @@ pub fn open_packed(path: &Path, backend: Backend) -> Result<CompressedHypergraph
 /// Reads an NWHYPAK1 file fully back into an in-memory [`Hypergraph`]
 /// (pointer-based bi-adjacency). The inverse of [`write_packed_file`].
 pub fn read_packed(path: &Path) -> Result<Hypergraph, IoError> {
-    let c = open_packed(path, Backend::Owned)?;
-    c.to_hypergraph().map_err(store_err)
+    Ok(open_packed(path, Backend::Owned)?.to_hypergraph())
 }
 
 #[cfg(test)]

@@ -239,12 +239,10 @@ impl Input {
     /// Materializes the pointer-based representation (a no-op for
     /// in-memory inputs) for subcommands whose kernels are not generic
     /// over `HyperAdjacency`.
-    fn into_memory(self) -> CliResult<Hypergraph> {
+    fn into_memory(self) -> Hypergraph {
         match self {
-            Input::Memory(h) => Ok(h),
-            Input::Packed(c) => c
-                .to_hypergraph()
-                .map_err(|e| CliError::io(format!("packed image: {e}"))),
+            Input::Memory(h) => h,
+            Input::Packed(c) => c.to_hypergraph(),
         }
     }
 }
@@ -277,24 +275,18 @@ fn load_input(args: &Args, path: &str) -> CliResult<Input> {
 /// Table I statistics computed straight off a packed image: shape from
 /// the header, degree extrema from per-row length prefixes — no payload
 /// decode, no materialization.
-fn packed_stats(c: &CompressedHypergraph) -> CliResult<nwhy::HypergraphStats> {
-    let err = |e: nwhy::store::StoreError| CliError::io(format!("packed image: {e}"));
+fn packed_stats(c: &CompressedHypergraph) -> nwhy::HypergraphStats {
+    use nwhy::core::ids::from_usize;
     let (ne, nv, nnz) = (c.num_hyperedges(), c.num_hypernodes(), c.num_incidences());
-    let mut max_edge_degree = 0;
-    for e in 0..ne {
-        let len = c
-            .edge_row_len(nwhy::core::ids::from_usize(e))
-            .map_err(err)?;
-        max_edge_degree = max_edge_degree.max(len);
-    }
-    let mut max_node_degree = 0;
-    for v in 0..nv {
-        let len = c
-            .node_row_len(nwhy::core::ids::from_usize(v))
-            .map_err(err)?;
-        max_node_degree = max_node_degree.max(len);
-    }
-    Ok(nwhy::HypergraphStats {
+    let max_edge_degree = (0..ne)
+        .map(|e| c.edge_row_len(from_usize(e)))
+        .max()
+        .unwrap_or(0);
+    let max_node_degree = (0..nv)
+        .map(|v| c.node_row_len(from_usize(v)))
+        .max()
+        .unwrap_or(0);
+    nwhy::HypergraphStats {
         num_hypernodes: nv,
         num_hyperedges: ne,
         num_incidences: nnz,
@@ -302,7 +294,7 @@ fn packed_stats(c: &CompressedHypergraph) -> CliResult<nwhy::HypergraphStats> {
         avg_edge_degree: if ne == 0 { 0.0 } else { nnz as f64 / ne as f64 },
         max_node_degree,
         max_edge_degree,
-    })
+    }
 }
 
 /// Parses a flag value strictly: a present-but-malformed value is a
@@ -324,7 +316,7 @@ fn cmd_stats(args: &Args) -> CliResult {
     let input = load_input(args, path)?;
     let s = match &input {
         Input::Memory(h) => h.stats(),
-        Input::Packed(c) => packed_stats(c)?,
+        Input::Packed(c) => packed_stats(c),
     };
     println!("file:            {path}");
     if let Input::Packed(c) = &input {
@@ -409,7 +401,7 @@ fn cmd_cc(args: &Args) -> CliResult {
         // so the default algorithm never materializes a packed input
         (Input::Packed(c), "hyper") => hyper_cc_generic(&c).num_components(),
         (input, algo) => {
-            let h = input.into_memory()?;
+            let h = input.into_memory();
             match algo {
                 "hyper" => hyper_cc(&h).num_components(),
                 "adjoin" => adjoin_cc_afforest(&AdjoinGraph::from_hypergraph(&h)).num_components(),
@@ -454,7 +446,7 @@ fn cmd_bfs(args: &Args) -> CliResult {
             )
         }
         (input, algo) => {
-            let h = input.into_memory()?;
+            let h = input.into_memory();
             match algo {
                 "hyper" => {
                     let r = hyper_bfs_top_down(&h, source);
@@ -633,7 +625,6 @@ fn cmd_check(args: &Args) -> CliResult {
                 c.validate(),
             );
             c.to_hypergraph()
-                .map_err(|e| CliError::io(format!("packed image: {e}")))?
         }
     };
     report(
@@ -676,7 +667,7 @@ fn cmd_toplex(args: &Args) -> CliResult {
         .positional
         .first()
         .ok_or_else(|| CliError::usage("toplex: missing <file>"))?;
-    let h = load_input(args, path)?.into_memory()?;
+    let h = load_input(args, path)?.into_memory();
     let t = toplexes(&h);
     println!(
         "{} of {} hyperedges are toplexes",
@@ -742,7 +733,7 @@ fn cmd_kcore(args: &Args) -> CliResult {
         .ok_or_else(|| CliError::usage("kcore: missing --l"))?
         .parse()
         .map_err(|_| CliError::usage("kcore: --l must be an integer"))?;
-    let h = load_input(args, path)?.into_memory()?;
+    let h = load_input(args, path)?.into_memory();
     let core = nwhy::core::algorithms::kcore::kl_core(&h, k, l);
     println!(
         "({k},{l})-core: {} of {} hypernodes, {} of {} hyperedges survive",
@@ -761,7 +752,7 @@ fn cmd_pagerank(args: &Args) -> CliResult {
         .ok_or_else(|| CliError::usage("pagerank: missing <file>"))?;
     let damping: f64 = parse_flag(args, "pagerank", "damping", 0.85)?;
     let top: usize = parse_flag(args, "pagerank", "top", 10)?;
-    let h = load_input(args, path)?.into_memory()?;
+    let h = load_input(args, path)?.into_memory();
     let (pr, iters) = nwhy::hygra::pagerank::hygra_pagerank(
         &h,
         nwhy::hygra::pagerank::PageRankOptions {
@@ -843,8 +834,9 @@ fn cmd_pack(args: &Args) -> CliResult {
     Ok(())
 }
 
-/// `info <file>`: header shape, per-section byte sizes, and an integrity
-/// check of a packed image — without materializing the hypergraph.
+/// `info <file>`: header shape and per-section byte sizes of a packed
+/// image — without materializing the hypergraph. Opening it already ran
+/// the full integrity walk.
 fn cmd_info(args: &Args) -> CliResult {
     let path = args
         .positional
@@ -875,8 +867,7 @@ fn cmd_info(args: &Args) -> CliResult {
         "bytes/incidence:  {:.3} (NWHYBIN1: 8.000)",
         s.bytes_per_incidence()
     );
-    c.check_integrity()
-        .map_err(|e| CliError::invariant(format!("{path}: integrity check failed: {e}")))?;
+    // open_packed succeeded, so the validating open walk passed
     println!("integrity:        ok");
     Ok(())
 }
@@ -984,7 +975,7 @@ mod tests {
         let packed = load_input(&args, pak.to_str().unwrap()).unwrap();
         assert!(matches!(packed, Input::Packed(_)));
         assert_eq!(packed.num_hyperedges(), h.num_hyperedges());
-        assert_eq!(packed.into_memory().unwrap(), h);
+        assert_eq!(packed.into_memory(), h);
         let memory = load_input(&args, hgr.to_str().unwrap()).unwrap();
         assert!(matches!(memory, Input::Memory(_)));
 
@@ -1121,7 +1112,7 @@ mod tests {
     fn packed_stats_matches_in_memory_stats() {
         let h = nwhy::core::fixtures::paper_hypergraph();
         let c = CompressedHypergraph::from_bytes(nwhy::store::pack_hypergraph(&h)).unwrap();
-        let from_packed = packed_stats(&c).unwrap();
+        let from_packed = packed_stats(&c);
         let from_memory = h.stats();
         assert_eq!(from_packed.num_hyperedges, from_memory.num_hyperedges);
         assert_eq!(from_packed.num_hypernodes, from_memory.num_hypernodes);

@@ -2,15 +2,19 @@
 //! [`HyperAdjacency`], so every s-line kernel, BFS/CC, and s-metric in
 //! the workspace runs on the packed form unchanged.
 //!
-//! The image stays in its [`Storage`] (mmap or owned buffer); neighbor
-//! queries decode one gap-coded row into a small owned `Vec<Id>` on
-//! demand. Degree queries are cheaper still: they read only the row's
-//! length varint. Sequential scans ([`CompressedHypergraph::scan_edges`]
-//! and friends) decode the payload front to back with no index seeks,
-//! which is the access pattern the construction kernels and traversal
-//! benches actually exercise.
+//! The image stays in its [`Storage`] (mmap or owned buffer). Opening it
+//! makes one sequential, fully checked O(bytes) walk over both packed
+//! CSRs: every varint must decode in bounds, every gap sum must stay in
+//! the target ID space, every sampled index entry must agree with the
+//! walk, and the row lengths must sum to `nnz`. The walk records each
+//! row's start in an in-memory row-offset table (8 bytes per row), so
+//! random row access is one table lookup plus decoding that row into a
+//! small owned `Vec<Id>`. Degree queries read only the row's length
+//! varint. An image that opens is codec-valid by construction, so no
+//! query after open can fail: a corrupt image is a typed error at open,
+//! never a panic inside a kernel.
 
-use crate::format::{self, Header, FLAG_WEIGHTS, HEADER_LEN, SAMPLE_EVERY};
+use crate::format::{Header, HEADER_LEN, SAMPLE_EVERY};
 use crate::storage::{Backend, Storage};
 use crate::varint;
 use crate::StoreError;
@@ -21,82 +25,132 @@ use std::ops::Range;
 use std::path::Path;
 
 /// One packed CSR inside the image: section ranges (absolute byte
-/// offsets into the storage) plus its shape.
+/// offsets into the storage), its target ID space, and the row-offset
+/// table the open walk built.
 #[derive(Debug, Clone)]
 struct PackedCsr {
-    rows: usize,
     num_targets: usize,
     index: Range<usize>,
     payload: Range<usize>,
     weights: Option<Range<usize>>,
+    /// Payload-relative start of every row, then the payload length
+    /// (`rows + 1` entries): row `r` is `starts[r]..starts[r + 1]`.
+    starts: Vec<usize>,
 }
 
 impl PackedCsr {
-    /// Byte position (within the payload slice) where row `r` starts:
-    /// one sampled-index lookup plus at most `SAMPLE_EVERY - 1` row
-    /// skips.
-    fn row_pos(&self, bytes: &[u8], r: usize) -> Result<usize, StoreError> {
-        debug_assert!(r < self.rows);
-        let index = &bytes[self.index.clone()];
-        let payload = &bytes[self.payload.clone()];
-        let sample = r / SAMPLE_EVERY;
-        let off = format::read_u64_checked(index, sample * 8)?;
-        let mut pos = usize::try_from(off).map_err(|_| StoreError::CountOverflow {
-            what: "sampled row offset",
-            value: off,
-        })?;
-        if pos > payload.len() {
+    /// Locates the sections of one CSR and runs the open walk over them.
+    fn open(
+        bytes: &[u8],
+        rows: usize,
+        num_targets: usize,
+        nnz: usize,
+        index: Range<usize>,
+        payload: Range<usize>,
+        weights: Option<Range<usize>>,
+    ) -> Result<PackedCsr, StoreError> {
+        if index.len() != rows.div_ceil(SAMPLE_EVERY) * 8 {
             return Err(StoreError::Corrupt {
-                what: "sampled row offset beyond payload",
-                offset: sample * 8,
+                what: "index section length != 8 × ceil(rows / 64)",
+                offset: index.start,
             });
         }
-        for _ in 0..(r % SAMPLE_EVERY) {
-            let len = varint::decode(payload, &mut pos)?;
-            for _ in 0..len {
-                varint::skip(payload, &mut pos)?;
-            }
-        }
-        Ok(pos)
-    }
-
-    /// Decodes row `r` into `out` (cleared first). `max_len` bounds the
-    /// claimed row length (the file's own `nnz`), so a corrupt length
-    /// varint cannot trigger an unbounded allocation.
-    fn decode_row_into(
-        &self,
-        bytes: &[u8],
-        r: usize,
-        max_len: usize,
-        out: &mut Vec<Id>,
-    ) -> Result<(), StoreError> {
-        let mut pos = self.row_pos(bytes, r)?;
-        let payload = &bytes[self.payload.clone()];
-        decode_one_row(payload, &mut pos, max_len, self.num_targets, out)
-    }
-
-    /// Length of row `r` — reads only the length varint.
-    fn row_len(&self, bytes: &[u8], r: usize) -> Result<usize, StoreError> {
-        let mut pos = self.row_pos(bytes, r)?;
-        let payload = &bytes[self.payload.clone()];
-        let len = varint::decode(payload, &mut pos)?;
-        usize::try_from(len).map_err(|_| StoreError::CountOverflow {
-            what: "row length",
-            value: len,
+        let (Some(index_bytes), Some(payload_bytes)) =
+            (bytes.get(index.clone()), bytes.get(payload.clone()))
+        else {
+            return Err(StoreError::Truncated {
+                what: "section payload",
+                offset: bytes.len(),
+            });
+        };
+        let starts = walk_rows(index_bytes, payload_bytes, rows, num_targets, nnz)?;
+        Ok(PackedCsr {
+            num_targets,
+            index,
+            payload,
+            weights,
+            starts,
         })
+    }
+
+    fn rows(&self) -> usize {
+        self.starts.len().saturating_sub(1)
+    }
+
+    /// The encoded bytes of row `r` (`varint(len)` then the gaps): one
+    /// table lookup. Rows past the end read as empty.
+    fn row<'a>(&self, bytes: &'a [u8], r: usize) -> &'a [u8] {
+        let payload = bytes.get(self.payload.clone()).unwrap_or_default();
+        match self.starts.get(r..) {
+            Some(&[start, end, ..]) => payload.get(start..end).unwrap_or_default(),
+            _ => &[],
+        }
     }
 }
 
-/// Decodes one `varint(len) + gaps` row at `payload[*pos..]` into `out`,
-/// checking the row length against `max_len` and every reconstructed
-/// value against `num_targets`.
-fn decode_one_row(
+/// The open walk over one packed CSR: decodes every row with full
+/// checks, cross-checks each sampled index entry, rejects trailing
+/// bytes, and requires the row lengths to sum to `nnz`. Returns the
+/// row-offset table (`rows + 1` payload-relative offsets).
+// lint: obs: per-row validation loop inside the (instrumented) open
+// path; nwhy-store carries no nwhy-obs dependency, callers instrument
+// opens via the `io.open_packed` span in nwhy-io
+fn walk_rows(
+    index: &[u8],
+    payload: &[u8],
+    rows: usize,
+    num_targets: usize,
+    nnz: usize,
+) -> Result<Vec<usize>, StoreError> {
+    // Every row costs at least its length byte, so a header claiming
+    // more rows than payload bytes cannot reserve an outsized table.
+    let mut starts = Vec::with_capacity(rows.min(payload.len()) + 1);
+    let mut samples = index.chunks_exact(8);
+    let mut pos = 0usize;
+    let mut total = 0usize;
+    for r in 0..rows {
+        if r % SAMPLE_EVERY == 0 {
+            let stored = samples
+                .next()
+                .and_then(|s| <[u8; 8]>::try_from(s).ok())
+                .map(u64::from_le_bytes);
+            if stored != Some(pos as u64) {
+                return Err(StoreError::Corrupt {
+                    what: "sampled index disagrees with payload walk",
+                    offset: (r / SAMPLE_EVERY) * 8,
+                });
+            }
+        }
+        starts.push(pos);
+        total += check_row(payload, &mut pos, nnz - total, num_targets)?;
+    }
+    if pos != payload.len() {
+        return Err(StoreError::Corrupt {
+            what: "trailing bytes after last row",
+            offset: pos,
+        });
+    }
+    if total != nnz {
+        return Err(StoreError::Corrupt {
+            what: "row lengths do not sum to nnz",
+            offset: pos,
+        });
+    }
+    starts.push(pos);
+    Ok(starts)
+}
+
+/// Checks one `varint(len) + gaps` row at `payload[*pos..]`, advancing
+/// `*pos` past it, and returns its length. The length must not exceed
+/// `max_len` (the incidences not yet claimed by earlier rows), and every
+/// reconstructed value must fall inside `num_targets`.
+// lint: obs: per-gap validation loop of the open walk; see `walk_rows`
+fn check_row(
     payload: &[u8],
     pos: &mut usize,
     max_len: usize,
     num_targets: usize,
-    out: &mut Vec<Id>,
-) -> Result<(), StoreError> {
+) -> Result<usize, StoreError> {
     let len = varint::decode(payload, pos)?;
     let len = usize::try_from(len)
         .ok()
@@ -105,31 +159,46 @@ fn decode_one_row(
             what: "row length exceeds incidence count",
             offset: *pos,
         })?;
-    out.clear();
-    out.reserve(len);
-    let mut prev: u64 = 0;
-    for i in 0..len {
+    let mut value: u64 = 0;
+    for _ in 0..len {
+        // the first gap is absolute: 0 + gap
         let gap = varint::decode(payload, pos)?;
-        let v = if i == 0 {
-            gap
-        } else {
-            prev.checked_add(gap).ok_or(StoreError::Corrupt {
-                what: "gap sum overflow",
-                offset: *pos,
-            })?
-        };
-        if v >= num_targets as u64 {
+        value = value.checked_add(gap).ok_or(StoreError::Corrupt {
+            what: "gap sum overflow",
+            offset: *pos,
+        })?;
+        if value >= num_targets as u64 {
             return Err(StoreError::Corrupt {
                 what: "gap sum out of target bounds",
                 offset: *pos,
             });
         }
-        prev = v;
-        // lint: v < num_targets ≤ u32::MAX + 1 checked above
-        #[allow(clippy::cast_possible_truncation)]
-        out.push(v as Id);
     }
-    Ok(())
+    Ok(len)
+}
+
+/// Decodes one row that the open walk has validated into `out`
+/// (cleared first). Infallible: decoding runs to the end of the row's
+/// byte range, and every value is already known to fit the ID space.
+// lint: obs: per-gap decode loop under every row query — a span here
+// would dominate the work; the kernels calling it carry the spans
+fn decode_row(row: &[u8], out: &mut Vec<Id>) {
+    let mut pos = 0usize;
+    let len = varint::decode_validated(row, &mut pos);
+    out.clear();
+    out.reserve(usize::try_from(len).unwrap_or_default());
+    let mut value: u64 = 0;
+    while pos < row.len() {
+        value = value.wrapping_add(varint::decode_validated(row, &mut pos));
+        // lint: the open walk proved value < num_targets ≤ 2^32
+        #[allow(clippy::cast_possible_truncation)]
+        out.push(value as Id);
+    }
+}
+
+/// Length of a validated row — reads only its length varint.
+fn row_len(row: &[u8]) -> usize {
+    usize::try_from(varint::decode_validated(row, &mut 0)).unwrap_or_default()
 }
 
 /// Per-section byte sizes of an opened image — the raw material of the
@@ -185,29 +254,32 @@ impl CompressedHypergraph {
         Self::from_storage(Storage::Owned(bytes))
     }
 
-    /// Parses and structurally checks the header against the image
-    /// size; payload bytes are validated lazily (or eagerly via
-    /// [`Validate`]).
+    /// Parses the header, checks the section bounds against the image
+    /// size, and makes the validating open walk over both packed CSRs
+    /// (see the module docs). Any codec violation is an error here.
     // lint: obs: nwhy-store deliberately has no nwhy-obs dependency (it is the
     // zero-copy leaf crate under the unsafe-island lint wall); callers
     // instrument opens via the `io.open_packed` span in nwhy-io
     pub fn from_storage(bytes: Storage) -> Result<Self, StoreError> {
         let header = Header::parse(&bytes)?;
-        let n_e = count(header.n_e, "n_e")?;
-        let n_v = count(header.n_v, "n_v")?;
+        let n_e = row_count(header.n_e, "n_e", 16)?;
+        let n_v = row_count(header.n_v, "n_v", 24)?;
         let nnz = count(header.nnz, "nnz")?;
 
-        let mut starts = [0usize; 7];
-        starts[0] = HEADER_LEN;
-        for i in 0..6 {
-            let len = count(header.section_lens[i], "section length")?;
-            starts[i + 1] = starts[i].checked_add(len).ok_or(StoreError::Corrupt {
-                what: "section lengths overflow",
-                offset: 40 + 8 * i,
-            })?;
+        let mut sections: [Range<usize>; 6] = Default::default();
+        let mut end = HEADER_LEN;
+        for (i, (section, &len)) in sections.iter_mut().zip(&header.section_lens).enumerate() {
+            let start = end;
+            end = start
+                .checked_add(count(len, "section length")?)
+                .ok_or(StoreError::Corrupt {
+                    what: "section lengths overflow",
+                    offset: 40 + 8 * i,
+                })?;
+            *section = start..end;
         }
-        if starts[6] != bytes.len() {
-            return Err(if starts[6] > bytes.len() {
+        if end != bytes.len() {
+            return Err(if end > bytes.len() {
                 StoreError::Truncated {
                     what: "section payload",
                     offset: bytes.len(),
@@ -215,28 +287,46 @@ impl CompressedHypergraph {
             } else {
                 StoreError::Corrupt {
                     what: "trailing bytes after last section",
-                    offset: starts[6],
+                    offset: end,
                 }
             });
         }
+        let [edge_index, edge_payload, node_index, node_payload, edge_weights, node_weights] =
+            sections;
 
-        let weighted = header.flags & FLAG_WEIGHTS != 0;
-        let expect_weights = if weighted { nnz * 8 } else { 0 };
-        for i in [4usize, 5] {
-            if starts[i + 1] - starts[i] != expect_weights {
+        let weighted = header.weighted();
+        let expect_weights = if weighted { nnz.saturating_mul(8) } else { 0 };
+        for section in [&edge_weights, &node_weights] {
+            if section.len() != expect_weights {
                 return Err(StoreError::Corrupt {
                     what: if weighted {
                         "weights section length != 8 × nnz"
                     } else {
                         "weights section present without flag"
                     },
-                    offset: starts[i],
+                    offset: section.start,
                 });
             }
         }
 
-        let edges = packed_csr(n_e, n_v, &starts, 0, weighted.then_some(4))?;
-        let nodes = packed_csr(n_v, n_e, &starts, 2, weighted.then_some(5))?;
+        let edges = PackedCsr::open(
+            &bytes,
+            n_e,
+            n_v,
+            nnz,
+            edge_index,
+            edge_payload,
+            weighted.then_some(edge_weights),
+        )?;
+        let nodes = PackedCsr::open(
+            &bytes,
+            n_v,
+            n_e,
+            nnz,
+            node_index,
+            node_payload,
+            weighted.then_some(node_weights),
+        )?;
 
         Ok(CompressedHypergraph {
             bytes,
@@ -285,173 +375,79 @@ impl CompressedHypergraph {
         }
     }
 
-    /// Decodes the member hypernodes of hyperedge `e`.
-    ///
-    /// # Errors
-    /// Reports payload corruption; a file that passed [`Validate`] never
-    /// errors here.
-    pub fn edge_row(&self, e: Id) -> Result<Vec<Id>, StoreError> {
+    /// Decodes the member hypernodes of hyperedge `e` (empty when `e` is
+    /// out of range).
+    pub fn edge_row(&self, e: Id) -> Vec<Id> {
         let mut out = Vec::new();
-        self.edges
-            .decode_row_into(&self.bytes, ids::to_usize(e), self.nnz, &mut out)?;
-        Ok(out)
+        decode_row(self.edges.row(&self.bytes, ids::to_usize(e)), &mut out);
+        out
     }
 
-    /// Decodes the incident hyperedges of hypernode `v`.
-    ///
-    /// # Errors
-    /// Reports payload corruption, as [`CompressedHypergraph::edge_row`].
-    pub fn node_row(&self, v: Id) -> Result<Vec<Id>, StoreError> {
+    /// Decodes the incident hyperedges of hypernode `v`, as
+    /// [`CompressedHypergraph::edge_row`].
+    pub fn node_row(&self, v: Id) -> Vec<Id> {
         let mut out = Vec::new();
-        self.nodes
-            .decode_row_into(&self.bytes, ids::to_usize(v), self.nnz, &mut out)?;
-        Ok(out)
+        decode_row(self.nodes.row(&self.bytes, ids::to_usize(v)), &mut out);
+        out
     }
 
     /// Size of hyperedge `e` — reads only the length varint.
-    ///
-    /// # Errors
-    /// Reports payload corruption.
-    pub fn edge_row_len(&self, e: Id) -> Result<usize, StoreError> {
-        self.edges.row_len(&self.bytes, ids::to_usize(e))
+    pub fn edge_row_len(&self, e: Id) -> usize {
+        row_len(self.edges.row(&self.bytes, ids::to_usize(e)))
     }
 
     /// Degree of hypernode `v` — reads only the length varint.
-    ///
-    /// # Errors
-    /// Reports payload corruption.
-    pub fn node_row_len(&self, v: Id) -> Result<usize, StoreError> {
-        self.nodes.row_len(&self.bytes, ids::to_usize(v))
+    pub fn node_row_len(&self, v: Id) -> usize {
+        row_len(self.nodes.row(&self.bytes, ids::to_usize(v)))
     }
 
-    /// Streams every hyperedge row front to back (no index seeks),
-    /// reusing one decode buffer. The visitor gets `(hyperedge, members)`.
-    ///
-    /// # Errors
-    /// Reports payload corruption at the first bad row.
-    pub fn scan_edges(&self, f: impl FnMut(Id, &[Id])) -> Result<(), StoreError> {
-        scan(&self.edges, &self.bytes, self.nnz, f)
+    /// Streams every hyperedge row front to back, reusing one decode
+    /// buffer. The visitor gets `(hyperedge, members)`.
+    pub fn scan_edges(&self, f: impl FnMut(Id, &[Id])) {
+        scan(&self.edges, &self.bytes, f);
     }
 
     /// Streams every hypernode row front to back, as
     /// [`CompressedHypergraph::scan_edges`].
-    ///
-    /// # Errors
-    /// Reports payload corruption at the first bad row.
-    pub fn scan_nodes(&self, f: impl FnMut(Id, &[Id])) -> Result<(), StoreError> {
-        scan(&self.nodes, &self.bytes, self.nnz, f)
+    pub fn scan_nodes(&self, f: impl FnMut(Id, &[Id])) {
+        scan(&self.nodes, &self.bytes, f);
     }
 
     /// Fully decompresses back into an in-memory [`Hypergraph`]
     /// (including weights when present) — the exact inverse of
     /// [`crate::pack_hypergraph`].
-    ///
-    /// # Errors
-    /// Reports payload corruption.
-    pub fn to_hypergraph(&self) -> Result<Hypergraph, StoreError> {
-        let edges = self.unpack_csr(&self.edges)?;
-        let nodes = self.unpack_csr(&self.nodes)?;
-        Ok(Hypergraph::from_raw_parts(edges, nodes))
+    pub fn to_hypergraph(&self) -> Hypergraph {
+        Hypergraph::from_raw_parts(self.unpack_csr(&self.edges), self.unpack_csr(&self.nodes))
     }
 
     /// Decodes one packed CSR into a materialized [`Csr`].
-    fn unpack_csr(&self, packed: &PackedCsr) -> Result<Csr, StoreError> {
-        let mut offsets = Vec::with_capacity(packed.rows + 1);
+    fn unpack_csr(&self, packed: &PackedCsr) -> Csr {
+        let mut offsets = Vec::with_capacity(packed.rows() + 1);
         offsets.push(0usize);
         let mut targets: Vec<Id> = Vec::with_capacity(self.nnz);
-        let payload = &self.bytes[packed.payload.clone()];
-        let mut pos = 0usize;
-        let mut row = Vec::new();
-        for _ in 0..packed.rows {
-            decode_one_row(payload, &mut pos, self.nnz, packed.num_targets, &mut row)?;
-            targets.extend_from_slice(&row);
+        scan(packed, &self.bytes, |_, row| {
+            targets.extend_from_slice(row);
             offsets.push(targets.len());
-        }
-        if pos != payload.len() {
-            return Err(StoreError::Corrupt {
-                what: "trailing bytes after last row",
-                offset: pos,
-            });
-        }
-        let weights = match &packed.weights {
-            None => None,
-            Some(range) => {
-                let ws = &self.bytes[range.clone()];
-                let mut out = Vec::with_capacity(ws.len() / 8);
-                for chunk in ws.chunks_exact(8) {
-                    let arr: [u8; 8] = chunk.try_into().expect("8-byte chunk");
-                    out.push(f64::from_le_bytes(arr));
-                }
-                Some(out)
-            }
-        };
-        Ok(Csr::from_raw_parts(
-            packed.num_targets,
-            offsets,
-            targets,
-            weights,
-        ))
-    }
-
-    /// Full integrity walk in storage-error terms: decodes every row of
-    /// both CSRs, re-derives the sampled index, and cross-checks the
-    /// incidence totals. The [`Validate`] impl builds on this and adds
-    /// the structural hypergraph invariants (mutual transposes, sorted
-    /// rows, typed-ID round trip).
-    // lint: obs: nwhy-store has no nwhy-obs dependency; the CLI `verify`
-    // path wraps this walk in its own span
-    pub fn check_integrity(&self) -> Result<(), StoreError> {
-        for packed in [&self.edges, &self.nodes] {
-            let payload = &self.bytes[packed.payload.clone()];
-            let index = &self.bytes[packed.index.clone()];
-            let mut pos = 0usize;
-            let mut total = 0usize;
-            let mut row = Vec::new();
-            for r in 0..packed.rows {
-                if r % SAMPLE_EVERY == 0 {
-                    let stored = format::read_u64_checked(index, (r / SAMPLE_EVERY) * 8)?;
-                    if stored != pos as u64 {
-                        return Err(StoreError::Corrupt {
-                            what: "sampled index disagrees with payload walk",
-                            offset: (r / SAMPLE_EVERY) * 8,
-                        });
-                    }
-                }
-                decode_one_row(payload, &mut pos, self.nnz, packed.num_targets, &mut row)?;
-                total += row.len();
-            }
-            if pos != payload.len() {
-                return Err(StoreError::Corrupt {
-                    what: "trailing bytes after last row",
-                    offset: pos,
-                });
-            }
-            if total != self.nnz {
-                return Err(StoreError::Corrupt {
-                    what: "row lengths do not sum to nnz",
-                    offset: pos,
-                });
-            }
-        }
-        Ok(())
+        });
+        let weights = packed.weights.as_ref().map(|range| {
+            let ws = self.bytes.get(range.clone()).unwrap_or_default();
+            ws.chunks_exact(8)
+                .map(|w| <[u8; 8]>::try_from(w).map_or(0.0, f64::from_le_bytes))
+                .collect()
+        });
+        Csr::from_raw_parts(packed.num_targets, offsets, targets, weights)
     }
 }
 
 /// Shared sequential-scan driver for the two packed CSRs.
-fn scan(
-    packed: &PackedCsr,
-    bytes: &[u8],
-    nnz: usize,
-    mut f: impl FnMut(Id, &[Id]),
-) -> Result<(), StoreError> {
-    let payload = &bytes[packed.payload.clone()];
-    let mut pos = 0usize;
+// lint: obs: row loop under `to_hypergraph` and the scan visitors,
+// whose callers carry the spans; nwhy-store has no nwhy-obs dependency
+fn scan(packed: &PackedCsr, bytes: &[u8], mut f: impl FnMut(Id, &[Id])) {
     let mut row = Vec::new();
-    for r in 0..packed.rows {
-        decode_one_row(payload, &mut pos, nnz, packed.num_targets, &mut row)?;
+    for r in 0..packed.rows() {
+        decode_row(packed.row(bytes, r), &mut row);
         f(ids::from_usize(r), &row);
     }
-    Ok(())
 }
 
 /// Converts a 64-bit header count to `usize`.
@@ -459,32 +455,17 @@ fn count(value: u64, what: &'static str) -> Result<usize, StoreError> {
     usize::try_from(value).map_err(|_| StoreError::CountOverflow { what, value })
 }
 
-/// Assembles one [`PackedCsr`] from the section-start table, checking
-/// the index section holds exactly `ceil(rows / SAMPLE_EVERY)` u64s.
-fn packed_csr(
-    rows: usize,
-    num_targets: usize,
-    starts: &[usize; 7],
-    first_section: usize,
-    weights_section: Option<usize>,
-) -> Result<PackedCsr, StoreError> {
-    let index = starts[first_section]..starts[first_section + 1];
-    let payload = starts[first_section + 1]..starts[first_section + 2];
-    let expected_samples = rows.div_ceil(SAMPLE_EVERY);
-    if index.len() != expected_samples * 8 {
+/// Converts a header row count (at header byte `offset`) to `usize`,
+/// requiring every row — and so every neighbor value, which names a row
+/// of the other direction — to fit the 32-bit [`Id`] space.
+fn row_count(value: u64, what: &'static str, offset: usize) -> Result<usize, StoreError> {
+    if value > u64::from(Id::MAX) + 1 {
         return Err(StoreError::Corrupt {
-            what: "index section length != 8 × ceil(rows / 64)",
-            offset: index.start,
+            what: "row count exceeds the 32-bit ID space",
+            offset,
         });
     }
-    let weights = weights_section.map(|i| starts[i]..starts[i + 1]);
-    Ok(PackedCsr {
-        rows,
-        num_targets,
-        index,
-        payload,
-        weights,
-    })
+    count(value, what)
 }
 
 impl HyperAdjacency for CompressedHypergraph {
@@ -501,48 +482,34 @@ impl HyperAdjacency for CompressedHypergraph {
     fn num_hypernodes(&self) -> usize {
         self.n_v
     }
-    /// Decodes the row on every call. Panics on payload corruption —
-    /// open-time checks plus [`Validate`] make that unreachable for
-    /// well-formed files, and the trait has no error channel by design
-    /// (in-memory representations cannot fail either).
+    /// Decodes the row on every call.
     fn edge_neighbors(&self, e: Id) -> Vec<Id> {
-        self.edge_row(e).expect("corrupt NWHYPAK1 edge payload")
+        self.edge_row(e)
     }
     /// See [`HyperAdjacency::edge_neighbors`] on this impl.
     fn node_neighbors(&self, v: Id) -> Vec<Id> {
-        self.node_row(v).expect("corrupt NWHYPAK1 node payload")
+        self.node_row(v)
     }
     /// Length-varint fast path: no row decode.
     fn edge_degree(&self, e: Id) -> usize {
-        self.edge_row_len(e).expect("corrupt NWHYPAK1 edge payload")
+        self.edge_row_len(e)
     }
     /// Length-varint fast path: no row decode.
     fn node_degree(&self, v: Id) -> usize {
-        self.node_row_len(v).expect("corrupt NWHYPAK1 node payload")
+        self.node_row_len(v)
     }
 }
 
 impl Validate for CompressedHypergraph {
-    /// Packed-form invariants: every varint decodes in bounds, the
-    /// sampled index agrees with a front-to-back payload walk, row
-    /// lengths sum to `nnz` in both directions, gap sums stay inside
-    /// the target ID space, and the decompressed structure satisfies
-    /// every [`Hypergraph`] invariant (monotone offsets, sorted rows,
+    /// The codec invariants (every varint in bounds, the sampled index
+    /// agreeing with the payload walk, row lengths summing to `nnz`, gap
+    /// sums inside the target ID space) hold for every image that
+    /// opened, so this checks the decompressed structure against every
+    /// [`Hypergraph`] invariant: monotone offsets, sorted rows, and
     /// mutual transposes — which is the typed-ID round trip: every raw
-    /// word in a node row names a decodable hyperedge row and vice
-    /// versa).
+    /// word in a node row names a hyperedge row and vice versa.
     fn validate(&self) -> Result<(), InvariantViolation> {
-        if let Err(e) = self.check_integrity() {
-            return Err(InvariantViolation::PackedPayloadCorrupt {
-                detail: e.to_string(),
-            });
-        }
-        let h = self
-            .to_hypergraph()
-            .map_err(|e| InvariantViolation::PackedPayloadCorrupt {
-                detail: e.to_string(),
-            })?;
-        h.validate()
+        self.to_hypergraph().validate()
     }
 }
 
@@ -550,7 +517,7 @@ impl Validate for CompressedHypergraph {
 mod tests {
     use super::*;
     use crate::pack_hypergraph;
-    use nwhy_core::fixtures::paper_hypergraph;
+    use nwhy_core::fixtures::{multi_block_hypergraph, paper_hypergraph};
 
     fn packed_fixture() -> CompressedHypergraph {
         CompressedHypergraph::from_bytes(pack_hypergraph(&paper_hypergraph())).unwrap()
@@ -572,27 +539,48 @@ mod tests {
         let h = paper_hypergraph();
         let c = packed_fixture();
         for e in 0..ids::from_usize(h.num_hyperedges()) {
-            assert_eq!(c.edge_row(e).unwrap(), h.edge_members(e), "edge {e}");
-            assert_eq!(c.edge_row_len(e).unwrap(), h.edge_degree(e));
+            assert_eq!(c.edge_row(e), h.edge_members(e), "edge {e}");
+            assert_eq!(c.edge_row_len(e), h.edge_degree(e));
         }
         for v in 0..ids::from_usize(h.num_hypernodes()) {
-            assert_eq!(c.node_row(v).unwrap(), h.node_memberships(v), "node {v}");
-            assert_eq!(c.node_row_len(v).unwrap(), h.node_degree(v));
+            assert_eq!(c.node_row(v), h.node_memberships(v), "node {v}");
+            assert_eq!(c.node_row_len(v), h.node_degree(v));
         }
+    }
+
+    /// Random access across sampled-index block boundaries: every row,
+    /// visited last to first so no row's lookup can lean on the one
+    /// before it, including rows 63/64/65 and the last row.
+    #[test]
+    fn rows_match_source_across_index_blocks_in_reverse() {
+        let h = multi_block_hypergraph();
+        let c = CompressedHypergraph::from_bytes(pack_hypergraph(&h)).unwrap();
+        assert!(h.num_hyperedges().min(h.num_hypernodes()) > 2 * SAMPLE_EVERY);
+        let (n_e, n_v) = (
+            ids::from_usize(h.num_hyperedges()),
+            ids::from_usize(h.num_hypernodes()),
+        );
+        for e in (0..n_e).rev() {
+            assert_eq!(c.edge_row(e), h.edge_members(e), "edge {e}");
+            assert_eq!(c.edge_row_len(e), h.edge_degree(e), "edge {e}");
+        }
+        for v in (0..n_v).rev() {
+            assert_eq!(c.node_row(v), h.node_memberships(v), "node {v}");
+            assert_eq!(c.node_row_len(v), h.node_degree(v), "node {v}");
+        }
+        assert!(c.edge_row(n_e).is_empty() && c.node_row_len(n_v) == 0);
     }
 
     #[test]
     fn roundtrips_to_hypergraph() {
         let h = paper_hypergraph();
         let c = packed_fixture();
-        assert_eq!(c.to_hypergraph().unwrap(), h);
+        assert_eq!(c.to_hypergraph(), h);
     }
 
     #[test]
     fn validates_clean_image() {
-        let c = packed_fixture();
-        assert_eq!(c.check_integrity().map_err(|e| e.to_string()), Ok(()));
-        assert_eq!(c.validate(), Ok(()));
+        assert_eq!(packed_fixture().validate(), Ok(()));
     }
 
     #[test]
@@ -600,7 +588,7 @@ mod tests {
         let h = paper_hypergraph();
         let c = packed_fixture();
         let mut seen = Vec::new();
-        c.scan_edges(|e, row| seen.push((e, row.to_vec()))).unwrap();
+        c.scan_edges(|e, row| seen.push((e, row.to_vec())));
         assert_eq!(seen.len(), h.num_hyperedges());
         for (e, row) in &seen {
             assert_eq!(row, h.edge_members(*e));
@@ -622,14 +610,24 @@ mod tests {
     #[test]
     fn corrupt_payload_is_reported() {
         let mut img = pack_hypergraph(&paper_hypergraph());
-        // Flip a payload byte to an overlong continuation marker.
+        // Flip the last payload byte to an overlong continuation marker:
+        // the open walk runs off the end of the payload.
         let last = img.len() - 1;
         img[last] = 0x80;
-        let c = CompressedHypergraph::from_bytes(img).unwrap();
-        assert!(c.check_integrity().is_err());
         assert!(matches!(
-            c.validate(),
-            Err(InvariantViolation::PackedPayloadCorrupt { .. })
+            CompressedHypergraph::from_bytes(img),
+            Err(StoreError::Truncated { .. })
+        ));
+    }
+
+    #[test]
+    fn sampled_index_disagreement_is_rejected_at_open() {
+        let mut img = pack_hypergraph(&paper_hypergraph());
+        // The first index entry of the edge CSR must be 0.
+        img[HEADER_LEN] = 1;
+        assert!(matches!(
+            CompressedHypergraph::from_bytes(img),
+            Err(StoreError::Corrupt { .. })
         ));
     }
 
@@ -669,13 +667,17 @@ mod tests {
         );
         let (index, payload) = crate::format::pack_csr(&csr);
         assert_eq!(index.len(), 8); // ceil(3/64) = 1 sample
-        let mut pos = 0;
+        let starts = walk_rows(&index, &payload, 3, u32::MAX as usize, 3).unwrap();
+        assert_eq!(starts.len(), 4);
+        assert_eq!(starts[3], payload.len());
         let mut out = Vec::new();
         for r in 0..3u32 {
-            decode_one_row(&payload, &mut pos, 3, u32::MAX as usize, &mut out).unwrap();
+            let row = &payload[starts[r as usize]..starts[r as usize + 1]];
+            decode_row(row, &mut out);
             assert_eq!(&out[..], csr.neighbors(r), "row {r}");
         }
-        assert_eq!(pos, payload.len());
+        // one past the last ID is out of target bounds
+        assert!(walk_rows(&index, &payload, 3, big as usize, 3).is_err());
     }
 
     #[test]
@@ -685,6 +687,6 @@ mod tests {
         assert_eq!(c.num_hyperedges(), 0);
         assert_eq!(c.num_hypernodes(), 0);
         assert_eq!(c.validate(), Ok(()));
-        assert_eq!(c.to_hypergraph().unwrap(), h);
+        assert_eq!(c.to_hypergraph(), h);
     }
 }

@@ -24,10 +24,12 @@
 //! from its predecessor (non-negative, because neighbor slices are
 //! sorted; `0` encodes a duplicate incidence). The index is a sampled
 //! offset table: one u64 payload byte offset for every
-//! [`SAMPLE_EVERY`]-th row, so random access costs one table lookup plus
-//! at most `SAMPLE_EVERY - 1` row skips. Weights sections, when flagged,
-//! are plain `f64` little-endian arrays in row-major incidence order
-//! (`nnz` entries each).
+//! [`SAMPLE_EVERY`]-th row. Readers use it only to cross-check the
+//! validating walk that opens an image; random row access goes through
+//! the full in-memory row-offset table that walk builds (see
+//! [`crate::compressed`]). Weights sections, when flagged, are plain
+//! `f64` little-endian arrays in row-major incidence order (`nnz`
+//! entries each).
 
 use crate::varint;
 use crate::StoreError;
@@ -43,9 +45,9 @@ pub const VERSION: u32 = 1;
 /// Flag bit 0: the two weights sections are present.
 pub const FLAG_WEIGHTS: u32 = 1;
 
-/// Row-start sampling interval of the offset index. Power of two so the
-/// `row / SAMPLE_EVERY` lookup is a shift; 64 keeps the index under 2%
-/// of payload size even for degenerate all-empty-row inputs.
+/// Row-start sampling interval of the on-disk offset index; 64 keeps the
+/// index under 2% of payload size even for degenerate all-empty-row
+/// inputs.
 pub const SAMPLE_EVERY: usize = 64;
 
 /// Total header size in bytes.
@@ -98,25 +100,20 @@ impl Header {
     // lint: obs: fixed-size header decode inside the (instrumented)
     // open path; nwhy-store carries no nwhy-obs dependency
     pub fn parse(bytes: &[u8]) -> Result<Header, StoreError> {
-        if bytes.len() < HEADER_LEN {
-            // Report the magic mismatch first when even that much is
-            // missing — "not a pak file" beats "truncated" for a file
-            // that was never one.
-            if bytes.len() < 8 || bytes[0..8] != MAGIC {
-                let mut found = [0u8; 8];
-                let n = bytes.len().min(8);
-                found[..n].copy_from_slice(&bytes[..n]);
-                return Err(StoreError::BadMagic { found });
+        // Report the magic mismatch first, even on a short buffer — "not
+        // a pak file" beats "truncated" for a file that was never one.
+        if !bytes.starts_with(&MAGIC) {
+            let mut found = [0u8; 8];
+            for (f, b) in found.iter_mut().zip(bytes) {
+                *f = *b;
             }
+            return Err(StoreError::BadMagic { found });
+        }
+        if bytes.len() < HEADER_LEN {
             return Err(StoreError::Truncated {
                 what: "NWHYPAK1 header",
                 offset: bytes.len(),
             });
-        }
-        if bytes[0..8] != MAGIC {
-            let mut found = [0u8; 8];
-            found.copy_from_slice(&bytes[0..8]);
-            return Err(StoreError::BadMagic { found });
         }
         let version = read_u32(bytes, 8);
         if version != VERSION {
@@ -140,34 +137,21 @@ impl Header {
     }
 }
 
-/// Reads a little-endian `u32` at `pos`; caller guarantees bounds.
+/// Reads a little-endian `u32` at `pos` (0 past the end; [`Header::parse`]
+/// checks the header length first).
 fn read_u32(bytes: &[u8], pos: usize) -> u32 {
-    let chunk: [u8; 4] = bytes[pos..pos + 4].try_into().expect("4-byte slice");
-    u32::from_le_bytes(chunk)
+    bytes
+        .get(pos..pos + 4)
+        .and_then(|b| b.try_into().ok())
+        .map_or(0, u32::from_le_bytes)
 }
 
-/// Reads a little-endian `u64` at `pos`; caller guarantees bounds.
+/// Reads a little-endian `u64` at `pos`, as [`read_u32`].
 fn read_u64(bytes: &[u8], pos: usize) -> u64 {
-    let chunk: [u8; 8] = bytes[pos..pos + 8].try_into().expect("8-byte slice");
-    u64::from_le_bytes(chunk)
-}
-
-/// Reads a little-endian `u64` at `pos` with a bounds check — the
-/// decoder-side sibling of [`read_u64`] for untrusted offsets.
-pub(crate) fn read_u64_checked(bytes: &[u8], pos: usize) -> Result<u64, StoreError> {
-    let end = pos.checked_add(8).ok_or(StoreError::Corrupt {
-        what: "u64 read offset overflow",
-        offset: pos,
-    })?;
-    let chunk: [u8; 8] = bytes
-        .get(pos..end)
-        .ok_or(StoreError::Truncated {
-            what: "u64 field",
-            offset: pos,
-        })?
-        .try_into()
-        .expect("8-byte slice");
-    Ok(u64::from_le_bytes(chunk))
+    bytes
+        .get(pos..pos + 8)
+        .and_then(|b| b.try_into().ok())
+        .map_or(0, u64::from_le_bytes)
 }
 
 /// Gap-encodes one CSR into `(index, payload)` byte sections: the

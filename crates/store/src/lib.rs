@@ -7,7 +7,9 @@
 //! starts, little-endian, versioned header — and serves it back through
 //! [`CompressedHypergraph`], which implements
 //! [`nwhy_core::HyperAdjacency`] so every s-line kernel, BFS/CC, and
-//! s-metric runs on the packed form unchanged.
+//! s-metric runs on the packed form unchanged. Opening an image validates
+//! all of it in one walk that also builds a row-offset table, so a
+//! corrupt file is an error at open and every later query is infallible.
 //!
 //! Two backends hold the image ([`Storage`]): a read-only `mmap` (unix,
 //! `mmap` cargo feature, the zero-copy path) and a pure-safe

@@ -64,27 +64,25 @@ pub fn decode(bytes: &[u8], pos: &mut usize) -> Result<u64, StoreError> {
     }
 }
 
-/// Skips one varint without materializing its value. Same error cases as
-/// [`decode`] minus overflow detection (the continuation-length cap still
-/// applies, so a corrupt run cannot scan unboundedly).
+/// Decodes one varint from bytes the `NWHYPAK1` open walk has already
+/// validated with [`decode`], advancing `*pos`. No error path: on valid
+/// bytes it equals [`decode`], and on any other bytes it still stops at
+/// the end of `bytes` instead of reading past it.
 #[inline]
 // lint: obs: per-byte LEB128 hot loop — a span here would dominate the
 // work; the row-level pack/decode callers carry the instrumentation
-pub fn skip(bytes: &[u8], pos: &mut usize) -> Result<(), StoreError> {
-    for _ in 0..MAX_LEN {
-        let &byte = bytes.get(*pos).ok_or(StoreError::Truncated {
-            what: "varint payload",
-            offset: *pos,
-        })?;
+pub(crate) fn decode_validated(bytes: &[u8], pos: &mut usize) -> u64 {
+    let mut value: u64 = 0;
+    let mut shift: u32 = 0;
+    while let Some(&byte) = bytes.get(*pos) {
         *pos += 1;
+        value |= u64::from(byte & 0x7f).wrapping_shl(shift);
         if byte & 0x80 == 0 {
-            return Ok(());
+            break;
         }
+        shift = shift.wrapping_add(7);
     }
-    Err(StoreError::Corrupt {
-        what: "varint continuation run exceeds 10 bytes",
-        offset: *pos,
-    })
+    value
 }
 
 #[cfg(test)]
@@ -153,24 +151,25 @@ mod tests {
             decode(&buf, &mut pos),
             Err(StoreError::Corrupt { .. })
         ));
-        let mut pos = 0;
-        assert!(matches!(
-            skip(&buf, &mut pos),
-            Err(StoreError::Corrupt { .. })
-        ));
     }
 
     #[test]
-    fn skip_advances_like_decode() {
+    fn validated_decode_matches_checked_decode() {
         let mut buf = Vec::new();
         for v in [0u64, 1, 127, 128, 1 << 20, u64::MAX] {
             encode(v, &mut buf);
         }
         let (mut a, mut b) = (0usize, 0usize);
         for _ in 0..6 {
-            decode(&buf, &mut a).unwrap();
-            skip(&buf, &mut b).unwrap();
+            assert_eq!(
+                decode(&buf, &mut a).unwrap(),
+                decode_validated(&buf, &mut b)
+            );
             assert_eq!(a, b);
         }
+        // a run-off continuation stops at the end instead of reading past it
+        let mut pos = 0;
+        decode_validated(&[0x80, 0x80], &mut pos);
+        assert_eq!(pos, 2);
     }
 }

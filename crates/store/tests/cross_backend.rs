@@ -8,6 +8,7 @@
 //! catch.
 
 use nwhy_core::algorithms::{hyper_bfs_generic, hyper_cc_generic};
+use nwhy_core::fixtures::multi_block_hypergraph;
 use nwhy_core::{Algorithm, Hypergraph, OverlapPath, OverlapPolicy, SLineBuilder};
 use nwhy_gen::powerlaw::PowerlawParams;
 use nwhy_gen::{powerlaw_hypergraph, uniform_random};
@@ -36,6 +37,9 @@ fn fixtures() -> Vec<(&'static str, Hypergraph)> {
             "degenerate",
             Hypergraph::from_memberships(&[vec![], vec![7], vec![0, 1, 2], vec![1, 2], vec![7]]),
         ),
+        // > 300 rows each way with empty rows: row lookups cross the
+        // 64-row blocks of the sampled index
+        ("multi-block", multi_block_hypergraph()),
     ]
 }
 
