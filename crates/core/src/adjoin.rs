@@ -20,7 +20,6 @@ use crate::hypergraph::Hypergraph;
 use crate::ids::{adjoin_to_node, AdjoinId, HyperedgeId, HypernodeId};
 use crate::Id;
 use nwgraph::{Csr, EdgeList};
-use rayon::prelude::*;
 
 /// A hypergraph adjoined into one index set, backed by a square symmetric
 /// CSR.
@@ -52,26 +51,24 @@ pub struct AdjoinGraph {
 }
 
 impl AdjoinGraph {
-    /// Adjoins the bi-adjacency of `h` into a single-index graph.
+    /// Adjoins the bi-adjacency of `h` into a single-index graph: the
+    /// hyperedge CSR, targets shifted into the node partition, followed by
+    /// the hypernode CSR. Both are sorted, so this is an O(nnz) copy.
     pub fn from_hypergraph(h: &Hypergraph) -> Self {
-        let ne = h.num_hyperedges();
-        let nv = h.num_hypernodes();
-        let n = ne + nv;
-        // Both directions of every incidence; the hypernode → shared-set
-        // shift is owned by `AdjoinId::from_node`, never inlined here.
-        let pairs: Vec<(Id, Id)> = h
-            .edges()
-            .par_iter()
-            .flat_map_iter(|(e, members)| {
-                members.iter().flat_map(move |&v| {
-                    let av = AdjoinId::from_node(HypernodeId::new(v), ne).raw();
-                    [(e, av), (av, e)]
-                })
-            })
-            .collect();
-        let el = EdgeList::from_edges(n, pairs);
+        let _span = nwhy_obs::span("build.adjoin");
+        let (edges, nodes) = (h.edges(), h.nodes());
+        let (ne, nv, nnz) = (h.num_hyperedges(), h.num_hypernodes(), h.num_incidences());
+        let edge_offsets = edges.offsets().iter().copied();
+        let node_offsets = nodes.offsets().iter().skip(1).map(|&o| o + nnz);
+        let offsets = edge_offsets.chain(node_offsets).collect();
+        // The hypernode → shared-set shift is owned by
+        // `AdjoinId::from_node`, never inlined here.
+        let shift = |&v: &Id| AdjoinId::from_node(HypernodeId::new(v), ne).raw();
+        let edge_targets = edges.targets().iter().map(shift);
+        let node_targets = nodes.targets().iter().copied();
+        let targets = edge_targets.chain(node_targets).collect();
         let a = Self {
-            graph: Csr::from_edge_list(&el),
+            graph: Csr::from_raw_parts(ne + nv, offsets, targets, None),
             num_hyperedges: ne,
             num_hypernodes: nv,
         };
@@ -348,6 +345,22 @@ mod tests {
             prop_assert!(a.graph().is_symmetric());
             prop_assert_eq!(a.to_hypergraph(), h);
             prop_assert_eq!(a.graph().num_edges(), 2 * bel.num_incidences());
+        }
+
+        #[test]
+        fn prop_concatenation_matches_edge_list_build(
+            pairs in proptest::collection::vec((0u32..6, 0u32..9), 0..50)
+        ) {
+            let mut bel = crate::biedgelist::BiEdgeList::from_incidences(6, 9, pairs);
+            bel.sort_dedup();
+            let h = Hypergraph::from_biedgelist(&bel);
+            let one_way: Vec<(Id, Id)> = bel
+                .incidences()
+                .iter()
+                .map(|&(e, v)| (e, AdjoinId::from_node(HypernodeId::new(v), 6).raw()))
+                .collect();
+            let oracle = AdjoinGraph::from_adjoin_edge_list(&EdgeList::from_edges(15, one_way), 6, 9);
+            prop_assert_eq!(AdjoinGraph::from_hypergraph(&h), oracle);
         }
     }
 }

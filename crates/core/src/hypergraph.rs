@@ -44,13 +44,19 @@ impl Hypergraph {
     /// equivalent of Listing 2's
     /// `biadjacency<0> hyperedges(bi_el); biadjacency<1> hypernodes(bi_el);`.
     pub fn from_biedgelist(bel: &BiEdgeList) -> Self {
-        let edges = Csr::from_pairs(
-            bel.num_hyperedges(),
-            bel.num_hypernodes(),
-            bel.incidences(),
-            bel.weights(),
-        );
-        let nodes = edges.transpose();
+        let edges = {
+            let _span = nwhy_obs::span("build.csr");
+            Csr::from_pairs(
+                bel.num_hyperedges(),
+                bel.num_hypernodes(),
+                bel.incidences(),
+                bel.weights(),
+            )
+        };
+        let nodes = {
+            let _span = nwhy_obs::span("build.transpose");
+            edges.transpose()
+        };
         let h = Self { edges, nodes };
         crate::validate::debug_validate(&h, "Hypergraph::from_biedgelist");
         h

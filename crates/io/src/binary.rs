@@ -46,7 +46,8 @@ const READ_CHUNK: usize = 1 << 16;
 
 /// Reads the binary format into a hypergraph.
 pub fn read_binary<R: Read>(mut r: R) -> Result<Hypergraph, IoError> {
-    let _span = nwhy_obs::span("io.read_binary");
+    // Decode only: the CSR builds below carry their own spans.
+    let decode = nwhy_obs::span("io.decode");
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
     if &magic != MAGIC {
@@ -119,6 +120,7 @@ pub fn read_binary<R: Read>(mut r: R) -> Result<Hypergraph, IoError> {
     let bytes = 40 + nnz as u64 * if weighted { 16 } else { 8 };
     nwhy_obs::add(Counter::IoBytesRead, bytes);
     nwhy_obs::add(Counter::IoIncidencesRead, nnz as u64);
+    drop(decode);
     Ok(Hypergraph::from_biedgelist(&bel))
 }
 

@@ -10,15 +10,16 @@
 //! random-access (`index`/[`Csr::neighbors`], [`Csr::iter`]), the inner
 //! ranges are the neighbor slices.
 //!
-//! Construction from an [`EdgeList`] is parallel: a histogram of degrees,
-//! a prefix sum, and an atomic-cursor scatter, followed by a per-vertex
-//! neighbor sort (sorted adjacency is what the set-intersection s-line
-//! algorithms rely on).
+//! Construction is a stable counting sort: a histogram of degrees, a
+//! prefix sum, and a scatter in input order. Rows that come out unsorted
+//! are then sorted (sorted adjacency is what the set-intersection s-line
+//! algorithms rely on); weighted rows sort stably, so duplicate targets
+//! keep their input weight order. [`Csr::transpose`] is the same scatter
+//! run over `self` row by row, which leaves every transposed row sorted.
 
 use crate::edge_list::EdgeList;
 use crate::Vertex;
-use nwhy_util::prefix::exclusive_prefix_sum;
-use nwhy_util::sync::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use nwhy_util::prefix::exclusive_prefix_sum_in_place;
 use rayon::prelude::*;
 
 /// Rectangular CSR adjacency; see the module docs.
@@ -84,9 +85,53 @@ impl Csr {
         if let Some(ws) = weights {
             assert_eq!(ws.len(), pairs.len(), "weights length mismatch");
         }
-        // 1. Histogram of out-degrees.
-        let degrees: Vec<AtomicUsize> = (0..num_sources).map(|_| AtomicUsize::new(0)).collect();
-        pairs.par_iter().for_each(|&(u, v)| {
+        let mut g = Self::counting_sort(num_sources, num_targets, pairs.iter().copied(), weights);
+        // Rows keep input order, and loaders emit edge-major incidences,
+        // so most rows are already sorted; only the rest pay for a sort.
+        for u in 0..num_sources {
+            let (lo, hi) = (g.offsets[u], g.offsets[u + 1]);
+            let row = &mut g.targets[lo..hi];
+            if row.is_sorted() {
+                continue;
+            }
+            match &mut g.weights {
+                None => row.sort_unstable(),
+                Some(ws) => {
+                    // Stable, so duplicate targets keep their input weight order.
+                    let mut zipped: Vec<(Vertex, f64)> = row
+                        .iter()
+                        .copied()
+                        .zip(ws[lo..hi].iter().copied())
+                        .collect();
+                    zipped.sort_by_key(|&(t, _)| t);
+                    for ((t, w), (dt, dw)) in
+                        zipped.into_iter().zip(row.iter_mut().zip(&mut ws[lo..hi]))
+                    {
+                        (*dt, *dw) = (t, w);
+                    }
+                }
+            }
+        }
+        g
+    }
+
+    /// Stable counting sort of `(source, target)` incidences into CSR
+    /// rows: degree histogram, prefix sum, then a scatter in stream order,
+    /// so each row holds its targets in the order `incidences` yields
+    /// them. The `i`-th incidence carries weight `weights[i]`.
+    ///
+    /// # Panics
+    /// Panics if any endpoint is out of its range.
+    fn counting_sort(
+        num_sources: usize,
+        num_targets: usize,
+        incidences: impl Iterator<Item = (Vertex, Vertex)> + Clone,
+        weights: Option<&[f64]>,
+    ) -> Self {
+        // `offsets[u + 1]` counts row `u`, then (after the scan) serves as
+        // its write cursor, ending at the row's end = the next row's start.
+        let mut offsets = vec![0usize; num_sources + 1];
+        for (u, v) in incidences.clone() {
             assert!(
                 (u as usize) < num_sources,
                 "source {u} out of range {num_sources}"
@@ -95,79 +140,24 @@ impl Csr {
                 (v as usize) < num_targets,
                 "target {v} out of range {num_targets}"
             );
-            degrees[u as usize].fetch_add(1, Ordering::Relaxed);
-        });
-        let degrees: Vec<usize> = degrees.into_iter().map(AtomicUsize::into_inner).collect();
-
-        // 2. Prefix sum gives slice offsets.
-        let offsets = exclusive_prefix_sum(&degrees);
-        let m = offsets[num_sources];
-
-        // 3. Scatter with per-vertex atomic cursors.
-        let cursors: Vec<AtomicUsize> = offsets[..num_sources]
-            .iter()
-            .map(|&o| AtomicUsize::new(o))
-            .collect();
-        let targets: Vec<AtomicU32> = (0..m).map(|_| AtomicU32::new(0)).collect();
-        let wslots: Option<Vec<AtomicU64>> =
-            weights.map(|_| (0..m).map(|_| AtomicU64::new(0)).collect());
-        pairs.par_iter().enumerate().for_each(|(i, &(u, v))| {
-            let pos = cursors[u as usize].fetch_add(1, Ordering::Relaxed);
-            targets[pos].store(v, Ordering::Relaxed);
-            if let (Some(slots), Some(ws)) = (&wslots, weights) {
-                slots[pos].store(ws[i].to_bits(), Ordering::Relaxed);
-            }
-        });
-        let mut targets: Vec<Vertex> = targets.into_iter().map(AtomicU32::into_inner).collect();
-        let mut wvec: Option<Vec<f64>> = wslots.map(|slots| {
-            slots
-                .into_iter()
-                .map(|s| f64::from_bits(s.into_inner()))
-                .collect()
-        });
-
-        // 4. Sort each neighbor slice (targets, with weights following).
-        match &mut wvec {
-            None => {
-                let mut rest: &mut [Vertex] = &mut targets;
-                let mut slices = Vec::with_capacity(num_sources);
-                let mut prev = 0usize;
-                for &o in &offsets[1..] {
-                    let (head, tail) = rest.split_at_mut(o - prev);
-                    slices.push(head);
-                    rest = tail;
-                    prev = o;
-                }
-                slices.into_par_iter().for_each(|s| s.sort_unstable());
-            }
-            Some(ws) => {
-                // Sort target/weight pairs together, per source slice.
-                let offsets_ref = &offsets;
-                let pairs_per_vertex: Vec<(usize, usize)> = (0..num_sources)
-                    .map(|u| (offsets_ref[u], offsets_ref[u + 1]))
-                    .collect();
-                // Sequential per-slice pair sort (weighted graphs in this
-                // workspace are small: SSSP test inputs only).
-                for (lo, hi) in pairs_per_vertex {
-                    let mut zipped: Vec<(Vertex, f64)> = targets[lo..hi]
-                        .iter()
-                        .copied()
-                        .zip(ws[lo..hi].iter().copied())
-                        .collect();
-                    zipped.sort_unstable_by_key(|&(t, _)| t);
-                    for (k, (t, w)) in zipped.into_iter().enumerate() {
-                        targets[lo + k] = t;
-                        ws[lo + k] = w;
-                    }
-                }
-            }
+            offsets[u as usize + 1] += 1;
         }
-
+        let nnz = exclusive_prefix_sum_in_place(&mut offsets[1..]);
+        let mut targets = vec![0; nnz];
+        let mut out_weights = weights.map(|_| vec![0.0; nnz]);
+        for (i, (u, v)) in incidences.enumerate() {
+            let cursor = &mut offsets[u as usize + 1];
+            targets[*cursor] = v;
+            if let (Some(out), Some(ws)) = (&mut out_weights, weights) {
+                out[*cursor] = ws[i];
+            }
+            *cursor += 1;
+        }
         Self {
             num_targets,
             offsets,
             targets,
-            weights: wvec,
+            weights: out_weights,
         }
     }
 
@@ -303,20 +293,17 @@ impl Csr {
     /// The transpose: targets become sources. For a bi-adjacency this maps
     /// the hyperedge→hypernode CSR to the hypernode→hyperedge CSR.
     pub fn transpose(&self) -> Csr {
-        let rev: Vec<(Vertex, Vertex)> = self
-            .par_iter()
-            .flat_map_iter(|(u, nbrs)| nbrs.iter().map(move |&v| (v, u)))
-            .collect();
-        let weights: Option<Vec<f64>> = self.weights.as_ref().map(|_| {
-            self.par_iter()
-                .flat_map_iter(|(u, _)| self.weighted_neighbors(u).map(|(_, w)| w))
-                .collect()
+        // Scanning rows in order makes each transposed row come out sorted.
+        let flipped = (0..self.num_vertices()).flat_map(|u| {
+            self.neighbors(u as Vertex)
+                .iter()
+                .map(move |&v| (v, u as Vertex))
         });
-        Csr::from_pairs(
+        Self::counting_sort(
             self.num_targets,
             self.num_vertices(),
-            &rev,
-            weights.as_deref(),
+            flipped,
+            self.weights(),
         )
     }
 
@@ -490,7 +477,54 @@ mod tests {
         assert_eq!(g.neighbors(0), &[1, 1]);
     }
 
+    /// The reference CSR: a stable lexicographic sort of the pairs, so
+    /// duplicate pairs keep their input weight order.
+    fn reference(ns: usize, nt: usize, pairs: &[(Vertex, Vertex)], ws: Option<&[f64]>) -> Csr {
+        let mut order: Vec<usize> = (0..pairs.len()).collect();
+        order.sort_by_key(|&i| pairs[i]);
+        let mut offsets = vec![0; ns + 1];
+        for &(u, _) in pairs {
+            offsets[u as usize + 1] += 1;
+        }
+        for u in 0..ns {
+            offsets[u + 1] += offsets[u];
+        }
+        let targets = order.iter().map(|&i| pairs[i].1).collect();
+        let weights = ws.map(|ws| order.iter().map(|&i| ws[i]).collect());
+        Csr::from_raw_parts(nt, offsets, targets, weights)
+    }
+
+    #[test]
+    fn duplicate_weighted_incidences_keep_input_order() {
+        // 60 incidences on one row over 3 targets, in descending target
+        // order: every target repeats 20 times with distinct weights.
+        let pairs: Vec<(Vertex, Vertex)> = (0..60).map(|i| (0, 2 - i % 3)).collect();
+        let ws: Vec<f64> = (0..60).map(f64::from).collect();
+        let g = Csr::from_pairs(1, 3, &pairs, Some(&ws));
+        assert_eq!(g, reference(1, 3, &pairs, Some(&ws)));
+        let row: Vec<(u32, f64)> = g.weighted_neighbors(0).collect();
+        assert_eq!(row[..3], [(0, 2.0), (0, 5.0), (0, 8.0)]);
+        assert_eq!(g.transpose().transpose(), g);
+    }
+
     proptest! {
+        #[test]
+        fn prop_counting_sort_matches_reference(
+            case in (1usize..8, 1usize..12, 0u32..2).prop_flat_map(|(ns, nt, weighted)| {
+                let pairs = proptest::collection::vec((0..ns as u32, 0..nt as u32, 0u32..1000), 0..60);
+                pairs.prop_map(move |p| (ns, nt, weighted == 1, p))
+            })
+        ) {
+            let (ns, nt, weighted, triples) = case;
+            let pairs: Vec<(Vertex, Vertex)> = triples.iter().map(|&(u, v, _)| (u, v)).collect();
+            let ws: Vec<f64> = triples.iter().map(|&(_, _, w)| f64::from(w)).collect();
+            let ws = weighted.then_some(&ws[..]);
+            let g = Csr::from_pairs(ns, nt, &pairs, ws);
+            prop_assert_eq!(&g, &reference(ns, nt, &pairs, ws));
+            let swapped: Vec<(Vertex, Vertex)> = pairs.iter().map(|&(u, v)| (v, u)).collect();
+            prop_assert_eq!(g.transpose(), reference(nt, ns, &swapped, ws));
+        }
+
         #[test]
         fn prop_transpose_involution(
             edges in proptest::collection::vec((0u32..20, 0u32..20), 0..200)

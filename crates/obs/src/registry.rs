@@ -258,9 +258,11 @@ pub(crate) fn span_exit(inner: &SpanInner) {
             .spans
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let agg = &mut table.aggregates[inner.path_id];
-        agg.0 += 1;
-        agg.1 += elapsed;
+        // A `reset` while this span was open dropped its path: skip it.
+        if let Some(agg) = table.aggregates.get_mut(inner.path_id) {
+            agg.0 += 1;
+            agg.1 += elapsed;
+        }
     }
     {
         let mut trace = reg

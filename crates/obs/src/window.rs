@@ -235,8 +235,9 @@ pub fn bucket_upper_bound(i: usize) -> u64 {
 
 impl WindowSummary {
     /// The value at quantile `q` in `[0, 1]`, as the inclusive upper
-    /// bound of the pow2 bucket holding that rank (so exact to within
-    /// one bucket). `None` for an empty window.
+    /// bound of the pow2 bucket holding that rank clamped to the exact
+    /// max (so exact to within one bucket, and never above the max).
+    /// `None` for an empty window.
     pub fn quantile(&self, q: f64) -> Option<u64> {
         if self.count == 0 {
             return None;
@@ -249,13 +250,7 @@ impl WindowSummary {
         for (i, &n) in self.buckets.iter().enumerate() {
             seen += n;
             if seen >= rank {
-                // The top bucket has no finite upper bound; the exact max
-                // is a tighter honest answer.
-                return Some(if i >= 64 {
-                    self.max
-                } else {
-                    bucket_upper_bound(i)
-                });
+                return Some(bucket_upper_bound(i).min(self.max));
             }
         }
         Some(self.max)
@@ -353,9 +348,21 @@ mod tests {
         assert_eq!(m.count, 100);
         assert_eq!(m.p50(), Some(bucket_upper_bound(7)));
         assert_eq!(m.p90(), Some(bucket_upper_bound(7)));
-        assert_eq!(m.p99(), Some(bucket_upper_bound(13)));
-        assert_eq!(m.quantile(1.0), Some(bucket_upper_bound(13)));
+        // bucket 13's edge (8191) is above every sample: clamped to max
+        assert_eq!(m.p99(), Some(5_000));
+        assert_eq!(m.quantile(1.0), Some(5_000));
         assert_eq!(m.max, 5_000);
+    }
+
+    #[test]
+    fn quantiles_never_exceed_the_max() {
+        // Every sample sits below its bucket's edge (2^21 - 1 = 2097151).
+        let w = WindowedHist::new(10);
+        w.observe(0, 1_999_157);
+        w.observe(1, 1_500_000);
+        let m = w.merged(1);
+        assert_eq!(m.p50(), Some(1_999_157));
+        assert_eq!(m.p99(), Some(1_999_157));
     }
 
     #[test]

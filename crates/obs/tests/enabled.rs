@@ -40,6 +40,16 @@ fn counters_accumulate_and_reset() {
 }
 
 #[test]
+fn span_open_across_a_reset_closes_quietly() {
+    isolated(|| {
+        let s = nwhy_obs::span("reset.straddle");
+        nwhy_obs::reset();
+        drop(s);
+        assert!(nwhy_obs::snapshot().span("reset.straddle").is_none());
+    });
+}
+
+#[test]
 fn counters_sum_across_threads() {
     isolated(|| {
         std::thread::scope(|s| {
@@ -173,11 +183,11 @@ fn windowed_quantiles_surface_in_snapshot_and_prom() {
         let q = snap.quantile("query.sline").expect("windowed op present");
         assert_eq!(q.count, 100);
         assert_eq!(q.p50, Some(127)); // pow2 bucket 64..127
-        assert_eq!(q.p99, Some(8191)); // pow2 bucket 4096..8191
+        assert_eq!(q.p99, Some(5_000)); // pow2 bucket 4096..8191, clamped to max
         assert_eq!(q.max, 5_000);
         let doc = nwhy_obs::render_prometheus(&snap);
         assert!(
-            doc.contains("nwhy_op_latency_microseconds{op=\"query.sline\",quantile=\"0.99\"} 8191")
+            doc.contains("nwhy_op_latency_microseconds{op=\"query.sline\",quantile=\"0.99\"} 5000")
         );
         // The window slides: 9 s of manual ticks later (sub-windows are
         // 1 s), the samples have aged out and quantiles go null-shaped.

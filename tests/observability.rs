@@ -19,9 +19,10 @@ fn gate() -> std::sync::MutexGuard<'static, ()> {
 #[test]
 fn concurrent_queries_partition_flight_events_by_request_id() {
     let _gate = gate();
+    // Built before the reset: the flight dump must hold only the queries.
+    let hg = NWHypergraph::from_hypergraph(nwhy::core::fixtures::paper_hypergraph());
     obs::reset();
 
-    let hg = NWHypergraph::from_hypergraph(nwhy::core::fixtures::paper_hypergraph());
     let bfs_ctx = RequestCtx::new();
     let cc_ctx = RequestCtx::new();
     assert_ne!(bfs_ctx.id(), cc_ctx.id());
@@ -103,9 +104,10 @@ fn concurrent_queries_partition_flight_events_by_request_id() {
 #[test]
 fn sline_builder_ctx_attributes_build_spans() {
     let _gate = gate();
+    // Built before the reset: the flight dump must hold only the queries.
+    let hg = NWHypergraph::from_hypergraph(nwhy::core::fixtures::paper_hypergraph());
     obs::reset();
 
-    let hg = NWHypergraph::from_hypergraph(nwhy::core::fixtures::paper_hypergraph());
     let ctx = RequestCtx::new();
     let pairs = nwhy::core::SLineBuilder::new(hg.hypergraph())
         .s(2)
