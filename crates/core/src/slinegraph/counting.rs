@@ -1,0 +1,305 @@
+//! The overlap-counting core behind every counting s-line kernel.
+//!
+//! For each outer hyperedge `e_i` a worker walks `e_i → v → e_j`
+//! (`j > i`) and counts co-incidences in a dense sparse accumulator: a
+//! `counts` array with one slot per hyperedge plus the list of slots the
+//! row touched. An increment is an array bump, not a hash probe, and the
+//! drain resets only the touched slots. The kernels differ only in where
+//! rows come from ([`Rows`]) and in what they do with each
+//! `(j, |e_i ∩ e_j|)` (the `emit` closure of [`count_rows`]).
+//!
+//! A row's entries are emitted in `j` order, so under a blocked strategy
+//! the workers' lists concatenate into a sorted list and
+//! [`canonicalize`]'s sort is a linear pass.
+
+use super::stats::KernelStats;
+use super::{canonicalize, meets, HyperAdjacency};
+use crate::ids::{self, Overlap};
+use crate::Id;
+use nwhy_util::partition::{par_map_bins, Strategy};
+use nwhy_util::workq::ChunkedQueue;
+use std::sync::{Mutex, PoisonError};
+
+/// Where a counting kernel's rows (outer hyperedges) come from.
+pub(super) enum Rows<'q> {
+    /// Every hyperedge `0..n_e`, split by a static strategy. A row below
+    /// the degree threshold counts the pairs it would have formed as
+    /// skipped.
+    All(Strategy),
+    /// The hyperedges in a queue, its slots split by a static strategy.
+    Queue(&'q [Id], Strategy),
+    /// The hyperedges in a queue, drained by chunk stealing.
+    Stealing(&'q ChunkedQueue<'q, Id>),
+}
+
+/// The dense sparse accumulator. Between rows `counts` is all zero and
+/// the two lists are empty.
+#[derive(Default)]
+struct Spa {
+    counts: Vec<Overlap>,
+    touched: Vec<Id>,
+    kept: Vec<(Id, Overlap)>,
+}
+
+/// One worker's accumulator, output and tallies.
+struct Worker<O> {
+    spa: Spa,
+    out: O,
+    stats: KernelStats,
+}
+
+impl<O> Worker<O> {
+    /// Counts row `i` (skipped when `deg(e_i) < min_s`), resets the
+    /// touched slots, and emits the entries meeting `min_s` in `j` order.
+    #[inline]
+    fn row<A, F>(&mut self, h: &A, i: Id, min_s: usize, count_skips: bool, emit: &F)
+    where
+        A: HyperAdjacency + ?Sized,
+        F: Fn(&mut O, Id, Id, Overlap),
+    {
+        let nbrs_i = h.edge_neighbors(i);
+        // Alg. 1 lines 6–7
+        if nbrs_i.len() < min_s {
+            if count_skips {
+                let ne = h.num_hyperedges() as u64;
+                self.stats.pairs_skipped(ne - 1 - u64::from(i));
+            }
+            return;
+        }
+        let Spa {
+            counts,
+            touched,
+            kept,
+        } = &mut self.spa;
+        // Alg. 1 lines 9–11
+        for &v in nbrs_i.iter() {
+            for &raw in h.node_neighbors(v).iter() {
+                let j = h.edge_id(raw);
+                if j > i {
+                    self.stats.hashmap_insertion();
+                    if let Some(n) = counts.get_mut(ids::to_usize(j)) {
+                        if *n == 0 {
+                            // lint: alloc: reused across rows; push is amortized O(1)
+                            touched.push(j);
+                        }
+                        *n += 1;
+                    }
+                }
+            }
+        }
+        // Each distinct counted candidate is one examined pair.
+        self.stats.pairs_examined_n(touched.len() as u64);
+        // Alg. 1 lines 12–14
+        for &j in touched.iter() {
+            if let Some(n) = counts.get_mut(ids::to_usize(j)) {
+                if meets(*n, min_s) {
+                    // lint: alloc: reused across rows; push is amortized O(1)
+                    kept.push((j, *n));
+                }
+                *n = 0;
+            }
+        }
+        touched.clear();
+        kept.sort_unstable();
+        for &(j, n) in kept.iter() {
+            emit(&mut self.out, i, j, n);
+        }
+        kept.clear();
+    }
+}
+
+/// Counts every row `rows` yields, calling `emit(out, i, j, n)` for each
+/// pair whose overlap `n` meets `min_s`. Returns each worker's output (in
+/// bin order for the static sources) and the merged tallies, which the
+/// caller flushes once it knows how many edges it emitted.
+///
+/// A static bin borrows its accumulator from an idle list and returns it
+/// when done, so the `n_e`-slot arrays number the threads, not the bins.
+pub(super) fn count_rows<A, O, I, F>(
+    h: &A,
+    rows: Rows<'_>,
+    min_s: usize,
+    init: I,
+    emit: F,
+) -> (Vec<O>, KernelStats)
+where
+    A: HyperAdjacency + ?Sized,
+    O: Send,
+    I: Fn() -> O + Sync,
+    F: Fn(&mut O, Id, Id, Overlap) + Sync,
+{
+    let ne = h.num_hyperedges();
+    let idle = Mutex::new(Vec::new());
+    // Every update leaves the idle list valid, so a poisoned lock is
+    // still safe to use.
+    let fresh = || {
+        let spa = idle.lock().unwrap_or_else(PoisonError::into_inner).pop();
+        Worker {
+            spa: spa.unwrap_or_else(|| Spa {
+                counts: vec![0; ne],
+                ..Spa::default()
+            }),
+            out: init(),
+            stats: KernelStats::default(),
+        }
+    };
+    let run_bin = |row_ids: &mut dyn Iterator<Item = Id>, count_skips: bool| {
+        let mut w = fresh();
+        for i in row_ids {
+            w.row(h, i, min_s, count_skips, &emit);
+        }
+        let spa = std::mem::take(&mut w.spa);
+        idle.lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(spa);
+        w
+    };
+    let done = match rows {
+        Rows::All(strategy) => par_map_bins(ne, strategy, |bin| {
+            run_bin(&mut bin.map(ids::from_usize), true)
+        }),
+        Rows::Queue(queue, strategy) => par_map_bins(queue.len(), strategy, |bin| {
+            run_bin(&mut bin.filter_map(|slot| queue.get(slot).copied()), false)
+        }),
+        Rows::Stealing(q) => {
+            let workers = rayon::current_num_threads().max(1);
+            q.drain_with(workers, fresh, |w, &i| w.row(h, i, min_s, false, &emit))
+        }
+    };
+    let mut stats = KernelStats::default();
+    for w in &done {
+        stats.merge(&w.stats);
+    }
+    (done.into_iter().map(|w| w.out).collect(), stats)
+}
+
+/// Counts `rows` and returns the canonical pairs whose overlap meets `s`
+/// — the whole of the hashmap kernel and of Algorithm 1.
+pub(super) fn pairs_meeting<A: HyperAdjacency + ?Sized>(
+    h: &A,
+    rows: Rows<'_>,
+    s: usize,
+) -> Vec<(Id, Id)> {
+    // lint: alloc: per-worker output accumulator; push is amortized O(1)
+    let (outs, stats) = count_rows(h, rows, s, Vec::new, |out, i, j, _| out.push((i, j)));
+    let pairs = outs.concat();
+    stats.flush(pairs.len());
+    canonicalize(pairs)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::ensemble::ensemble;
+    use super::super::hashmap::hashmap;
+    use super::super::naive::naive;
+    use super::super::queue_single::{queue_hashmap, queue_hashmap_dynamic};
+    use super::super::weighted::slinegraph_weighted_edges;
+    use super::*;
+    use crate::adjoin::AdjoinGraph;
+    use crate::hypergraph::Hypergraph;
+    use crate::ids::Relabeling;
+    use crate::repr::RelabeledView;
+    use proptest::strategy::Strategy as _;
+    use proptest::{prop_assert_eq, proptest};
+
+    const STRATEGIES: [Strategy; 3] = [
+        Strategy::AUTO,
+        Strategy::Blocked { num_bins: 3 },
+        Strategy::Cyclic { num_bins: 2 },
+    ];
+
+    fn arb_memberships() -> impl proptest::strategy::Strategy<Value = Vec<Vec<Id>>> {
+        proptest::collection::vec(proptest::collection::btree_set(0u32..20, 0..8), 0..12)
+            .prop_map(|sets| sets.into_iter().map(|s| s.into_iter().collect()).collect())
+    }
+
+    /// Exact `|e ∩ f|` from the representation's sorted rows.
+    fn overlap<A: HyperAdjacency + ?Sized>(h: &A, e: Id, f: Id) -> Overlap {
+        let (a, b) = (h.edge_neighbors(e), h.edge_neighbors(f));
+        ids::from_usize(a.iter().filter(|v| b.binary_search(v).is_ok()).count())
+    }
+
+    /// Every counting entry point against `naive` on one representation.
+    /// `seed` picks a queue order and a partial queue.
+    fn agrees_with_naive<A: HyperAdjacency + ?Sized>(h: &A, s: usize, seed: u32) {
+        let want = naive(h, s, Strategy::AUTO);
+        let all: Vec<Id> = (0..ids::from_usize(h.num_hyperedges())).collect();
+        let mix = |e: Id| (e ^ seed).wrapping_mul(0x9E37_79B9).rotate_left(13);
+        let mut shuffled = all.clone();
+        shuffled.sort_by_key(|&e| mix(e));
+        let partial: Vec<Id> = shuffled
+            .iter()
+            .copied()
+            .filter(|&e| mix(e) & 4 == 0)
+            .collect();
+        let want_partial: Vec<(Id, Id)> = want
+            .iter()
+            .copied()
+            .filter(|(a, _)| partial.contains(a))
+            .collect();
+        for strategy in STRATEGIES {
+            assert_eq!(hashmap(h, s, strategy), want, "hashmap {strategy:?}");
+            assert_eq!(
+                queue_hashmap(h, &all, s, strategy),
+                want,
+                "queue {strategy:?}"
+            );
+            assert_eq!(
+                queue_hashmap(h, &shuffled, s, strategy),
+                want,
+                "shuffled {strategy:?}"
+            );
+            assert_eq!(
+                queue_hashmap(h, &partial, s, strategy),
+                want_partial,
+                "partial {strategy:?}"
+            );
+            let sweep = ensemble(h, &[s, s + 1, 1], strategy);
+            assert_eq!(sweep[0], want, "ensemble {strategy:?}");
+            assert_eq!(sweep[1], naive(h, s + 1, Strategy::AUTO), "ensemble s+1");
+            assert_eq!(sweep[2], naive(h, 1, Strategy::AUTO), "ensemble s=1");
+            let triples = slinegraph_weighted_edges(h, s, strategy);
+            let pairs: Vec<(Id, Id)> = triples.iter().map(|&(e, f, _)| (e, f)).collect();
+            assert_eq!(pairs, want, "weighted {strategy:?}");
+            for (e, f, n) in triples {
+                assert_eq!(n, overlap(h, e, f), "weight of ({e},{f})");
+            }
+        }
+        assert_eq!(queue_hashmap_dynamic(h, &shuffled, s), want, "dynamic");
+        assert_eq!(
+            queue_hashmap_dynamic(h, &partial, s),
+            want_partial,
+            "dynamic partial"
+        );
+    }
+
+    proptest! {
+        #[test]
+        fn prop_counting_kernels_match_naive(ms in arb_memberships(), s in 1usize..4, seed in 0u32..1000) {
+            let h = Hypergraph::from_memberships(&ms);
+            agrees_with_naive(&h, s, seed);
+            agrees_with_naive(&AdjoinGraph::from_hypergraph(&h), s, seed);
+            let degrees: Vec<usize> = (0..h.num_hyperedges())
+                .map(|e| h.edge_degree(ids::from_usize(e)))
+                .collect();
+            let r = Relabeling::from_permutation(nwgraph::degree_permutation(
+                &degrees,
+                nwgraph::Direction::Descending,
+            ));
+            agrees_with_naive(&RelabeledView::from_relabeling(&h, &r), s, seed);
+        }
+
+        #[test]
+        fn prop_row_output_is_sorted_under_blocked_bins(ms in arb_memberships(), bins in 1usize..5) {
+            // sorted per-row tails + in-order blocked bins: the
+            // concatenation canonicalize receives is already sorted
+            let h = Hypergraph::from_memberships(&ms);
+            let (outs, _) = count_rows(&h, Rows::All(Strategy::Blocked { num_bins: bins }), 1,
+                Vec::new, |out, i, j, _| out.push((i, j)));
+            let pairs = outs.concat();
+            let mut sorted = pairs.clone();
+            sorted.sort_unstable();
+            prop_assert_eq!(pairs, sorted);
+        }
+    }
+}

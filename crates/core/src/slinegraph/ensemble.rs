@@ -2,16 +2,16 @@
 //!
 //! Computes the line graphs for *several* values of `s` in a single
 //! counting pass: exact overlap counts are accumulated once per hyperedge
-//! (as in the hashmap algorithm) and each `(pair, count)` is emitted into
-//! every requested `s` bucket with `count ≥ s`. Amortizes the dominant
-//! indirection cost when a user wants an s-sweep (as the paper's Fig. 9
-//! benchmarks and HyperNetX workflows do).
+//! by the counting core the hashmap algorithm uses ([`super::counting`]),
+//! and each `(pair, count)` is emitted into every requested `s` bucket
+//! with `count ≥ s`. Amortizes the dominant indirection cost when a user
+//! wants an s-sweep (as the paper's Fig. 9 benchmarks and HyperNetX
+//! workflows do).
 
-use super::stats::KernelStats;
+use super::counting::{count_rows, Rows};
 use super::{canonicalize, meets, HyperAdjacency};
-use crate::{ids, Id};
-use nwhy_util::fxhash::FxHashMap;
-use nwhy_util::partition::{par_for_each_index_with, Strategy};
+use crate::Id;
+use nwhy_util::partition::Strategy;
 
 /// Computes the canonical s-line edge sets for each `s` in `s_values`
 /// (need not be sorted; duplicates allowed). Output is aligned with
@@ -19,71 +19,37 @@ use nwhy_util::partition::{par_for_each_index_with, Strategy};
 ///
 /// # Panics
 /// Panics if any `s` is 0.
+// lint: obs: the counting core keeps and flushes the tallies; the loop here only merges bucket lists
 pub fn ensemble<A: HyperAdjacency + ?Sized>(
     h: &A,
     s_values: &[usize],
     strategy: Strategy,
 ) -> Vec<Vec<(Id, Id)>> {
     assert!(s_values.iter().all(|&s| s >= 1), "s must be at least 1");
-    if s_values.is_empty() {
+    let Some(&min_s) = s_values.iter().min() else {
         return Vec::new();
-    }
-    let min_s = *s_values.iter().min().unwrap();
-    let ne = h.num_hyperedges();
-
-    struct Local {
-        buckets: Vec<Vec<(Id, Id)>>,
-        counts: FxHashMap<Id, u32>,
-        stats: KernelStats,
-    }
+    };
     let k = s_values.len();
-    let locals = par_for_each_index_with(
-        ne,
-        strategy,
-        || Local {
-            buckets: vec![Vec::new(); k],
-            counts: FxHashMap::default(),
-            stats: KernelStats::default(),
-        },
-        |local, i| {
-            let i = ids::from_usize(i);
-            let nbrs_i = h.edge_neighbors(i);
-            if nbrs_i.len() < min_s {
-                local.stats.pairs_skipped(ne as u64 - 1 - i as u64);
-                return;
-            }
-            local.counts.clear();
-            for &v in nbrs_i.iter() {
-                for &raw in h.node_neighbors(v).iter() {
-                    let j = h.edge_id(raw);
-                    if j > i {
-                        local.stats.hashmap_insertion();
-                        *local.counts.entry(j).or_insert(0) += 1;
-                    }
-                }
-            }
-            local.stats.pairs_examined_n(local.counts.len() as u64);
-            for (&j, &n) in &local.counts {
-                for (bucket, &s) in local.buckets.iter_mut().zip(s_values) {
-                    if meets(n, s) {
-                        bucket.push((i, j));
-                    }
+    let (outs, stats) = count_rows(
+        h,
+        Rows::All(strategy),
+        min_s,
+        || vec![Vec::new(); k],
+        |buckets: &mut Vec<Vec<(Id, Id)>>, i, j, n| {
+            for (bucket, &s) in buckets.iter_mut().zip(s_values) {
+                if meets(n, s) {
+                    bucket.push((i, j));
                 }
             }
         },
     );
-
-    let mut stats = KernelStats::default();
-    let mut emitted = 0usize;
     let mut out: Vec<Vec<(Id, Id)>> = vec![Vec::new(); k];
-    for local in locals {
-        stats.merge(&local.stats);
-        for (dst, src) in out.iter_mut().zip(local.buckets) {
-            emitted += src.len();
+    for buckets in outs {
+        for (dst, src) in out.iter_mut().zip(buckets) {
             dst.extend(src);
         }
     }
-    stats.flush(emitted);
+    stats.flush(out.iter().map(Vec::len).sum());
     out.into_iter().map(canonicalize).collect()
 }
 

@@ -1,69 +1,23 @@
 //! Hashmap-counting s-line construction (Liu et al., IPDPS 2022).
 //!
-//! For each hyperedge `e_i`, a hash map accumulates
+//! For each hyperedge `e_i`, a per-worker accumulator collects
 //! `overlap_count[e_j] += 1` for every co-incidence discovered through the
 //! bipartite indirection (`e_i → v → e_j`, `j > i`); pairs whose count
 //! reaches `s` become line-graph edges. Unlike the intersection algorithm
 //! this touches each incidence exactly once per outer hyperedge and needs
-//! no sorted neighbor access — but pays hashing costs.
+//! no sorted neighbor access. The name is the paper's; the accumulator is
+//! the dense array of [`super::counting`], so an increment costs an array
+//! bump, not a hash probe.
 
-use super::stats::KernelStats;
-use super::{canonicalize, meets, HyperAdjacency};
-use crate::{ids, Id};
-use nwhy_util::fxhash::FxHashMap;
-use nwhy_util::partition::{par_for_each_index_with, Strategy};
+use super::counting::{pairs_meeting, Rows};
+use super::HyperAdjacency;
+use crate::Id;
+use nwhy_util::partition::Strategy;
 
-/// Worker-local state: output pairs, a reusable counting map, tallies.
-struct Local {
-    pairs: Vec<(Id, Id)>,
-    counts: FxHashMap<Id, u32>,
-    stats: KernelStats,
-}
-
-/// Hashmap-counting construction; returns canonical pairs.
+/// Hashmap-counting construction over hyperedges `0..n_e`; returns
+/// canonical pairs.
 pub fn hashmap<A: HyperAdjacency + ?Sized>(h: &A, s: usize, strategy: Strategy) -> Vec<(Id, Id)> {
-    let ne = h.num_hyperedges();
-    let locals = par_for_each_index_with(
-        ne,
-        strategy,
-        || Local {
-            pairs: Vec::new(),
-            counts: FxHashMap::default(),
-            stats: KernelStats::default(),
-        },
-        |local, i| {
-            let i = ids::from_usize(i);
-            let nbrs_i = h.edge_neighbors(i);
-            if nbrs_i.len() < s {
-                local.stats.pairs_skipped(ne as u64 - 1 - i as u64);
-                return;
-            }
-            local.counts.clear();
-            for &v in nbrs_i.iter() {
-                for &raw in h.node_neighbors(v).iter() {
-                    let j = h.edge_id(raw);
-                    if j > i {
-                        local.stats.hashmap_insertion();
-                        *local.counts.entry(j).or_insert(0) += 1;
-                    }
-                }
-            }
-            // Each distinct counted candidate is one examined pair.
-            local.stats.pairs_examined_n(local.counts.len() as u64);
-            for (&j, &n) in &local.counts {
-                if meets(n, s) {
-                    // lint: alloc: per-thread output accumulator; push is amortized O(1)
-                    local.pairs.push((i, j));
-                }
-            }
-        },
-    );
-    let pairs: Vec<(Id, Id)> = locals
-        .iter()
-        .flat_map(|l| l.pairs.iter().copied())
-        .collect();
-    KernelStats::flush_all(locals.iter().map(|l| &l.stats), pairs.len());
-    canonicalize(pairs)
+    pairs_meeting(h, Rows::All(strategy), s)
 }
 
 #[cfg(test)]

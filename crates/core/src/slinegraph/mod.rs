@@ -11,10 +11,15 @@
 //! | [`intersection`] | heuristic candidate + short-circuit intersection | Liu et al., HiPC 2021 \[17\] |
 //! | [`hashmap`] | per-hyperedge overlap counting | Liu et al., IPDPS 2022 \[18\] |
 //! | [`ensemble`] | all requested `s` in one counting pass | \[18\] |
-//! | [`queue_single`] | **Algorithm 1**: work-queue + hashmap counting | this paper |
+//! | [`queue_single`] | **Algorithm 1**: work-queue + overlap counting | this paper |
 //! | [`queue_two_phase`] | **Algorithm 2**: pair queue + set intersection | this paper |
 //! | [`pair_sort`] | pair enumeration + parallel sort | completeness (memory-heavy alternative) |
-//! | [`weighted`] | hashmap counting, keeping `\|e ∩ f\|` as edge weight | Fig. 5 / s-walk framework |
+//! | [`weighted`] | overlap counting, keeping `\|e ∩ f\|` as edge weight | Fig. 5 / s-walk framework |
+//!
+//! The four counting kernels ([`hashmap`], [`queue_single`]'s two
+//! variants, [`ensemble`], [`weighted`]) are thin wrappers over one
+//! private counting core: a dense per-worker overlap accumulator that
+//! takes its rows from a static range, queue slots, or a stealing queue.
 //!
 //! Every algorithm is generic over [`HyperAdjacency`] — the bipartite
 //! indirection trait defined in [`crate::repr`] — so the same code runs
@@ -31,6 +36,7 @@
 // every value-returning stage and terminal is annotated.
 #[deny(clippy::must_use_candidate)]
 pub mod builder;
+mod counting;
 pub mod ensemble;
 pub mod hashmap;
 pub mod intersection;
@@ -140,9 +146,11 @@ impl Default for BuildOptions {
 
 /// Canonicalizes an undirected pair list: orders each pair `(min, max)`,
 /// sorts, and deduplicates. All algorithms funnel through this so their
-/// outputs are directly comparable.
-// lint: obs: sort/dedup epilogue running inside every kernel's span
+/// outputs are directly comparable. The sort is a linear pass when the
+/// input is already sorted, as the counting kernels' output is under a
+/// blocked strategy.
 pub fn canonicalize(mut pairs: Vec<(Id, Id)>) -> Vec<(Id, Id)> {
+    let _span = nwhy_obs::span("sline.canonicalize");
     for p in pairs.iter_mut() {
         if p.0 > p.1 {
             *p = (p.1, p.0);

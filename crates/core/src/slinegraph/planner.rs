@@ -43,7 +43,11 @@ use super::{Algorithm, HyperAdjacency};
 use crate::ids;
 use nwhy_obs::Counter;
 
-/// Hash-probe cost per counting insertion, in comparison units.
+/// Cost per counting insertion, in comparison units. It was calibrated
+/// against a hash-probe accumulator; the counting kernels now bump a
+/// dense array, which is cheaper. The constant is kept as it was so
+/// that no kernel choice moves; recalibrating it against the dense
+/// accumulator is left open.
 const HASH_COST: f64 = 4.0;
 
 /// Inputs with at most this many hyperedges may pick the naive kernel

@@ -1,5 +1,5 @@
 //! **Algorithm 1** — the paper's single-phase queue-based s-line
-//! construction with hashmap counting.
+//! construction with overlap counting.
 //!
 //! The structural difference from [`super::hashmap`] is the work list:
 //! instead of a `for` loop fixed over contiguous IDs `0..n_e`, hyperedge
@@ -10,136 +10,51 @@
 //! with hypernodes), and degree-relabeled ID spaces — the cases §III-C.3
 //! says the non-queue algorithms cannot handle directly.
 //!
-//! Enqueuing is linear in the number of hyperedges, so the asymptotic
-//! complexity matches the non-queue hashmap algorithm.
+//! Both variants here are the shared counting core of
+//! [`super::counting`] with the queue as its work source: statically
+//! split queue slots, or chunks stolen from a shared cursor. Enqueuing is
+//! linear in the number of hyperedges, so the asymptotic complexity
+//! matches the non-queue hashmap algorithm.
 
-use super::stats::KernelStats;
-use super::{canonicalize, meets, HyperAdjacency};
+use super::counting::{pairs_meeting, Rows};
+use super::HyperAdjacency;
 use crate::Id;
 use nwhy_obs::Counter;
-use nwhy_util::fxhash::FxHashMap;
-use nwhy_util::partition::{par_for_each_index_with, Strategy};
+use nwhy_util::partition::Strategy;
+use nwhy_util::workq::ChunkedQueue;
 
 /// Algorithm 1. `queue` holds the hyperedge IDs to process (any order,
 /// any ID space the representation defines); returns canonical pairs.
+/// Queue slots, not raw IDs, are the iteration space, so permuted or
+/// relabeled IDs cost nothing extra.
 pub fn queue_hashmap<H: HyperAdjacency + ?Sized>(
     h: &H,
     queue: &[Id],
     s: usize,
     strategy: Strategy,
 ) -> Vec<(Id, Id)> {
-    struct Local {
-        pairs: Vec<(Id, Id)>,
-        counts: FxHashMap<Id, u32>,
-        stats: KernelStats,
-    }
-    // Drain the queue in parallel; queue slots (not raw IDs) are the
-    // iteration space, so permuted/relabeled IDs cost nothing extra.
-    let locals = par_for_each_index_with(
-        queue.len(),
-        strategy,
-        || Local {
-            pairs: Vec::new(),
-            counts: FxHashMap::default(),
-            stats: KernelStats::default(),
-        },
-        |local, slot| {
-            let i = queue[slot];
-            let nbrs_i = h.edge_neighbors(i);
-            if nbrs_i.len() < s {
-                return; // Alg. 1 line 6–7
-            }
-            local.counts.clear();
-            for &v in nbrs_i.iter() {
-                // Alg. 1 lines 9–11
-                for &raw in h.node_neighbors(v).iter() {
-                    let j = h.edge_id(raw);
-                    if j > i {
-                        local.stats.hashmap_insertion();
-                        *local.counts.entry(j).or_insert(0) += 1;
-                    }
-                }
-            }
-            local.stats.pairs_examined_n(local.counts.len() as u64);
-            // Alg. 1 lines 12–14
-            for (&j, &n) in &local.counts {
-                if meets(n, s) {
-                    // lint: alloc: per-thread output accumulator; push is amortized O(1)
-                    local.pairs.push((i, j));
-                }
-            }
-        },
-    );
-    let pairs: Vec<(Id, Id)> = locals
-        .iter()
-        .flat_map(|l| l.pairs.iter().copied())
-        .collect();
     nwhy_obs::add(Counter::SlineQueuePushes, queue.len() as u64);
-    KernelStats::flush_all(locals.iter().map(|l| &l.stats), pairs.len());
-    canonicalize(pairs)
+    pairs_meeting(h, Rows::Queue(queue, strategy), s)
 }
 
 /// Algorithm 1 with *dynamic* self-scheduling: instead of a static
 /// blocked/cyclic split of the queue, workers repeatedly steal fixed-size
-/// chunks from a shared atomic cursor ([`nwhy_util::workq::ChunkedQueue`]).
-/// Finishing the skew story: a worker that drew only cheap hyperedges
-/// keeps pulling work instead of idling.
+/// chunks from a shared atomic cursor ([`ChunkedQueue`]). Finishing the
+/// skew story: a worker that drew only cheap hyperedges keeps pulling
+/// work instead of idling.
 pub fn queue_hashmap_dynamic<H: HyperAdjacency + ?Sized>(
     h: &H,
     queue: &[Id],
     s: usize,
 ) -> Vec<(Id, Id)> {
-    use nwhy_util::workq::ChunkedQueue;
-    struct Local {
-        pairs: Vec<(Id, Id)>,
-        counts: FxHashMap<Id, u32>,
-        stats: KernelStats,
-    }
-    let workers = rayon::current_num_threads().max(1);
-    let q = ChunkedQueue::with_auto_chunk(queue, workers);
-    let locals = q.drain_with(
-        workers,
-        || Local {
-            pairs: Vec::new(),
-            counts: FxHashMap::default(),
-            stats: KernelStats::default(),
-        },
-        |local, &i| {
-            let nbrs_i = h.edge_neighbors(i);
-            if nbrs_i.len() < s {
-                return;
-            }
-            local.counts.clear();
-            for &v in nbrs_i.iter() {
-                for &raw in h.node_neighbors(v).iter() {
-                    let j = h.edge_id(raw);
-                    if j > i {
-                        local.stats.hashmap_insertion();
-                        *local.counts.entry(j).or_insert(0) += 1;
-                    }
-                }
-            }
-            local.stats.pairs_examined_n(local.counts.len() as u64);
-            for (&j, &n) in &local.counts {
-                if meets(n, s) {
-                    // lint: alloc: per-thread output accumulator; push is amortized O(1)
-                    local.pairs.push((i, j));
-                }
-            }
-        },
-    );
-    let pairs: Vec<(Id, Id)> = locals
-        .iter()
-        .flat_map(|l| l.pairs.iter().copied())
-        .collect();
+    let q = ChunkedQueue::with_auto_chunk(queue, rayon::current_num_threads().max(1));
     nwhy_obs::add(Counter::SlineQueuePushes, queue.len() as u64);
     // A full drain claims exactly ceil(len / chunk) chunks.
     nwhy_obs::add(
         Counter::SlineQueueSteals,
         queue.len().div_ceil(q.chunk_size()) as u64,
     );
-    KernelStats::flush_all(locals.iter().map(|l| &l.stats), pairs.len());
-    canonicalize(pairs)
+    pairs_meeting(h, Rows::Stealing(&q), s)
 }
 
 #[cfg(test)]

@@ -58,7 +58,8 @@ impl KernelStats {
         }
     }
 
-    /// One `overlap_count[j] += 1` hashmap operation.
+    /// One `overlap_count[j] += 1` counting increment (the counter keeps
+    /// the name of the hash-map accumulator it was defined on).
     #[inline]
     pub fn hashmap_insertion(&mut self) {
         if nwhy_obs::enabled() {

@@ -3,16 +3,15 @@
 //! Aksoy et al.'s s-walk framework (the basis of NWHy's s-metrics) weighs
 //! line-graph edges by the strength of the connection — Figure 5 of the
 //! paper draws exactly this, rendering edge width as overlap size. The
-//! construction is the hashmap-counting algorithm keeping its counts
-//! instead of discarding them after thresholding, so the cost matches the
-//! unweighted build.
+//! construction is the shared counting core of [`super::counting`]
+//! keeping each surviving count instead of discarding it after
+//! thresholding, so the cost matches the unweighted build.
 
-use super::stats::KernelStats;
-use super::{meets, HyperAdjacency};
+use super::counting::{count_rows, Rows};
+use super::HyperAdjacency;
 use crate::ids::Overlap;
-use crate::{ids, Id};
-use nwhy_util::fxhash::FxHashMap;
-use nwhy_util::partition::{par_for_each_index_with, Strategy};
+use crate::Id;
+use nwhy_util::partition::Strategy;
 
 /// Canonical weighted pair list: `(e, f, |e ∩ f|)` with `e < f`, sorted,
 /// overlap ≥ s.
@@ -22,52 +21,13 @@ pub fn slinegraph_weighted_edges<A: HyperAdjacency + ?Sized>(
     strategy: Strategy,
 ) -> Vec<(Id, Id, Overlap)> {
     assert!(s >= 1, "s must be at least 1");
-    let ne = h.num_hyperedges();
-    struct Local {
-        triples: Vec<(Id, Id, Overlap)>,
-        counts: FxHashMap<Id, Overlap>,
-        stats: KernelStats,
-    }
-    let locals = par_for_each_index_with(
-        ne,
-        strategy,
-        || Local {
-            triples: Vec::new(),
-            counts: FxHashMap::default(),
-            stats: KernelStats::default(),
-        },
-        |local, i| {
-            let i = ids::from_usize(i);
-            let nbrs_i = h.edge_neighbors(i);
-            if nbrs_i.len() < s {
-                local.stats.pairs_skipped(ne as u64 - 1 - i as u64);
-                return;
-            }
-            local.counts.clear();
-            for &v in nbrs_i.iter() {
-                for &raw in h.node_neighbors(v).iter() {
-                    let j = h.edge_id(raw);
-                    if j > i {
-                        local.stats.hashmap_insertion();
-                        *local.counts.entry(j).or_insert(0) += 1;
-                    }
-                }
-            }
-            local.stats.pairs_examined_n(local.counts.len() as u64);
-            for (&j, &n) in &local.counts {
-                if meets(n, s) {
-                    local.triples.push((i, j, n));
-                }
-            }
-        },
-    );
-    let mut triples: Vec<(Id, Id, Overlap)> = locals
-        .iter()
-        .flat_map(|l| l.triples.iter().copied())
-        .collect();
-    KernelStats::flush_all(locals.iter().map(|l| &l.stats), triples.len());
+    let (outs, stats) = count_rows(h, Rows::All(strategy), s, Vec::new, |out, i, j, n| {
+        out.push((i, j, n));
+    });
+    let mut triples = outs.concat();
+    stats.flush(triples.len());
+    // already sorted under a blocked strategy; a cyclic one interleaves
     triples.sort_unstable();
-    triples.dedup();
     triples
 }
 

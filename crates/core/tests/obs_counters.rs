@@ -80,6 +80,102 @@ fn hashmap_examines_only_overlapping_pairs() {
     });
 }
 
+/// The counting entry points share one counting core, so each must
+/// report the hashmap kernel's tallies on the fixture: at s = 1, the 5
+/// overlapping pairs examined, 11 insertions, 5 edges emitted. At s = 5
+/// only `e2` and `e3` (5 members each) pass the degree filter: row `e2`
+/// examines the one pair `(e2, e3)` with 2 insertions (`{5, 8}`) and
+/// emits nothing. The range-driven kernels count the 3 + 2 pairs of rows
+/// `e0` and `e1` as skipped; the queue-driven ones count no skips.
+#[test]
+fn counting_entry_points_share_counter_semantics() {
+    use nwhy_core::slinegraph::{ensemble, hashmap, queue_single, weighted};
+    use nwhy_util::partition::Strategy;
+    let h = paper_hypergraph();
+    let queue: Vec<Id> = (0..4).collect();
+    let auto = Strategy::AUTO;
+    // (name, counts degree skips, run at s → edge count)
+    type Kernel<'a> = (&'a str, bool, &'a dyn Fn(usize) -> usize);
+    let kernels: [Kernel; 5] = [
+        ("hashmap", true, &|s| hashmap::hashmap(&h, s, auto).len()),
+        ("queue", false, &|s| {
+            queue_single::queue_hashmap(&h, &queue, s, auto).len()
+        }),
+        ("dynamic", false, &|s| {
+            queue_single::queue_hashmap_dynamic(&h, &queue, s).len()
+        }),
+        ("ensemble", true, &|s| {
+            ensemble::ensemble(&h, &[s], auto)[0].len()
+        }),
+        ("weighted", true, &|s| {
+            weighted::slinegraph_weighted_edges(&h, s, auto).len()
+        }),
+    ];
+    for (name, counts_skips, run) in kernels {
+        isolated(|| {
+            assert_eq!(run(1), 5, "{name}");
+            assert_eq!(
+                nwhy_obs::counter_value(Counter::SlinePairsExamined),
+                5,
+                "{name}"
+            );
+            assert_eq!(
+                nwhy_obs::counter_value(Counter::SlineHashmapInsertions),
+                11,
+                "{name}"
+            );
+            assert_eq!(
+                nwhy_obs::counter_value(Counter::SlineEdgesEmitted),
+                5,
+                "{name}"
+            );
+            assert_eq!(
+                nwhy_obs::counter_value(Counter::SlinePairsSkippedDegree),
+                0,
+                "{name}"
+            );
+        });
+        isolated(|| {
+            assert_eq!(run(5), 0, "{name}");
+            assert_eq!(
+                nwhy_obs::counter_value(Counter::SlinePairsExamined),
+                1,
+                "{name}"
+            );
+            assert_eq!(
+                nwhy_obs::counter_value(Counter::SlineHashmapInsertions),
+                2,
+                "{name}"
+            );
+            let skipped = if counts_skips { 5 } else { 0 };
+            assert_eq!(
+                nwhy_obs::counter_value(Counter::SlinePairsSkippedDegree),
+                skipped,
+                "{name}"
+            );
+        });
+    }
+}
+
+/// The kernel's canonicalize step reports its own span under the
+/// kernel's, so `--metrics` separates sorting from counting.
+#[test]
+fn canonicalize_reports_its_own_span() {
+    isolated(|| {
+        let h = paper_hypergraph();
+        let _ = SLineBuilder::new(&h)
+            .s(1)
+            .algorithm(Algorithm::Hashmap)
+            .edges();
+        let snap = nwhy_obs::snapshot();
+        assert!(
+            snap.span("sline.hashmap/sline.canonicalize").is_some(),
+            "{:?}",
+            snap.spans.iter().map(|s| &s.path).collect::<Vec<_>>()
+        );
+    });
+}
+
 /// The intersection kernel reports comparison work; on the fixture it
 /// must examine the same 5 overlapping pairs as hashmap and burn at
 /// least one comparison per examined pair.

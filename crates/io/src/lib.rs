@@ -14,6 +14,7 @@
 //! - [`tsv`] — KONECT-style bipartite TSV edge lists (the format the
 //!   paper's Orkut-group/LiveJournal/Web inputs ship in);
 //! - [`binary`] — a compact binary cache format for large inputs;
+//! - [`edge_list`] — s-line edge lists, one `a\tb` pair per line;
 //! - [`pack`] — the compressed NWHYPAK1 format (`nwhy-store`): pack a
 //!   hypergraph to disk, open it zero-copy through a mmap or owned
 //!   backend.
@@ -41,6 +42,7 @@
 pub mod adjoin_reader;
 pub mod binary;
 pub mod dot;
+pub mod edge_list;
 pub mod error;
 pub mod hyperedge_list;
 pub mod matrix_market;
@@ -49,6 +51,7 @@ pub mod tsv;
 
 pub use adjoin_reader::read_adjoin;
 pub use binary::{read_binary, write_binary};
+pub use edge_list::write_edge_list;
 pub use error::IoError;
 pub use hyperedge_list::{read_hyperedge_list, write_hyperedge_list};
 pub use matrix_market::{read_matrix_market, write_matrix_market};

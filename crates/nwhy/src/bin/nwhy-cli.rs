@@ -585,10 +585,9 @@ fn cmd_sline(args: &Args) -> CliResult {
     );
     if let Some(out) = args.flag("out") {
         let file = File::create(out).map_err(|e| CliError::io(format!("{out}: {e}")))?;
-        let mut w = BufWriter::new(file);
-        for (a, b) in &pairs {
-            writeln!(w, "{a}\t{b}").map_err(|e| CliError::io(format!("{out}: {e}")))?;
-        }
+        // the writer flushes before returning, so a failed final write
+        // is an error here rather than a silent loss on drop
+        nwhy::io::write_edge_list(file, &pairs).map_err(|e| CliError::io(format!("{out}: {e}")))?;
         println!("wrote edge list to {out}");
     }
     Ok(())

@@ -149,6 +149,51 @@ where
     }
 }
 
+/// The indices one bin of a [`Strategy`] owns: a contiguous block or a
+/// cyclic stride.
+#[derive(Debug, Clone)]
+pub enum Bin {
+    /// A blocked bin's contiguous range.
+    Blocked(Range<usize>),
+    /// A cyclic bin's strided indices.
+    Cyclic(CyclicRange),
+}
+
+impl Iterator for Bin {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        match self {
+            Bin::Blocked(r) => r.next(),
+            Bin::Cyclic(c) => c.next(),
+        }
+    }
+}
+
+/// Runs `f` once per bin of `0..n` under `strategy`, each bin as one
+/// rayon task, and returns the results in bin order. Callers that need
+/// per-task setup and teardown (a scratch buffer borrowed for the bin's
+/// duration) build on this; plain per-index loops use
+/// [`par_for_each_index_with`].
+pub fn par_map_bins<A, F>(n: usize, strategy: Strategy, f: F) -> Vec<A>
+where
+    A: Send,
+    F: Fn(Bin) -> A + Sync,
+{
+    let bins = strategy.bins();
+    match strategy {
+        Strategy::Blocked { .. } => blocked_ranges(n, bins)
+            .into_par_iter()
+            .map(|r| f(Bin::Blocked(r)))
+            .collect(),
+        Strategy::Cyclic { .. } => (0..bins)
+            .into_par_iter()
+            .map(|bin| f(Bin::Cyclic(CyclicRange::new(bin, bins, n))))
+            .collect(),
+    }
+}
+
 /// Like [`par_for_each_index`], but hands each task a per-bin accumulator
 /// created by `init`, and returns all accumulators. This is the pattern
 /// Algorithms 1–2 use for per-thread edge lists `L_t(H)`.
@@ -158,34 +203,13 @@ where
     I: Fn() -> A + Sync,
     F: Fn(&mut A, usize) + Sync,
 {
-    match strategy {
-        Strategy::Blocked { .. } => {
-            let bins = strategy.bins();
-            blocked_ranges(n, bins)
-                .into_par_iter()
-                .map(|r| {
-                    let mut acc = init();
-                    for i in r {
-                        f(&mut acc, i);
-                    }
-                    acc
-                })
-                .collect()
+    par_map_bins(n, strategy, |bin| {
+        let mut acc = init();
+        for i in bin {
+            f(&mut acc, i);
         }
-        Strategy::Cyclic { .. } => {
-            let bins = strategy.bins();
-            (0..bins)
-                .into_par_iter()
-                .map(|bin| {
-                    let mut acc = init();
-                    for i in CyclicRange::new(bin, bins, n) {
-                        f(&mut acc, i);
-                    }
-                    acc
-                })
-                .collect()
-        }
-    }
+        acc
+    })
 }
 
 /// Per-bin workload report for a partitioning strategy over items whose
@@ -351,6 +375,17 @@ mod tests {
             all.sort_unstable();
             assert_eq!(all, (0..100).collect::<Vec<_>>());
         }
+    }
+
+    #[test]
+    fn blocked_bins_come_back_in_index_order() {
+        // the s-line kernels rely on this: sorted rows per blocked bin
+        // concatenate into one sorted list
+        let bins = par_map_bins(100, Strategy::Blocked { num_bins: 7 }, |bin| {
+            bin.collect::<Vec<usize>>()
+        });
+        let all: Vec<usize> = bins.concat();
+        assert_eq!(all, (0..100).collect::<Vec<_>>());
     }
 
     mod props {
