@@ -41,20 +41,6 @@ fn bench_overhead(c: &mut Criterion) {
         })
     });
     group.bench_function("hygra-cc", |b| b.iter(|| black_box(hygra::hygra_cc(&h))));
-    // The serving-telemetry hot path in isolation: each span open/close
-    // pair costs two flight-ring seqlock records plus one windowed
-    // latency observation, all attributed to the entered RequestCtx.
-    // The obs-off side of the A/B measures the same loop over ZSTs, so
-    // the delta IS the per-span flight-recorder price.
-    group.bench_function("span-flight-record-1k", |b| {
-        let ctx = nwhy_obs::RequestCtx::new();
-        let _guard = ctx.enter();
-        b.iter(|| {
-            for _ in 0..1_000 {
-                drop(black_box(nwhy_obs::span("bench.flight_probe")));
-            }
-        })
-    });
     group.finish();
 }
 

@@ -29,6 +29,7 @@ pub struct AdjoinBfsResult {
 /// Runs direction-optimizing BFS on the adjoin graph from hyperedge
 /// `source` and splits the result arrays.
 pub fn adjoin_bfs(a: &AdjoinGraph, source: HyperedgeId) -> AdjoinBfsResult {
+    let _span = nwhy_obs::span("algo.adjoin_bfs");
     assert!(
         source.idx() < a.num_hyperedges(),
         "source hyperedge {source} out of range {}",

@@ -37,6 +37,7 @@ impl AdjoinCcResult {
 
 /// AdjoinCC with the Afforest algorithm.
 pub fn adjoin_cc_afforest(a: &AdjoinGraph) -> AdjoinCcResult {
+    let _span = nwhy_obs::span("algo.adjoin_cc.afforest");
     let labels = afforest(a.graph());
     let (edge_labels, node_labels) = a.split_result(&labels);
     AdjoinCcResult {
@@ -47,6 +48,7 @@ pub fn adjoin_cc_afforest(a: &AdjoinGraph) -> AdjoinCcResult {
 
 /// AdjoinCC with minimum-label propagation.
 pub fn adjoin_cc_label_propagation(a: &AdjoinGraph) -> AdjoinCcResult {
+    let _span = nwhy_obs::span("algo.adjoin_cc.lp");
     let labels = cc_label_propagation(a.graph());
     let (edge_labels, node_labels) = a.split_result(&labels);
     AdjoinCcResult {

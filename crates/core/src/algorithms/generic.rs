@@ -34,22 +34,6 @@ use rayon::prelude::*;
 /// # Panics
 /// Panics if `source` is out of range.
 pub fn hyper_bfs_generic<A: HyperAdjacency + ?Sized>(h: &A, source: Id) -> HyperBfsResult {
-    hyper_bfs_generic_ctx(h, source, None)
-}
-
-/// [`hyper_bfs_generic`] attributed to a request: when `ctx` is `Some`,
-/// it is entered for the traversal's duration so the span (and any
-/// counter flush on this thread) tags its flight events with the
-/// request id.
-///
-/// # Panics
-/// Panics if `source` is out of range.
-pub fn hyper_bfs_generic_ctx<A: HyperAdjacency + ?Sized>(
-    h: &A,
-    source: Id,
-    ctx: Option<nwhy_obs::RequestCtx>,
-) -> HyperBfsResult {
-    let _ctx = ctx.map(nwhy_obs::RequestCtx::enter);
     let _span = nwhy_obs::span("algo.hyper_bfs.generic");
     let ne = h.num_hyperedges();
     let nv = h.num_hypernodes();
@@ -147,16 +131,6 @@ pub fn hyper_bfs_generic_ctx<A: HyperAdjacency + ?Sized>(
 /// i ↦ n_e + i`); final labels equal [`super::hyper_cc`]'s on any
 /// representation (label minima are deterministic).
 pub fn hyper_cc_generic<A: HyperAdjacency + ?Sized>(h: &A) -> HyperCcResult {
-    hyper_cc_generic_ctx(h, None)
-}
-
-/// [`hyper_cc_generic`] attributed to a request (see
-/// [`hyper_bfs_generic_ctx`]).
-pub fn hyper_cc_generic_ctx<A: HyperAdjacency + ?Sized>(
-    h: &A,
-    ctx: Option<nwhy_obs::RequestCtx>,
-) -> HyperCcResult {
-    let _ctx = ctx.map(nwhy_obs::RequestCtx::enter);
     let _span = nwhy_obs::span("algo.hyper_cc.generic");
     let ne = h.num_hyperedges();
     let nv = h.num_hypernodes();

@@ -24,9 +24,7 @@ pub mod toplex;
 
 pub use adjoin_bfs::{adjoin_bfs, AdjoinBfsResult};
 pub use adjoin_cc::{adjoin_cc_afforest, adjoin_cc_label_propagation, AdjoinCcResult};
-pub use generic::{
-    hyper_bfs_generic, hyper_bfs_generic_ctx, hyper_cc_generic, hyper_cc_generic_ctx,
-};
+pub use generic::{hyper_bfs_generic, hyper_cc_generic};
 pub use hyper_bfs::{hyper_bfs_bottom_up, hyper_bfs_top_down, HyperBfsResult};
 pub use hyper_cc::{hyper_cc, HyperCcResult};
 pub use kcore::{kl_core, node_core_numbers, KLCore};

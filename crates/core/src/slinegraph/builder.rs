@@ -43,7 +43,6 @@ use crate::repr::{HyperAdjacency, RelabeledView};
 use crate::slinegraph::overlap::OverlapPolicy;
 use crate::Id;
 use nwgraph::{Csr, EdgeList};
-use nwhy_obs::RequestCtx;
 use nwhy_util::partition::Strategy;
 
 /// Fluent builder for s-line graphs over any [`HyperAdjacency`]
@@ -59,10 +58,6 @@ pub struct SLineBuilder<'a, A: HyperAdjacency + ?Sized> {
     strategy: Strategy,
     relabel: Relabel,
     overlap: OverlapPolicy,
-    /// Entered around every terminal so spans, flight events, and the
-    /// `KernelStats` flush attribute to this request. `None` ⇒ inherit
-    /// whatever context is already current on the calling thread.
-    ctx: Option<RequestCtx>,
 }
 
 impl<'a, A: HyperAdjacency + ?Sized> SLineBuilder<'a, A> {
@@ -77,19 +72,7 @@ impl<'a, A: HyperAdjacency + ?Sized> SLineBuilder<'a, A> {
             strategy: Strategy::AUTO,
             relabel: Relabel::None,
             overlap: OverlapPolicy::default(),
-            ctx: None,
         }
-    }
-
-    /// Attributes this build to a request: every terminal enters `ctx`
-    /// for its duration, so the spans and counter flushes it produces
-    /// carry the request id in the flight recorder. Kernel worker
-    /// tallies reduce onto this thread before flushing, so attribution
-    /// survives the rayon pool (see `KernelStats`).
-    #[must_use]
-    pub fn ctx(mut self, ctx: RequestCtx) -> Self {
-        self.ctx = Some(ctx);
-        self
     }
 
     /// The overlap threshold `s ≥ 1` (validated at build time).
@@ -186,7 +169,6 @@ impl<'a, A: HyperAdjacency + ?Sized> SLineBuilder<'a, A> {
     #[must_use]
     pub fn edges(&self) -> Vec<(Id, Id)> {
         assert!(self.s >= 1, "s must be at least 1");
-        let _ctx = self.ctx.map(RequestCtx::enter);
         let algorithm = self.resolved_algorithm();
         let _span = nwhy_obs::span(algorithm.span_name());
         match self.permutation() {
@@ -230,7 +212,6 @@ impl<'a, A: HyperAdjacency + ?Sized> SLineBuilder<'a, A> {
     /// Panics if `s == 0`.
     #[must_use]
     pub fn weighted_edges(&self) -> Vec<(Id, Id, Overlap)> {
-        let _ctx = self.ctx.map(RequestCtx::enter);
         let _span = nwhy_obs::span("sline.weighted");
         match self.permutation() {
             None => weighted::slinegraph_weighted_edges(self.repr, self.s, self.strategy),
@@ -298,7 +279,6 @@ impl<'a, A: HyperAdjacency + ?Sized> SLineBuilder<'a, A> {
     /// Panics if any `s` is 0.
     #[must_use]
     pub fn ensemble_edges(&self, s_values: &[usize]) -> Vec<Vec<(Id, Id)>> {
-        let _ctx = self.ctx.map(RequestCtx::enter);
         let _span = nwhy_obs::span("sline.ensemble");
         match self.permutation() {
             None => ensemble::ensemble(self.repr, s_values, self.strategy),

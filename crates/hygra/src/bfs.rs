@@ -59,20 +59,6 @@ pub fn hygra_bfs(h: &Hypergraph, source: Id) -> HygraBfsResult {
     hygra_bfs_with_mode(h, source, Mode::ForceSparse)
 }
 
-/// [`hygra_bfs_with_mode`] attributed to a request: when `ctx` is
-/// `Some`, the traversal runs with it entered, so the `hygra.bfs` span
-/// and the driver loop's counter bumps tag their flight events with the
-/// request id.
-pub fn hygra_bfs_ctx(
-    h: &Hypergraph,
-    source: Id,
-    mode: Mode,
-    ctx: Option<nwhy_obs::RequestCtx>,
-) -> HygraBfsResult {
-    let _ctx = ctx.map(nwhy_obs::RequestCtx::enter);
-    hygra_bfs_with_mode(h, source, mode)
-}
-
 /// HygraBFS with an explicit engine mode (the ablation benches compare
 /// sparse-only against the auto direction heuristic).
 pub fn hygra_bfs_with_mode(h: &Hypergraph, source: Id, mode: Mode) -> HygraBfsResult {

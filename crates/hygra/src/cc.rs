@@ -66,14 +66,6 @@ impl EdgeMapFns for MinLabel<'_> {
 /// hypernode `v ↦ n_e + v`), so final labels are component-minimum
 /// hyperedge IDs (or shifted node IDs for edge-free components).
 pub fn hygra_cc(h: &Hypergraph) -> HygraCcResult {
-    hygra_cc_ctx(h, None)
-}
-
-/// [`hygra_cc`] attributed to a request: when `ctx` is `Some`, the
-/// propagation runs with it entered, so the `hygra.cc` span and counter
-/// bumps tag their flight events with the request id.
-pub fn hygra_cc_ctx(h: &Hypergraph, ctx: Option<nwhy_obs::RequestCtx>) -> HygraCcResult {
-    let _ctx = ctx.map(nwhy_obs::RequestCtx::enter);
     let ne = h.num_hyperedges();
     let nv = h.num_hypernodes();
     let edge_labels: Vec<AtomicU32> = (0..ids::from_usize(ne)).map(AtomicU32::new).collect();

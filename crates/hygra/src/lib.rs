@@ -41,8 +41,8 @@ pub mod mis;
 pub mod pagerank;
 pub mod subset;
 
-pub use bfs::{hygra_bfs, hygra_bfs_ctx, HygraBfsResult};
-pub use cc::{hygra_cc, hygra_cc_ctx, HygraCcResult};
+pub use bfs::{hygra_bfs, HygraBfsResult};
+pub use cc::{hygra_cc, HygraCcResult};
 pub use kcore::hygra_kcore;
 pub use mis::hygra_mis;
 pub use pagerank::hygra_pagerank;

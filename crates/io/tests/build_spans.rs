@@ -1,11 +1,13 @@
 //! Span coverage of the load → adjoin path and of the edge-list emit:
-//! decoding a binary file, each representation build it triggers, and
-//! writing an s-line edge list report their own span, so `--metrics`
-//! shows every step instead of one opaque reader span.
+//! decoding a binary file, each representation build it triggers, the
+//! adjoin BFS/CC kernels run on it, and writing an s-line edge list
+//! report their own span, so `--metrics` shows every step instead of one
+//! opaque reader span.
 #![cfg(feature = "obs")]
 
+use nwhy_core::algorithms::{adjoin_bfs, adjoin_cc_afforest, adjoin_cc_label_propagation};
 use nwhy_core::fixtures::paper_hypergraph;
-use nwhy_core::AdjoinGraph;
+use nwhy_core::{AdjoinGraph, HyperedgeId};
 use std::io::Cursor;
 use std::sync::Mutex;
 
@@ -27,9 +29,20 @@ fn load_and_adjoin_report_one_span_per_build() {
     nwhy_io::write_binary(&mut buf, &paper_hypergraph()).unwrap();
     nwhy_obs::reset();
     let h = nwhy_io::read_binary(Cursor::new(buf)).unwrap();
-    let _ = AdjoinGraph::from_hypergraph(&h);
+    let a = AdjoinGraph::from_hypergraph(&h);
+    let _ = adjoin_bfs(&a, HyperedgeId::new(0));
+    let _ = adjoin_cc_afforest(&a);
+    let _ = adjoin_cc_label_propagation(&a);
     let paths = span_paths();
-    for name in ["io.decode", "build.csr", "build.transpose", "build.adjoin"] {
+    for name in [
+        "io.decode",
+        "build.csr",
+        "build.transpose",
+        "build.adjoin",
+        "algo.adjoin_bfs",
+        "algo.adjoin_cc.afforest",
+        "algo.adjoin_cc.lp",
+    ] {
         assert!(
             paths.iter().any(|p| p == name),
             "span {name} missing from {paths:?}"

@@ -10,7 +10,6 @@ pub mod bfs;
 pub mod cc;
 pub mod closeness;
 pub mod kcore;
-pub mod ktruss;
 pub mod mis;
 pub mod pagerank;
 pub mod sssp;
@@ -21,7 +20,6 @@ pub use bfs::{bfs_bottom_up, bfs_direction_optimizing, bfs_top_down, BfsResult};
 pub use cc::{afforest, cc_label_propagation, component_sizes, num_components, shiloach_vishkin};
 pub use closeness::{closeness_centrality, eccentricity, harmonic_closeness_centrality};
 pub use kcore::kcore_decomposition;
-pub use ktruss::{ktruss_edges, max_truss, truss_numbers};
 pub use mis::maximal_independent_set;
 pub use pagerank::pagerank;
 pub use sssp::{delta_stepping, unweighted_distances};

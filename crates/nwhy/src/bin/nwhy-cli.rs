@@ -25,7 +25,6 @@
 //! nwhy-cli pack    <in> <out>             compress into NWHYPAK1 on-disk form
 //! nwhy-cli info    <file>                 inspect a packed image (no decode)
 //! nwhy-cli convert <in> <out>
-//! nwhy-cli flightrec <trace.json>         inspect a flight-recorder dump
 //! ```
 //!
 //! Every analysis subcommand accepts a packed `.nwhypak` input and the
@@ -49,10 +48,11 @@
 //! --metrics-out FILE      write the snapshot there instead of stdout (keeps
 //!                         the scrape document free of the report table)
 //! --trace-out FILE        write a Chrome trace_event JSON (chrome://tracing)
-//! --flight-out FILE       dump the flight-recorder ring on exit (same format)
-//! --anomaly-us N          a span slower than N µs dumps the ring immediately
-//!                         (to --flight-out's path, default nwhy-flight.json)
 //! ```
+//!
+//! `--mmap`, `--no-mmap` and `--metrics` are switches: they never take
+//! the next token as a value (`--metrics` takes its mode only as
+//! `--metrics=MODE`).
 //!
 //! Formats are inferred from extensions: `.mtx`/`.mm` Matrix Market,
 //! `.tsv` KONECT bipartite (node edge), `.hgr`/`.txt` hyperedge list,
@@ -128,15 +128,18 @@ type CliResult<T = ()> = Result<T, CliError>;
 fn usage() -> ! {
     eprintln!(
         "usage: nwhy-cli <stats|cc|bfs|sline|check|toplex|scomp|kcore|pagerank|gen|pack|info|\
-         convert|flightrec> ... (see --help / crate docs)"
+         convert> ... (see --help / crate docs)"
     );
     std::process::exit(2);
 }
 
+/// Flags that never take a space-separated value, so a positional after
+/// them stays a positional (`cc --mmap g.nwhypak`).
+const SWITCHES: [&str; 3] = ["mmap", "no-mmap", "metrics"];
+
 /// Minimal flag parser: positionals + `--key value` / `--key=value`
 /// pairs. A `--`-prefixed token is never consumed as the value of the
-/// preceding flag, so boolean-ish flags (`--metrics`) compose with
-/// whatever follows.
+/// preceding flag, and a [`SWITCHES`] flag never consumes one at all.
 struct Args {
     positional: Vec<String>,
     flags: Vec<(String, String)>,
@@ -153,7 +156,7 @@ impl Args {
                     flags.push((k.to_string(), v.to_string()));
                 } else {
                     let val = match it.peek() {
-                        Some(next) if !next.starts_with("--") => {
+                        Some(next) if !next.starts_with("--") && !SWITCHES.contains(&key) => {
                             it.next().cloned().unwrap_or_default()
                         }
                         _ => String::new(),
@@ -909,6 +912,16 @@ mod tests {
     }
 
     #[test]
+    fn switches_never_take_the_next_positional() {
+        let args = Args::parse(&to_vec(&["--mmap", "g.nwhypak"]));
+        assert_eq!(args.flag("mmap"), Some(""));
+        assert_eq!(args.positional, vec!["g.nwhypak"]);
+        let args = Args::parse(&to_vec(&["--metrics", "in.bin"]));
+        assert_eq!(args.flag("metrics"), Some(""));
+        assert_eq!(args.positional, vec!["in.bin"]);
+    }
+
+    #[test]
     fn interleaved_order() {
         let args = Args::parse(&to_vec(&["--k", "2", "in.bin", "--l", "5"]));
         assert_eq!(args.positional, vec!["in.bin"]);
@@ -1023,56 +1036,6 @@ mod tests {
     }
 
     #[test]
-    fn flight_flags_validate() {
-        assert!(configure_flight(&Args::parse(&[])).is_ok());
-        assert!(matches!(
-            configure_flight(&Args::parse(&to_vec(&["--anomaly-us", "soon"]))),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            emit_observability(&Args::parse(&to_vec(&["--flight-out="]))),
-            Err(CliError::Usage(_))
-        ));
-        // valid threshold; leave the recorder unconfigured afterwards
-        assert!(configure_flight(&Args::parse(&to_vec(&["--anomaly-us", "5000000"]))).is_ok());
-        nwhy::obs::flight_configure(None, None);
-    }
-
-    #[test]
-    fn flightrec_inspects_a_dump_and_classifies_errors() {
-        // missing positional is a usage error; unreadable/garbage files are io
-        assert!(matches!(
-            cmd_flightrec(&Args::parse(&[])),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            cmd_flightrec(&Args::parse(&to_vec(&["/nonexistent/f.json"]))),
-            Err(CliError::Io(_))
-        ));
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("nwhy_cli_flightrec_{}.json", std::process::id()));
-        std::fs::write(&path, "not json").unwrap();
-        assert!(matches!(
-            cmd_flightrec(&Args::parse(&to_vec(&[path.to_str().unwrap()]))),
-            Err(CliError::Io(_))
-        ));
-        // a well-formed dump (the shapes render_chrome emits) is accepted
-        std::fs::write(
-            &path,
-            "{\"traceEvents\":[\
-             {\"name\":\"cli.stats\",\"ph\":\"X\",\"ts\":0,\"dur\":12,\"pid\":0,\
-              \"tid\":7,\"args\":{\"req\":1}},\
-             {\"name\":\"cli.stats\",\"ph\":\"i\",\"s\":\"t\",\"ts\":0,\"pid\":0,\
-              \"tid\":7,\"args\":{\"req\":1}},\
-             {\"name\":\"bfs.rounds\",\"ph\":\"C\",\"ts\":3,\"pid\":0,\"tid\":7,\
-              \"args\":{\"req\":1,\"delta\":4}}]}",
-        )
-        .unwrap();
-        assert!(cmd_flightrec(&Args::parse(&to_vec(&[path.to_str().unwrap()]))).is_ok());
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
     fn cli_error_exit_codes_are_distinct() {
         assert_eq!(CliError::usage("u").exit_code(), 2);
         assert_eq!(CliError::io("i").exit_code(), 3);
@@ -1138,36 +1101,13 @@ fn span_name(cmd: &str) -> &'static str {
         "pack" => "cli.pack",
         "info" => "cli.info",
         "convert" => "cli.convert",
-        "flightrec" => "cli.flightrec",
         _ => "cli",
     }
 }
 
-/// Applies `--anomaly-us N` / `--flight-out FILE` *before* the
-/// subcommand runs: a span closing slower than N µs dumps the flight
-/// ring to FILE (default `nwhy-flight.json`) at the moment of the
-/// anomaly, so the events leading up to it survive even if the process
-/// later crashes.
-fn configure_flight(args: &Args) -> CliResult {
-    let anomaly = match args.flag("anomaly-us") {
-        None => None,
-        Some(raw) => Some(
-            raw.parse::<u64>()
-                .map_err(|_| CliError::usage(format!("malformed --anomaly-us value `{raw}`")))?,
-        ),
-    };
-    let flight_out = args.flag("flight-out").filter(|p| !p.is_empty());
-    if anomaly.is_some() || flight_out.is_some() {
-        let path = flight_out.unwrap_or("nwhy-flight.json");
-        nwhy::obs::flight_configure(anomaly, Some(Path::new(path)));
-    }
-    Ok(())
-}
-
 /// Handles the global `--metrics[=text|json|prom]` (+ `--metrics-out
-/// FILE`), `--trace-out FILE` and `--flight-out FILE` flags after the
-/// subcommand finished (so its root span is closed and included in the
-/// snapshot).
+/// FILE`) and `--trace-out FILE` flags after the subcommand finished
+/// (so its root span is closed and included in the snapshot).
 fn emit_observability(args: &Args) -> CliResult {
     if let Some(mode) = args.flag("metrics") {
         let snap = nwhy::obs::snapshot();
@@ -1202,106 +1142,6 @@ fn emit_observability(args: &Args) -> CliResult {
         std::fs::write(path, nwhy::obs::chrome_trace())
             .map_err(|e| CliError::io(format!("{path}: {e}")))?;
     }
-    if let Some(path) = args.flag("flight-out") {
-        if path.is_empty() {
-            return Err(CliError::usage("--flight-out needs a file path"));
-        }
-        std::fs::write(path, nwhy::obs::flight_chrome_trace(usize::MAX))
-            .map_err(|e| CliError::io(format!("{path}: {e}")))?;
-    }
-    Ok(())
-}
-
-/// `flightrec <trace.json>` — inspect a flight-recorder dump (written
-/// by `--flight-out` or the anomaly hook): per-request, per-span and
-/// per-counter rollups over the Chrome `trace_event` document.
-fn cmd_flightrec(args: &Args) -> CliResult {
-    use nwhy::obs::json::{self, Value};
-    use std::collections::BTreeMap;
-
-    let path = args
-        .positional
-        .first()
-        .ok_or_else(|| CliError::usage("flightrec: missing <trace.json>"))?;
-    let text = std::fs::read_to_string(path).map_err(|e| CliError::io(format!("{path}: {e}")))?;
-    let doc = json::parse(&text)
-        .map_err(|e| CliError::io(format!("{path}: not a trace document: {e}")))?;
-    let events = doc
-        .get("traceEvents")
-        .and_then(Value::as_array)
-        .ok_or_else(|| CliError::io(format!("{path}: missing traceEvents array")))?;
-
-    // (closes, total µs, max µs) per span name; (samples, delta sum) per
-    // counter; (events, span µs) per request id; the slowest closes.
-    let mut spans: BTreeMap<String, (u64, u64, u64)> = BTreeMap::new();
-    let mut counters: BTreeMap<String, (u64, u64)> = BTreeMap::new();
-    let mut requests: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
-    let mut slowest: Vec<(u64, String, u64)> = Vec::new(); // (dur, name, req)
-    let mut opens = 0u64;
-    for ev in events {
-        let name = ev.get("name").and_then(Value::as_str).unwrap_or("?");
-        let req = ev
-            .get("args")
-            .and_then(|a| a.get("req"))
-            .and_then(Value::as_u64)
-            .unwrap_or(0);
-        let entry = requests.entry(req).or_insert((0, 0));
-        entry.0 += 1;
-        match ev.get("ph").and_then(Value::as_str) {
-            Some("X") => {
-                let dur = ev.get("dur").and_then(Value::as_u64).unwrap_or(0);
-                let s = spans.entry(name.to_string()).or_insert((0, 0, 0));
-                s.0 += 1;
-                s.1 += dur;
-                s.2 = s.2.max(dur);
-                entry.1 += dur;
-                slowest.push((dur, name.to_string(), req));
-            }
-            Some("i") => opens += 1,
-            Some("C") => {
-                let delta = ev
-                    .get("args")
-                    .and_then(|a| a.get("delta"))
-                    .and_then(Value::as_u64)
-                    .unwrap_or(0);
-                let c = counters.entry(name.to_string()).or_insert((0, 0));
-                c.0 += 1;
-                c.1 += delta;
-            }
-            _ => {}
-        }
-    }
-
-    println!(
-        "{path}: {} events ({} span closes, {opens} span opens, {} counter samples)",
-        events.len(),
-        slowest.len(),
-        counters.values().map(|&(n, _)| n).sum::<u64>()
-    );
-    println!("requests:");
-    for (req, (n, span_us)) in &requests {
-        let label = if *req == 0 { " (unattributed)" } else { "" };
-        println!("  req {req}{label}: {n} events, {span_us} span µs");
-    }
-    if !spans.is_empty() {
-        println!("spans:");
-        for (name, (n, total, max)) in &spans {
-            println!("  {name}: {n} closes, total {total} µs, max {max} µs");
-        }
-    }
-    if !counters.is_empty() {
-        println!("counters:");
-        for (name, (n, sum)) in &counters {
-            println!("  {name}: {n} samples, delta sum {sum}");
-        }
-    }
-    slowest.sort_unstable_by(|a, b| b.cmp(a));
-    if !slowest.is_empty() {
-        println!("slowest spans:");
-        for (dur, name, req) in slowest.iter().take(5) {
-            println!("  {dur} µs  {name}  (req {req})");
-        }
-    }
     Ok(())
 }
 
@@ -1312,13 +1152,7 @@ fn main() -> ExitCode {
     }
     let cmd = raw[0].as_str();
     let args = Args::parse(&raw[1..]);
-    let result = configure_flight(&args).and_then(|()| {
-        // Every invocation is one "request": CLI-thread spans and counter
-        // deltas in the flight ring carry this id, so dumps from
-        // overlapping runs (or embeddings that issue several requests per
-        // process) stay attributable.
-        let ctx = nwhy::obs::RequestCtx::new();
-        let _guard = ctx.enter();
+    let result = {
         let _span = nwhy::obs::span(span_name(cmd));
         match cmd {
             "stats" => cmd_stats(&args),
@@ -1334,13 +1168,12 @@ fn main() -> ExitCode {
             "pack" => cmd_pack(&args),
             "info" => cmd_info(&args),
             "convert" => cmd_convert(&args),
-            "flightrec" => cmd_flightrec(&args),
             _ => {
                 usage();
             }
         }
-    });
-    let result = result.and_then(|()| emit_observability(&args));
+    }
+    .and_then(|()| emit_observability(&args));
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

@@ -69,17 +69,6 @@ impl NWHypergraph {
         Self { hypergraph }
     }
 
-    /// Runs `f` with `ctx` entered on this thread: every span and
-    /// counter flush the closure triggers tags its flight-recorder
-    /// events with the request id, so concurrent sessions can be
-    /// separated in a flight dump. Without the `obs` feature this is a
-    /// plain call — [`nwhy_obs::RequestCtx`] is a ZST and entering it
-    /// does nothing.
-    pub fn with_ctx<R>(&self, ctx: nwhy_obs::RequestCtx, f: impl FnOnce(&Self) -> R) -> R {
-        let _guard = ctx.enter();
-        f(self)
-    }
-
     /// The underlying bi-adjacency hypergraph.
     pub fn hypergraph(&self) -> &Hypergraph {
         &self.hypergraph

@@ -1,14 +1,13 @@
-//! The monotonic tick source behind every flight-recorder timestamp and
-//! windowed-quantile rotation (active build only).
+//! The monotonic tick source behind windowed-quantile rotation (active
+//! build only).
 //!
 //! Two modes, switched at init:
 //!
 //! - **wall clock** (default): ticks are microseconds since the first
 //!   call (a lazily-pinned [`Instant`] epoch);
 //! - **manual**: ticks come from a plain atomic counter the test driver
-//!   advances with [`advance`] — every rotation and every event stamp
-//!   becomes deterministic, which is what the windowed-quantile fixture
-//!   tests and the flight-recorder partition tests pin against.
+//!   advances with [`advance`] — every rotation becomes deterministic,
+//!   which is what the windowed-quantile fixture tests pin against.
 //!
 //! The mode lives in one atomic flag so reading the clock is two relaxed
 //! loads on the hot path. [`reset`] restores wall-clock mode and zeroes
@@ -18,8 +17,8 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 // lint: deliberately std, not nwhy_util::sync — this module is compiled
-// out under `--cfg loom` alongside the registry, and the loom tests
-// exercise the ring/window structs with caller-supplied ticks instead
+// out under `--cfg loom` alongside the registry, and the window struct
+// takes caller-supplied ticks instead
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 static MANUAL_MODE: AtomicBool = AtomicBool::new(false);

@@ -9,9 +9,12 @@
 //!   sharded core is loom-model-checkable (`tests/loom.rs`);
 //! - **power-of-two histograms** ([`observe`]) for frontier-size style
 //!   distributions;
+//! - **windowed latency quantiles** ([`observe_latency`], fed by every
+//!   span close) over a trailing window of [`window::WindowedHist`]s;
 //! - **sinks**: [`snapshot`] → [`MetricsSnapshot`] with
-//!   [`MetricsSnapshot::to_text`] / [`MetricsSnapshot::to_json`], and
-//!   [`take_trace`] / [`chrome_trace`] for `chrome://tracing`.
+//!   [`MetricsSnapshot::to_text`] / [`MetricsSnapshot::to_json`] /
+//!   [`render_prometheus`], and [`take_trace`] / [`chrome_trace`] for
+//!   `chrome://tracing`.
 //!
 //! # Zero cost when disabled
 //!
@@ -39,23 +42,17 @@
 #[cfg(all(feature = "enabled", not(loom)))]
 mod clock;
 mod counters;
-mod ctx;
-#[cfg(all(feature = "enabled", not(loom)))]
-mod flight;
 pub mod json;
 pub mod prom;
 #[cfg(all(feature = "enabled", not(loom)))]
 mod registry;
-pub mod ring;
 pub mod sharded;
 mod snapshot;
 mod trace;
 pub mod window;
 
 pub use counters::{Counter, Hist};
-pub use ctx::{current_request_id, CtxGuard, RequestCtx};
 pub use prom::render_prometheus;
-pub use ring::{FlightEvent, FlightKind};
 pub use snapshot::{
     CounterSnapshot, HistSnapshot, MetricsSnapshot, QuantileSnapshot, SpanSnapshot,
 };
@@ -194,7 +191,7 @@ pub fn chrome_trace() -> String {
 
 /// Records one latency observation (µs) into `op`'s trailing window.
 /// Span closes call this automatically with the span's leaf name;
-/// serving layers may call it directly for endpoint-level ops. No-op
+/// callers may also record ops that are not spans. No-op
 /// when disabled.
 #[inline]
 pub fn observe_latency(op: &'static str, micros: u64) {
@@ -206,7 +203,7 @@ pub fn observe_latency(op: &'static str, micros: u64) {
 
 /// Switches the telemetry clock between wall-clock microseconds and a
 /// deterministic manual counter (see [`advance_ticks`]). Tests use the
-/// manual mode so flight-event stamps and window rotation are exact.
+/// manual mode so window rotation is exact.
 /// No-op when disabled.
 pub fn set_manual_ticks(on: bool) {
     #[cfg(all(feature = "enabled", not(loom)))]
@@ -222,45 +219,4 @@ pub fn advance_ticks(n: u64) {
     clock::advance(n);
     #[cfg(not(all(feature = "enabled", not(loom))))]
     let _ = n;
-}
-
-/// Snapshot of the newest `n` flight-recorder events, oldest first.
-/// Always empty when disabled.
-pub fn flight_drain_last(n: usize) -> Vec<FlightEvent> {
-    #[cfg(all(feature = "enabled", not(loom)))]
-    {
-        flight::drain_last(n)
-    }
-    #[cfg(not(all(feature = "enabled", not(loom))))]
-    {
-        let _ = n;
-        Vec::new()
-    }
-}
-
-/// Configures the flight-recorder anomaly hook: when a span's duration
-/// reaches `anomaly_us`, the ring is dumped as a Chrome-trace JSON file
-/// at `dump_path`. `None` disables the respective half. No-op when
-/// disabled.
-pub fn flight_configure(anomaly_us: Option<u64>, dump_path: Option<&std::path::Path>) {
-    #[cfg(all(feature = "enabled", not(loom)))]
-    flight::configure(anomaly_us, dump_path);
-    #[cfg(not(all(feature = "enabled", not(loom))))]
-    let _ = (anomaly_us, dump_path);
-}
-
-/// Renders the newest `n` flight-recorder events as a Chrome
-/// `trace_event` JSON document (span closes as complete slices, opens as
-/// instants, counter deltas as counter samples; request ids in
-/// `args.req`). An empty document when disabled.
-pub fn flight_chrome_trace(n: usize) -> String {
-    #[cfg(all(feature = "enabled", not(loom)))]
-    {
-        flight::render_chrome(&flight::drain_last(n))
-    }
-    #[cfg(not(all(feature = "enabled", not(loom))))]
-    {
-        let _ = n;
-        String::from("{\"traceEvents\":[]}")
-    }
 }

@@ -24,7 +24,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::counters::{Counter, Hist};
-use crate::ring::FlightKind;
 use crate::sharded::ShardedU64;
 use crate::snapshot::{
     CounterSnapshot, HistSnapshot, MetricsSnapshot, QuantileSnapshot, SpanSnapshot,
@@ -161,16 +160,7 @@ pub(crate) fn shard_index() -> usize {
 }
 
 pub(crate) fn add(counter: Counter, n: u64) {
-    let shard = shard_index();
-    registry().counters[counter.index()].add_to_shard(shard, n);
-    // lint: counter indices are tiny (Counter::ALL is a fixed 22-entry enum)
-    #[allow(clippy::cast_possible_truncation)]
-    crate::flight::record(
-        FlightKind::CounterDelta,
-        counter.index() as u32,
-        n,
-        shard as u64,
-    );
+    registry().counters[counter.index()].add_to_shard(shard_index(), n);
 }
 
 /// Records one latency observation (µs) into `op`'s trailing window.
@@ -190,16 +180,6 @@ pub(crate) fn observe_latency(op: &'static str, micros: u64) {
         }
     };
     win.observe(crate::clock::now_ticks(), micros);
-}
-
-/// Resolves a span path id to its `/`-joined path (for flight-recorder
-/// rendering). `None` for ids the table has never interned.
-pub(crate) fn span_full_path(id: usize) -> Option<String> {
-    let table = registry()
-        .spans
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    (id < table.paths.len()).then(|| table.full_path(id))
 }
 
 pub(crate) fn counter_value(counter: Counter) -> u64 {
@@ -229,12 +209,6 @@ pub(crate) fn span_enter(name: &'static str) -> SpanInner {
         table.intern(parent, name)
     };
     SPAN_STACK.with(|s| s.borrow_mut().push(path_id));
-    crate::flight::record(
-        FlightKind::SpanOpen,
-        u32::try_from(path_id).unwrap_or(u32::MAX),
-        0,
-        shard_index() as u64,
-    );
     SpanInner {
         path_id,
         name,
@@ -287,14 +261,7 @@ pub(crate) fn span_exit(inner: &SpanInner) {
     // lint: u128 microsecond counts fit u64 for the next ~584k years
     #[allow(clippy::cast_possible_truncation)]
     let dur_us = elapsed.as_micros() as u64;
-    crate::flight::record(
-        FlightKind::SpanClose,
-        u32::try_from(inner.path_id).unwrap_or(u32::MAX),
-        dur_us,
-        shard_index() as u64,
-    );
     observe_latency(inner.name, dur_us);
-    crate::flight::check_anomaly(dur_us);
 }
 
 pub(crate) fn snapshot() -> MetricsSnapshot {
@@ -411,7 +378,6 @@ pub(crate) fn reset() {
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
         .clear();
-    crate::flight::clear();
     crate::clock::reset();
 }
 

@@ -5,7 +5,7 @@
 
 use std::sync::Mutex;
 
-use nwhy_obs::{json, Counter, FlightKind, Hist, RequestCtx};
+use nwhy_obs::{json, Counter, Hist};
 
 static GATE: Mutex<()> = Mutex::new(());
 
@@ -199,115 +199,6 @@ fn windowed_quantiles_surface_in_snapshot_and_prom() {
         let v = json::parse(&stale.to_json()).expect("stale snapshot parses");
         let quantiles = v.get("quantiles").unwrap().as_array().unwrap();
         assert_eq!(quantiles[0].get("p99"), Some(&json::Value::Null));
-    });
-}
-
-#[test]
-fn flight_recorder_captures_span_and_counter_events() {
-    isolated(|| {
-        nwhy_obs::set_manual_ticks(true);
-        nwhy_obs::advance_ticks(42);
-        {
-            let _s = nwhy_obs::span("flight.phase");
-            nwhy_obs::add(Counter::BfsRounds, 3);
-        }
-        let events = nwhy_obs::flight_drain_last(16);
-        let kinds: Vec<FlightKind> = events.iter().map(|e| e.kind).collect();
-        assert_eq!(
-            kinds,
-            [
-                FlightKind::SpanOpen,
-                FlightKind::CounterDelta,
-                FlightKind::SpanClose
-            ]
-        );
-        assert!(
-            events.iter().all(|e| e.tick == 42),
-            "manual ticks stamp events"
-        );
-        let delta = &events[1];
-        assert_eq!(delta.id, u32::try_from(Counter::BfsRounds.index()).unwrap());
-        assert_eq!(delta.value, 3);
-        // the rendering is parseable Chrome-trace JSON naming the span
-        let doc = nwhy_obs::flight_chrome_trace(16);
-        let v = json::parse(&doc).expect("flight chrome trace parses");
-        let rendered = v.get("traceEvents").unwrap().as_array().unwrap();
-        assert_eq!(rendered.len(), 3);
-        assert!(rendered
-            .iter()
-            .any(|e| e.get("name").unwrap().as_str() == Some("flight.phase")));
-        // drain is a snapshot, not a drain-and-clear: reset clears it
-        assert_eq!(nwhy_obs::flight_drain_last(16).len(), 3);
-        nwhy_obs::reset();
-        assert!(nwhy_obs::flight_drain_last(16).is_empty());
-    });
-}
-
-#[test]
-fn flight_events_partition_by_request_ctx() {
-    // The tentpole's attribution fixture at the obs layer: two
-    // interleaved "queries" on concurrent threads, each under its own
-    // RequestCtx — every span event in the recorder dump must carry the
-    // id of the query that produced it.
-    isolated(|| {
-        let ctx_a = RequestCtx::new();
-        let ctx_b = RequestCtx::new();
-        std::thread::scope(|s| {
-            for ctx in [ctx_a, ctx_b] {
-                s.spawn(move || {
-                    let _g = ctx.enter();
-                    for _ in 0..10 {
-                        let _span = nwhy_obs::span("query.run");
-                        nwhy_obs::incr(Counter::SlineEdgesEmitted);
-                    }
-                });
-            }
-        });
-        let events = nwhy_obs::flight_drain_last(256);
-        assert_eq!(events.len(), 60, "2 queries × 10 iterations × 3 events");
-        let by_a = events.iter().filter(|e| e.req == ctx_a.id()).count();
-        let by_b = events.iter().filter(|e| e.req == ctx_b.id()).count();
-        assert_eq!(by_a, 30, "query A owns exactly its own events");
-        assert_eq!(by_b, 30, "query B owns exactly its own events");
-        // ids partition: nothing unattributed, nothing cross-tagged
-        assert!(events
-            .iter()
-            .all(|e| e.req == ctx_a.id() || e.req == ctx_b.id()));
-        // and within one request id, the thread is consistent
-        for ctx in [ctx_a, ctx_b] {
-            let tids: Vec<u64> = events
-                .iter()
-                .filter(|e| e.req == ctx.id())
-                .map(|e| e.tid)
-                .collect();
-            assert!(tids.windows(2).all(|w| w[0] == w[1]));
-        }
-    });
-}
-
-#[test]
-fn anomaly_hook_dumps_the_ring() {
-    isolated(|| {
-        let path =
-            std::env::temp_dir().join(format!("nwhy-obs-anomaly-{}.json", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        nwhy_obs::flight_configure(Some(0), Some(&path));
-        {
-            let _s = nwhy_obs::span("slow.phase");
-        }
-        // threshold 0 ⇒ every span close trips the dump
-        let doc = std::fs::read_to_string(&path).expect("anomaly dump written");
-        let v = json::parse(&doc).expect("dump is valid chrome trace JSON");
-        assert!(v
-            .get("traceEvents")
-            .unwrap()
-            .as_array()
-            .unwrap()
-            .iter()
-            .any(|e| e.get("name").unwrap().as_str() == Some("slow.phase")));
-        // unconfigure so later tests never trip it
-        nwhy_obs::flight_configure(None, None);
-        let _ = std::fs::remove_file(&path);
     });
 }
 

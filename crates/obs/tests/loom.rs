@@ -7,15 +7,13 @@
 //! ```
 //!
 //! Under `--cfg loom` the crate's registry (spans, histograms, trace
-//! buffer) is compiled out — the primitives concurrent code hammers are
-//! model-checked directly: [`ShardedU64`] (rayon counter bumps) and
-//! [`FlightRing`] (the flight recorder's seqlock writer/drain pair).
+//! buffer) is compiled out — the primitive concurrent code hammers,
+//! [`ShardedU64`] (rayon counter bumps), is model-checked directly.
 //! `Box::leak` gives spawned threads `'static` access; the leak is
 //! bounded by the explored-schedule count (test-only binary).
 
 #![cfg(loom)]
 
-use nwhy_obs::ring::{FlightEvent, FlightKind, FlightRing};
 use nwhy_obs::sharded::ShardedU64;
 
 /// Two writers on distinct shards: no bump is ever lost. (A concurrent
@@ -64,76 +62,5 @@ fn loom_shard_masking() {
         let c = ShardedU64::new();
         c.add_to_shard(usize::MAX, 9);
         assert_eq!(c.sum(), 9);
-    });
-}
-
-/// A self-consistent flight event: `value` and `tick` both encode the
-/// writer id, so a torn read (payload words from two different writes)
-/// is detectable.
-fn tagged(writer: u64) -> FlightEvent {
-    FlightEvent {
-        kind: FlightKind::SpanClose,
-        // lint: writer ids in the model are 1 or 2
-        #[allow(clippy::cast_possible_truncation)]
-        id: writer as u32,
-        tick: writer * 100,
-        req: writer,
-        value: writer * 1_000,
-        tid: writer,
-    }
-}
-
-fn assert_untorn(e: &FlightEvent) {
-    let w = e.req;
-    assert!(w == 1 || w == 2, "unknown writer tag: {e:?}");
-    assert_eq!(u64::from(e.id), w, "torn id/req pair: {e:?}");
-    assert_eq!(e.tick, w * 100, "torn tick: {e:?}");
-    assert_eq!(e.value, w * 1_000, "torn value: {e:?}");
-    assert_eq!(e.tid, w, "torn tid: {e:?}");
-}
-
-/// The seqlock ring's writer/drain pair (the satellite's model): one
-/// writer races a concurrent drain on a capacity-2 ring. Any event the
-/// racing drain surfaces must be internally consistent, and after the
-/// join the drain must see exactly the published event, untorn.
-#[test]
-fn loom_flight_ring_drain_races_writer() {
-    loom::model(|| {
-        let r: &'static FlightRing = Box::leak(Box::new(FlightRing::new(2)));
-
-        let w = loom::thread::spawn(move || r.record(tagged(1)));
-        // Concurrent drain: may see zero or one event, never a torn one.
-        for e in r.drain_last(2) {
-            assert_untorn(&e);
-        }
-        w.join().unwrap();
-        let settled = r.drain_last(2);
-        assert_eq!(settled.len(), 1, "published event must be visible");
-        assert_untorn(&settled[0]);
-    });
-}
-
-/// Two writers racing on the ticket counter and publishing into a
-/// capacity-2 ring (main thread doubles as the second writer to keep
-/// the vendored scheduler's interleaving space inside its execution
-/// cap): the drain after the join sees both events, each untorn.
-#[test]
-fn loom_flight_ring_two_writers_never_tear() {
-    loom::model(|| {
-        let r: &'static FlightRing = Box::leak(Box::new(FlightRing::new(2)));
-
-        let w1 = loom::thread::spawn(move || r.record(tagged(1)));
-        r.record(tagged(2));
-        w1.join().unwrap();
-        let settled = r.drain_last(2);
-        assert_eq!(settled.len(), 2);
-        for e in &settled {
-            assert_untorn(e);
-        }
-        let tags: Vec<u64> = settled.iter().map(|e| e.req).collect();
-        assert!(
-            tags == [1, 2] || tags == [2, 1],
-            "both writers must land exactly once: {tags:?}"
-        );
     });
 }

@@ -57,7 +57,7 @@ pub const ALLOC_MARKER: &str = "// lint: alloc";
 /// The hot-loop roots: the seven s-line kernels (plus their queue/
 /// dynamic variants) and the hygra traversal drivers. Reachability from
 /// these defines the "hot set" the allocation rule patrols.
-pub const HOT_ROOTS: [&str; 16] = [
+pub const HOT_ROOTS: [&str; 14] = [
     "slinegraph::naive::naive",
     "slinegraph::hashmap::hashmap",
     "slinegraph::intersection::intersection",
@@ -68,10 +68,8 @@ pub const HOT_ROOTS: [&str; 16] = [
     "slinegraph::queue_two_phase::queue_intersection",
     "slinegraph::ensemble::ensemble",
     "hygra::bfs::hygra_bfs",
-    "hygra::bfs::hygra_bfs_ctx",
     "hygra::bfs::hygra_bfs_with_mode",
     "hygra::cc::hygra_cc",
-    "hygra::cc::hygra_cc_ctx",
     "hygra::engine::edge_map",
     "hygra::engine::vertex_map",
 ];
