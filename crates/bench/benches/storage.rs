@@ -19,7 +19,7 @@
 //! (output directory, default `.`).
 
 use nwhy_bench::{bench_cell, env_usize, write_json, BenchRecord};
-use nwhy_core::algorithms::{hyper_bfs_generic, hyper_cc_generic};
+use nwhy_core::algorithms::{hyper_bfs_top_down, hyper_cc};
 use nwhy_core::{Hypergraph, SLineBuilder};
 use nwhy_gen::profiles::profile_by_name;
 use nwhy_store::Backend;
@@ -90,16 +90,16 @@ fn main() {
         records.push(size_rec);
 
         let bfs_ptr = run(&mut records, name, "HyperBFS-pointer", None, &mut || {
-            std::hint::black_box(hyper_bfs_generic(&h, src));
+            std::hint::black_box(hyper_bfs_top_down(&h, src));
         });
         let bfs_pak = run(&mut records, name, "HyperBFS-packed", None, &mut || {
-            std::hint::black_box(hyper_bfs_generic(&c, src));
+            std::hint::black_box(hyper_bfs_top_down(&c, src));
         });
         let cc_ptr = run(&mut records, name, "HyperCC-pointer", None, &mut || {
-            std::hint::black_box(hyper_cc_generic(&h));
+            std::hint::black_box(hyper_cc(&h));
         });
         let cc_pak = run(&mut records, name, "HyperCC-packed", None, &mut || {
-            std::hint::black_box(hyper_cc_generic(&c));
+            std::hint::black_box(hyper_cc(&c));
         });
         let sl_ptr = run(
             &mut records,

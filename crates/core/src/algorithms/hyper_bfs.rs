@@ -1,5 +1,6 @@
-//! HyperBFS — breadth-first search on the bi-adjacency representation
-//! (§III-C.1), with top-down and bottom-up variants.
+//! HyperBFS — breadth-first search over the bipartite incidence structure
+//! (§III-C.1), with top-down and bottom-up variants, generic over any
+//! [`HyperAdjacency`].
 //!
 //! A BFS on a hypergraph alternates between the two index sets: a frontier
 //! of hyperedges reaches all incident hypernodes; a frontier of hypernodes
@@ -7,10 +8,16 @@
 //! levels and hypernodes at odd levels (counting the source hyperedge as
 //! level 0). Exactly as the paper warns, the algorithm must maintain *two*
 //! frontiers, parent arrays, and level arrays — one per index set.
+//!
+//! The same kernels run on the bi-adjacency, the adjoin graph, zero-copy
+//! views and the compressed on-disk backend (`nwhy-store`). Per-hypernode
+//! arrays are indexed by *dense hypernode index* (`[0, n_v)`, via
+//! [`HyperAdjacency::node_index`]), so results are comparable across
+//! representations. Levels are deterministic; parents are subject to the
+//! usual CAS races.
 
-use crate::hypergraph::Hypergraph;
-use crate::ids;
-use crate::Id;
+use crate::repr::HyperAdjacency;
+use crate::{ids, Id};
 use nwgraph::INVALID_VERTEX;
 use nwhy_util::sync::{AtomicU32, Ordering};
 use rayon::prelude::*;
@@ -48,72 +55,68 @@ impl HyperBfsResult {
     }
 }
 
-fn init(
-    h: &Hypergraph,
-    source: Id,
-) -> (
-    Vec<AtomicU32>,
-    Vec<AtomicU32>,
-    Vec<AtomicU32>,
-    Vec<AtomicU32>,
-) {
-    let ne = h.num_hyperedges();
-    let nv = h.num_hypernodes();
-    assert!(
-        (source as usize) < ne,
-        "source hyperedge {source} out of range {ne}"
-    );
-    let edge_levels: Vec<AtomicU32> = (0..ne).map(|_| AtomicU32::new(INVALID_VERTEX)).collect();
-    let node_levels: Vec<AtomicU32> = (0..nv).map(|_| AtomicU32::new(INVALID_VERTEX)).collect();
-    let edge_parents: Vec<AtomicU32> = (0..ne).map(|_| AtomicU32::new(INVALID_VERTEX)).collect();
-    let node_parents: Vec<AtomicU32> = (0..nv).map(|_| AtomicU32::new(INVALID_VERTEX)).collect();
-    edge_levels[source as usize].store(0, Ordering::Relaxed);
-    edge_parents[source as usize].store(source, Ordering::Relaxed);
-    (edge_levels, node_levels, edge_parents, node_parents)
-}
-
-fn finish(
+/// Level and parent arrays for both index sets, with `source` seeded.
+struct State {
     edge_levels: Vec<AtomicU32>,
     node_levels: Vec<AtomicU32>,
     edge_parents: Vec<AtomicU32>,
     node_parents: Vec<AtomicU32>,
-) -> HyperBfsResult {
-    HyperBfsResult {
-        edge_levels: edge_levels.into_iter().map(AtomicU32::into_inner).collect(),
-        node_levels: node_levels.into_iter().map(AtomicU32::into_inner).collect(),
-        edge_parents: edge_parents
-            .into_iter()
-            .map(AtomicU32::into_inner)
-            .collect(),
-        node_parents: node_parents
-            .into_iter()
-            .map(AtomicU32::into_inner)
-            .collect(),
+}
+
+impl State {
+    fn new<A: HyperAdjacency + ?Sized>(h: &A, source: Id) -> Self {
+        let ne = h.num_hyperedges();
+        let src = ids::to_usize(source);
+        assert!(src < ne, "source hyperedge {source} out of range {ne}");
+        let seeded = |seed: u32| {
+            (0..ne)
+                .map(|e| AtomicU32::new(if e == src { seed } else { INVALID_VERTEX }))
+                .collect()
+        };
+        let unset = || {
+            (0..h.num_hypernodes())
+                .map(|_| AtomicU32::new(INVALID_VERTEX))
+                .collect()
+        };
+        Self {
+            edge_levels: seeded(0),
+            node_levels: unset(),
+            edge_parents: seeded(source),
+            node_parents: unset(),
+        }
+    }
+
+    fn finish(self) -> HyperBfsResult {
+        let plain = |v: Vec<AtomicU32>| v.into_iter().map(AtomicU32::into_inner).collect();
+        HyperBfsResult {
+            edge_levels: plain(self.edge_levels),
+            node_levels: plain(self.node_levels),
+            edge_parents: plain(self.edge_parents),
+            node_parents: plain(self.node_parents),
+        }
     }
 }
 
-/// Expands a frontier across one bipartite direction, claiming unvisited
-/// targets by CAS on their parent slot.
-fn expand(
-    adjacency: &nwgraph::Csr,
-    frontier: &[Id],
-    target_parents: &[AtomicU32],
-    target_levels: &[AtomicU32],
-    depth: u32,
-) -> Vec<Id> {
+/// Claims unvisited target `t` for `parent` by CAS on its parent slot.
+#[inline]
+fn claim(parents: &[AtomicU32], levels: &[AtomicU32], t: usize, parent: Id, depth: u32) -> bool {
+    let won = parents[t].load(Ordering::Relaxed) == INVALID_VERTEX
+        && parents[t]
+            .compare_exchange(INVALID_VERTEX, parent, Ordering::AcqRel, Ordering::Relaxed)
+            .is_ok();
+    if won {
+        levels[t].store(depth, Ordering::Relaxed);
+    }
+    won
+}
+
+/// One top-down half-step: expands every frontier member in parallel
+/// and concatenates the targets each one claimed.
+fn push(frontier: &[usize], expand: impl Fn(usize, &mut Vec<usize>) + Sync) -> Vec<usize> {
     frontier
         .par_iter()
         .fold(Vec::new, |mut next, &u| {
-            for &t in adjacency.neighbors(u) {
-                if target_parents[t as usize].load(Ordering::Relaxed) == INVALID_VERTEX
-                    && target_parents[t as usize]
-                        .compare_exchange(INVALID_VERTEX, u, Ordering::AcqRel, Ordering::Relaxed)
-                        .is_ok()
-                {
-                    target_levels[t as usize].store(depth, Ordering::Relaxed);
-                    next.push(t);
-                }
-            }
+            expand(u, &mut next);
             next
         })
         .reduce(Vec::new, |mut a, mut b| {
@@ -122,61 +125,66 @@ fn expand(
         })
 }
 
-/// Top-down HyperBFS from a source hyperedge.
-pub fn hyper_bfs_top_down(h: &Hypergraph, source: Id) -> HyperBfsResult {
+/// Top-down HyperBFS from a source hyperedge (working ID): each half-step
+/// pushes from the frontier across its incidence lists.
+///
+/// # Panics
+/// Panics if `source` is out of range.
+pub fn hyper_bfs_top_down<A: HyperAdjacency + ?Sized>(h: &A, source: Id) -> HyperBfsResult {
     let _span = nwhy_obs::span("algo.hyper_bfs.top_down");
-    let (edge_levels, node_levels, edge_parents, node_parents) = init(h, source);
-    let mut edge_frontier = vec![source];
+    let s = State::new(h, source);
+    let mut edge_frontier = vec![ids::to_usize(source)];
     let mut depth = 0u32;
     while !edge_frontier.is_empty() {
         // hyperedges → hypernodes
         depth += 1;
-        let node_frontier = expand(
-            h.edges(),
-            &edge_frontier,
-            &node_parents,
-            &node_levels,
-            depth,
-        );
+        let node_frontier = push(&edge_frontier, |e, next| {
+            let parent = ids::from_usize(e);
+            for &handle in h.edge_neighbors(parent).iter() {
+                let t = h.node_index(handle);
+                if claim(&s.node_parents, &s.node_levels, t, parent, depth) {
+                    next.push(t);
+                }
+            }
+        });
         if node_frontier.is_empty() {
             break;
         }
         // hypernodes → hyperedges
         depth += 1;
-        edge_frontier = expand(
-            h.nodes(),
-            &node_frontier,
-            &edge_parents,
-            &edge_levels,
-            depth,
-        );
-    }
-    finish(edge_levels, node_levels, edge_parents, node_parents)
-}
-
-/// One bottom-up half-step: every unvisited element of the target side
-/// scans its own incidence list for a frontier member.
-fn expand_bottom_up(
-    reverse_adjacency: &nwgraph::Csr, // target → sources
-    in_frontier: &[bool],
-    target_parents: &[AtomicU32],
-    target_levels: &[AtomicU32],
-    depth: u32,
-) -> Vec<Id> {
-    (0..reverse_adjacency.num_vertices())
-        .into_par_iter()
-        .filter_map(|t| {
-            if target_parents[t].load(Ordering::Relaxed) != INVALID_VERTEX {
-                return None;
-            }
-            for &u in reverse_adjacency.neighbors(ids::from_usize(t)) {
-                if in_frontier[u as usize] {
-                    target_parents[t].store(u, Ordering::Relaxed);
-                    target_levels[t].store(depth, Ordering::Relaxed);
-                    return Some(ids::from_usize(t));
+        edge_frontier = push(&node_frontier, |t, next| {
+            // the parent is the dense index `t`, not the representation's
+            // handle (shifted on adjoin graphs)
+            let parent = ids::from_usize(t);
+            for &raw in h.node_neighbors(h.node_id(t)).iter() {
+                let j = ids::to_usize(h.edge_id(raw));
+                if claim(&s.edge_parents, &s.edge_levels, j, parent, depth) {
+                    next.push(j);
                 }
             }
-            None
+        });
+    }
+    s.finish()
+}
+
+/// One bottom-up half-step: every unvisited target `t` looks up the first
+/// frontier member among its own incidences (`first_in_frontier(t)`).
+fn pull(
+    parents: &[AtomicU32],
+    levels: &[AtomicU32],
+    depth: u32,
+    first_in_frontier: impl Fn(usize) -> Option<Id> + Sync,
+) -> Vec<usize> {
+    (0..parents.len())
+        .into_par_iter()
+        .filter_map(|t| {
+            if parents[t].load(Ordering::Relaxed) != INVALID_VERTEX {
+                return None;
+            }
+            let u = first_in_frontier(t)?;
+            parents[t].store(u, Ordering::Relaxed);
+            levels[t].store(depth, Ordering::Relaxed);
+            Some(t)
         })
         .collect()
 }
@@ -184,39 +192,51 @@ fn expand_bottom_up(
 /// Bottom-up HyperBFS from a source hyperedge: each half-step is a pull
 /// over the unvisited side. Produces the same levels as
 /// [`hyper_bfs_top_down`].
-pub fn hyper_bfs_bottom_up(h: &Hypergraph, source: Id) -> HyperBfsResult {
+///
+/// # Panics
+/// Panics if `source` is out of range.
+pub fn hyper_bfs_bottom_up<A: HyperAdjacency + ?Sized>(h: &A, source: Id) -> HyperBfsResult {
     let _span = nwhy_obs::span("algo.hyper_bfs.bottom_up");
-    let (edge_levels, node_levels, edge_parents, node_parents) = init(h, source);
-    let ne = h.num_hyperedges();
-    let nv = h.num_hypernodes();
-    let mut edge_frontier = vec![source];
+    let s = State::new(h, source);
+    let mut edge_frontier = vec![ids::to_usize(source)];
     let mut depth = 0u32;
     while !edge_frontier.is_empty() {
         // hyperedges → hypernodes, pulled from the node side: a node joins
         // if any of its hyperedges is in the frontier.
-        let mut edge_in = vec![false; ne];
+        let mut edge_in = vec![false; h.num_hyperedges()];
         for &e in &edge_frontier {
-            edge_in[e as usize] = true;
+            edge_in[e] = true;
         }
         depth += 1;
-        let node_frontier =
-            expand_bottom_up(h.nodes(), &edge_in, &node_parents, &node_levels, depth);
+        let node_frontier = pull(&s.node_parents, &s.node_levels, depth, |t| {
+            h.node_neighbors(h.node_id(t))
+                .iter()
+                .map(|&raw| h.edge_id(raw))
+                .find(|&j| edge_in[ids::to_usize(j)])
+        });
         if node_frontier.is_empty() {
             break;
         }
-        let mut node_in = vec![false; nv];
-        for &v in &node_frontier {
-            node_in[v as usize] = true;
+        let mut node_in = vec![false; h.num_hypernodes()];
+        for &t in &node_frontier {
+            node_in[t] = true;
         }
         depth += 1;
-        edge_frontier = expand_bottom_up(h.edges(), &node_in, &edge_parents, &edge_levels, depth);
+        edge_frontier = pull(&s.edge_parents, &s.edge_levels, depth, |e| {
+            h.edge_neighbors(ids::from_usize(e))
+                .iter()
+                .map(|&handle| h.node_index(handle))
+                .find(|&t| node_in[t])
+                .map(ids::from_usize)
+        });
     }
-    finish(edge_levels, node_levels, edge_parents, node_parents)
+    s.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adjoin::AdjoinGraph;
     use crate::fixtures::paper_hypergraph;
     use crate::hypergraph::Hypergraph;
     use proptest::prelude::*;
@@ -245,30 +265,16 @@ mod tests {
     #[test]
     fn top_down_and_bottom_up_agree() {
         let h = paper_hypergraph();
+        let a = AdjoinGraph::from_hypergraph(&h);
         for src in 0..4 {
             let td = hyper_bfs_top_down(&h, src);
-            let bu = hyper_bfs_bottom_up(&h, src);
-            assert_eq!(td.edge_levels, bu.edge_levels, "src {src}");
-            assert_eq!(td.node_levels, bu.node_levels, "src {src}");
-        }
-    }
-
-    #[test]
-    fn parents_are_cross_type() {
-        let h = paper_hypergraph();
-        let r = hyper_bfs_top_down(&h, 0);
-        // node parents are hyperedges containing the node
-        for v in 0..9u32 {
-            let p = r.node_parents[v as usize];
-            if p != INVALID_VERTEX {
-                assert!(h.edge_members(p).contains(&v), "node {v} parent {p}");
-            }
-        }
-        // edge parents (except source) are member nodes
-        for e in 1..4u32 {
-            let p = r.edge_parents[e as usize];
-            if p != INVALID_VERTEX {
-                assert!(h.edge_members(e).contains(&p), "edge {e} parent {p}");
+            for (name, r) in [
+                ("bottom-up", hyper_bfs_bottom_up(&h, src)),
+                ("adjoin top-down", hyper_bfs_top_down(&a, src)),
+                ("adjoin bottom-up", hyper_bfs_bottom_up(&a, src)),
+            ] {
+                assert_eq!(td.edge_levels, r.edge_levels, "{name} src {src}");
+                assert_eq!(td.node_levels, r.node_levels, "{name} src {src}");
             }
         }
     }

@@ -1,18 +1,19 @@
-//! HyperCC — connected components on the bi-adjacency representation via
-//! minimum-label propagation (§III-C.1; Orzan / Yan et al.).
+//! HyperCC — connected components over the bipartite incidence structure
+//! via minimum-label propagation (§III-C.1; Orzan / Yan et al.), generic
+//! over any [`HyperAdjacency`].
 //!
 //! A hyperedge and a hypernode are connected when incident; two
 //! hypernodes are connected when they share a hyperedge. Labels live in a
-//! combined space (`hyperedge e ↦ e`, `hypernode v ↦ n_e + v`) so every
-//! initial label is distinct; rounds of parallel min-exchange across the
-//! incidence lists converge to per-component minima. Because hyperedge IDs
-//! sit below hypernode IDs, every final label is the smallest *hyperedge*
-//! ID of the component (or the node's own shifted ID for isolated
-//! hypernodes).
+//! combined space (`hyperedge e ↦ e`, `hypernode index i ↦ n_e + i`) so
+//! every initial label is distinct; rounds of parallel min-exchange across
+//! the incidence lists converge to per-component minima. Because hyperedge
+//! IDs sit below hypernode IDs, every final label is the smallest
+//! *hyperedge* ID of the component (or the node's own shifted ID for
+//! isolated hypernodes). Label minima are deterministic, so every
+//! representation yields the same labels.
 
-use crate::hypergraph::Hypergraph;
-use crate::ids::{self, AdjoinId, HypernodeId};
-use crate::Id;
+use crate::repr::HyperAdjacency;
+use crate::{ids, Id};
 use nwhy_util::atomics::atomic_min_u32;
 use nwhy_util::sync::{AtomicBool, AtomicU32, Ordering};
 use rayon::prelude::*;
@@ -44,13 +45,13 @@ impl HyperCcResult {
 }
 
 /// Label-propagation HyperCC.
-pub fn hyper_cc(h: &Hypergraph) -> HyperCcResult {
+pub fn hyper_cc<A: HyperAdjacency + ?Sized>(h: &A) -> HyperCcResult {
     let _span = nwhy_obs::span("algo.hyper_cc");
     let ne = h.num_hyperedges();
     let nv = h.num_hypernodes();
     let edge_labels: Vec<AtomicU32> = (0..ids::from_usize(ne)).map(AtomicU32::new).collect();
-    let node_labels: Vec<AtomicU32> = (0..ids::from_usize(nv))
-        .map(|v| AtomicU32::new(AdjoinId::from_node(HypernodeId::new(v), ne).raw()))
+    let node_labels: Vec<AtomicU32> = (0..nv)
+        .map(|i| AtomicU32::new(ids::from_usize(ne + i)))
         .collect();
 
     let changed = AtomicBool::new(true);
@@ -60,11 +61,12 @@ pub fn hyper_cc(h: &Hypergraph) -> HyperCcResult {
         // bookkeeping the paper describes.
         (0..ne).into_par_iter().for_each(|e| {
             let le = edge_labels[e].load(Ordering::Relaxed);
-            for &v in h.edge_members(ids::from_usize(e)) {
-                if atomic_min_u32(&node_labels[v as usize], le) {
+            for &handle in h.edge_neighbors(ids::from_usize(e)).iter() {
+                let t = h.node_index(handle);
+                if atomic_min_u32(&node_labels[t], le) {
                     changed.store(true, Ordering::Relaxed);
                 }
-                let lv = node_labels[v as usize].load(Ordering::Relaxed);
+                let lv = node_labels[t].load(Ordering::Relaxed);
                 if atomic_min_u32(&edge_labels[e], lv) {
                     changed.store(true, Ordering::Relaxed);
                 }
@@ -81,6 +83,7 @@ pub fn hyper_cc(h: &Hypergraph) -> HyperCcResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adjoin::AdjoinGraph;
     use crate::fixtures::paper_hypergraph;
     use crate::hypergraph::Hypergraph;
     use proptest::prelude::*;
@@ -130,6 +133,8 @@ mod tests {
         // component {e0,e1,v0,v1} labeled 0; {e2,e3,v2,v3} labeled 2
         assert_eq!(r.edge_labels, vec![0, 0, 2, 2]);
         assert_eq!(r.node_labels, vec![0, 0, 2, 2]);
+        // the adjoin graph yields the same labels, not just the partition
+        assert_eq!(hyper_cc(&AdjoinGraph::from_hypergraph(&h)), r);
     }
 
     fn arb_memberships() -> impl proptest::strategy::Strategy<Value = Vec<Vec<Id>>> {
@@ -184,25 +189,26 @@ mod tests {
         #[test]
         fn prop_matches_dfs_partition(ms in arb_memberships()) {
             let h = Hypergraph::from_memberships(&ms);
-            let r = hyper_cc(&h);
             let (el, nl) = dfs_components(&h);
-            // same partition: pairwise equality must agree
             let ne = h.num_hyperedges();
-            for a in 0..ne {
-                for b in 0..ne {
-                    prop_assert_eq!(
-                        r.edge_labels[a] == r.edge_labels[b],
-                        el[a] == el[b],
-                        "edges {} {}", a, b
-                    );
-                }
-                #[allow(clippy::needless_range_loop)] // lint: parallel indexing of two arrays
-                for v in 0..h.num_hypernodes() {
-                    prop_assert_eq!(
-                        r.edge_labels[a] == r.node_labels[v],
-                        el[a] == nl[v],
-                        "edge {} node {}", a, v
-                    );
+            for r in [hyper_cc(&h), hyper_cc(&AdjoinGraph::from_hypergraph(&h))] {
+                // same partition: pairwise equality must agree
+                for a in 0..ne {
+                    for b in 0..ne {
+                        prop_assert_eq!(
+                            r.edge_labels[a] == r.edge_labels[b],
+                            el[a] == el[b],
+                            "edges {} {}", a, b
+                        );
+                    }
+                    #[allow(clippy::needless_range_loop)] // lint: parallel indexing of two arrays
+                    for v in 0..h.num_hypernodes() {
+                        prop_assert_eq!(
+                            r.edge_labels[a] == r.node_labels[v],
+                            el[a] == nl[v],
+                            "edge {} node {}", a, v
+                        );
+                    }
                 }
             }
         }

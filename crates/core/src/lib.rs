@@ -26,8 +26,9 @@
 //!
 //! # Algorithms (§III-C)
 //!
-//! - Exact, on the bi-adjacency: [`mod@algorithms::hyper_bfs`],
-//!   [`mod@algorithms::hyper_cc`].
+//! - Exact, over the incidence structure of any representation (one
+//!   kernel each, generic over [`repr::HyperAdjacency`]):
+//!   [`mod@algorithms::hyper_bfs`], [`mod@algorithms::hyper_cc`].
 //! - Exact, on the adjoin graph: [`mod@algorithms::adjoin_bfs`],
 //!   [`mod@algorithms::adjoin_cc`].
 //! - [`mod@algorithms::toplex`] — maximal hyperedges (Algorithm 3).

@@ -36,14 +36,10 @@
 pub mod bfs;
 pub mod cc;
 pub mod engine;
-pub mod kcore;
-pub mod mis;
 pub mod pagerank;
 pub mod subset;
 
 pub use bfs::{hygra_bfs, HygraBfsResult};
 pub use cc::{hygra_cc, HygraCcResult};
-pub use kcore::hygra_kcore;
-pub use mis::hygra_mis;
 pub use pagerank::hygra_pagerank;
 pub use subset::VertexSubset;

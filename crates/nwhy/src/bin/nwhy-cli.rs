@@ -36,8 +36,9 @@
 //! ```
 //!
 //! Kernels that are generic over `HyperAdjacency` (s-line construction,
-//! hypergraph BFS/CC, online s-components) run straight off the packed
-//! image; the rest materialize the pointer-based form first.
+//! `bfs --algo hyper|hyper-bu`, `cc --algo hyper`, online s-components)
+//! run straight off the packed image; the rest materialize the
+//! pointer-based form first.
 //!
 //! Every subcommand additionally accepts the observability flags
 //! (no-ops unless built with the default `obs` feature):
@@ -63,7 +64,7 @@
 
 use nwhy::core::algorithms::{
     adjoin_bfs, adjoin_cc_afforest, adjoin_cc_label_propagation, hyper_bfs_bottom_up,
-    hyper_bfs_generic, hyper_bfs_top_down, hyper_cc, hyper_cc_generic, toplexes,
+    hyper_bfs_top_down, hyper_cc, toplexes,
 };
 use nwhy::core::{
     AdjoinGraph, Algorithm, HyperedgeId, Hypergraph, OverlapPolicy, Relabel, SLineBuilder,
@@ -225,7 +226,8 @@ fn save(path: &str, h: &Hypergraph) -> CliResult {
 /// A loaded analysis input: either the pointer-based in-memory
 /// bi-adjacency or a packed `NWHYPAK1` image served through
 /// [`CompressedHypergraph`]. Kernels generic over `HyperAdjacency` run
-/// on either variant directly; the rest call [`Input::into_memory`].
+/// on either variant directly (see [`on_input!`]); the rest call
+/// [`Input::into_memory`].
 enum Input {
     Memory(Hypergraph),
     Packed(CompressedHypergraph),
@@ -248,6 +250,18 @@ impl Input {
             Input::Packed(c) => c.to_hypergraph(),
         }
     }
+}
+
+/// Evaluates `$body` with `$g` bound to whichever representation the
+/// borrowed [`Input`] holds, so a kernel generic over `HyperAdjacency`
+/// serves a packed image zero-copy.
+macro_rules! on_input {
+    ($input:expr, $g:ident => $body:expr) => {
+        match $input {
+            Input::Memory($g) => $body,
+            Input::Packed($g) => $body,
+        }
+    };
 }
 
 /// Resolves the storage backend from the `--mmap` / `--no-mmap` flags.
@@ -357,23 +371,20 @@ fn cmd_stats(args: &Args) -> CliResult {
                         );
                         count_finite(&r.edge_levels)
                     }
-                    Input::Packed(c) => hyper_bfs_generic(c, 0).edges_reached(),
+                    Input::Packed(c) => hyper_bfs_top_down(c, 0).edges_reached(),
                 };
                 println!("ran bfs from hyperedge 0: reached {reached} hyperedges");
             }
             "cc" => {
                 let n = match &input {
                     Input::Memory(h) => nwhy::hygra::hygra_cc(h).num_components(),
-                    Input::Packed(c) => hyper_cc_generic(c).num_components(),
+                    Input::Packed(c) => hyper_cc(c).num_components(),
                 };
                 println!("ran cc: {n} components");
             }
             "sline" => {
                 let s: usize = parse_flag(args, "stats", "s", 2)?;
-                let pairs = match &input {
-                    Input::Memory(h) => SLineBuilder::new(h).s(s).edges(),
-                    Input::Packed(c) => SLineBuilder::new(c).s(s).edges(),
-                };
+                let pairs = on_input!(&input, g => SLineBuilder::new(g).s(s).edges());
                 println!("ran sline (s={s}): {} line-graph edges", pairs.len());
             }
             other => {
@@ -399,22 +410,17 @@ fn cmd_cc(args: &Args) -> CliResult {
         .ok_or_else(|| CliError::usage("cc: missing <file>"))?;
     let algo = args.flag("algo").unwrap_or("hyper");
     let input = load_input(args, path)?;
-    let n = match (input, algo) {
-        // the label-propagation kernel is generic over `HyperAdjacency`,
-        // so the default algorithm never materializes a packed input
-        (Input::Packed(c), "hyper") => hyper_cc_generic(&c).num_components(),
-        (input, algo) => {
-            let h = input.into_memory();
-            match algo {
-                "hyper" => hyper_cc(&h).num_components(),
-                "adjoin" => adjoin_cc_afforest(&AdjoinGraph::from_hypergraph(&h)).num_components(),
-                "adjoin-lp" => {
-                    adjoin_cc_label_propagation(&AdjoinGraph::from_hypergraph(&h)).num_components()
-                }
-                "hygra" => nwhy::hygra::hygra_cc(&h).num_components(),
-                other => return Err(CliError::usage(format!("cc: unknown --algo {other}"))),
-            }
+    let n = match algo {
+        "hyper" => on_input!(&input, g => hyper_cc(g)).num_components(),
+        "adjoin" => {
+            adjoin_cc_afforest(&AdjoinGraph::from_hypergraph(&input.into_memory())).num_components()
         }
+        "adjoin-lp" => {
+            adjoin_cc_label_propagation(&AdjoinGraph::from_hypergraph(&input.into_memory()))
+                .num_components()
+        }
+        "hygra" => nwhy::hygra::hygra_cc(&input.into_memory()).num_components(),
+        other => return Err(CliError::usage(format!("cc: unknown --algo {other}"))),
     };
     println!("{algo}: {n} connected components");
     Ok(())
@@ -438,55 +444,29 @@ fn cmd_bfs(args: &Args) -> CliResult {
             input.num_hyperedges()
         )));
     }
-    let (edges_reached, nodes_reached, max_level) = match (input, algo) {
-        // the generic top-down kernel serves packed inputs zero-copy
-        (Input::Packed(c), "hyper") => {
-            let r = hyper_bfs_generic(&c, source);
-            (
-                r.edges_reached(),
-                r.nodes_reached(),
-                max_finite(&r.edge_levels),
-            )
+    let (edge_levels, node_levels) = match algo {
+        "hyper" => {
+            let r = on_input!(&input, g => hyper_bfs_top_down(g, source));
+            (r.edge_levels, r.node_levels)
         }
-        (input, algo) => {
-            let h = input.into_memory();
-            match algo {
-                "hyper" => {
-                    let r = hyper_bfs_top_down(&h, source);
-                    (
-                        r.edges_reached(),
-                        r.nodes_reached(),
-                        max_finite(&r.edge_levels),
-                    )
-                }
-                "hyper-bu" => {
-                    let r = hyper_bfs_bottom_up(&h, source);
-                    (
-                        r.edges_reached(),
-                        r.nodes_reached(),
-                        max_finite(&r.edge_levels),
-                    )
-                }
-                "adjoin" => {
-                    let r = adjoin_bfs(&AdjoinGraph::from_hypergraph(&h), HyperedgeId::new(source));
-                    (
-                        count_finite(&r.edge_levels),
-                        count_finite(&r.node_levels),
-                        max_finite(&r.edge_levels),
-                    )
-                }
-                "hygra" => {
-                    let r = nwhy::hygra::hygra_bfs(&h, source);
-                    (
-                        count_finite(&r.edge_levels),
-                        count_finite(&r.node_levels),
-                        max_finite(&r.edge_levels),
-                    )
-                }
-                other => return Err(CliError::usage(format!("bfs: unknown --algo {other}"))),
-            }
+        "hyper-bu" => {
+            let r = on_input!(&input, g => hyper_bfs_bottom_up(g, source));
+            (r.edge_levels, r.node_levels)
         }
+        "adjoin" => {
+            let a = AdjoinGraph::from_hypergraph(&input.into_memory());
+            let r = adjoin_bfs(&a, HyperedgeId::new(source));
+            (r.edge_levels, r.node_levels)
+        }
+        "hygra" => {
+            let r = nwhy::hygra::hygra_bfs(&input.into_memory(), source);
+            (r.edge_levels, r.node_levels)
+        }
+        other => return Err(CliError::usage(format!("bfs: unknown --algo {other}"))),
     };
+    let edges_reached = count_finite(&edge_levels);
+    let nodes_reached = count_finite(&node_levels);
+    let max_level = max_finite(&edge_levels);
     println!(
         "{algo}: from hyperedge {source} reached {edges_reached} hyperedges and \
          {nodes_reached} hypernodes (max hyperedge level {max_level})"
@@ -572,10 +552,7 @@ fn cmd_sline(args: &Args) -> CliResult {
         };
         (builder.resolved_algorithm(), builder.edges())
     }
-    let (resolved, pairs) = match &input {
-        Input::Memory(h) => build(h, s, algo, overlap, relabel),
-        Input::Packed(c) => build(c, s, algo, overlap, relabel),
-    };
+    let (resolved, pairs) = on_input!(&input, g => build(g, s, algo, overlap, relabel));
     let secs = t.elapsed().as_secs_f64();
     if algo.is_none() {
         println!("auto: planner chose the {} kernel", resolved.name());
@@ -697,14 +674,9 @@ fn cmd_scomp(args: &Args) -> CliResult {
     let input = load_input(args, path)?;
     let ne = input.num_hyperedges();
     // the online kernel is generic over `HyperAdjacency`
-    let labels = match &input {
-        Input::Memory(h) => {
-            nwhy::core::algorithms::s_components::s_connected_components_online(h, s)
-        }
-        Input::Packed(c) => {
-            nwhy::core::algorithms::s_components::s_connected_components_online(c, s)
-        }
-    };
+    let labels = on_input!(&input, g => {
+        nwhy::core::algorithms::s_components::s_connected_components_online(g, s)
+    });
     let mut distinct = labels.clone();
     distinct.sort_unstable();
     distinct.dedup();

@@ -5,11 +5,14 @@
 //! This is the acceptance gate for the zero-copy storage subsystem: the
 //! kernels are generic over `HyperAdjacency`, so the only way results can
 //! diverge is a codec bug — which is exactly what this test exists to
-//! catch.
+//! catch. BFS parents, which CAS races make non-deterministic, are
+//! checked for type instead: on the bi-adjacency, the adjoin graph and a
+//! packed image alike they must be incident entities of the other side.
 
-use nwhy_core::algorithms::{hyper_bfs_generic, hyper_cc_generic};
-use nwhy_core::fixtures::multi_block_hypergraph;
-use nwhy_core::{Algorithm, Hypergraph, OverlapPath, OverlapPolicy, SLineBuilder};
+use nwhy_core::algorithms::{hyper_bfs_bottom_up, hyper_bfs_top_down, hyper_cc, HyperBfsResult};
+use nwhy_core::fixtures::{multi_block_hypergraph, paper_hypergraph};
+use nwhy_core::repr::HyperAdjacency;
+use nwhy_core::{AdjoinGraph, Algorithm, Hypergraph, OverlapPath, OverlapPolicy, SLineBuilder};
 use nwhy_gen::powerlaw::PowerlawParams;
 use nwhy_gen::{powerlaw_hypergraph, uniform_random};
 use nwhy_store::{pack_hypergraph, Backend, CompressedHypergraph};
@@ -141,8 +144,8 @@ fn traversals_agree_across_backends() {
             continue;
         }
         let c = compress(&h);
-        let bfs_mem = hyper_bfs_generic(&h, 0);
-        let bfs_pak = hyper_bfs_generic(&c, 0);
+        let bfs_mem = hyper_bfs_top_down(&h, 0);
+        let bfs_pak = hyper_bfs_top_down(&c, 0);
         assert_eq!(
             bfs_mem.edge_levels, bfs_pak.edge_levels,
             "{name}: BFS edge levels"
@@ -151,6 +154,56 @@ fn traversals_agree_across_backends() {
             bfs_mem.node_levels, bfs_pak.node_levels,
             "{name}: BFS node levels"
         );
-        assert_eq!(hyper_cc_generic(&h), hyper_cc_generic(&c), "{name}: CC");
+        let bu_pak = hyper_bfs_bottom_up(&c, 0);
+        assert_eq!(
+            bfs_mem.edge_levels, bu_pak.edge_levels,
+            "{name}: bottom-up BFS edge levels"
+        );
+        assert_eq!(
+            bfs_mem.node_levels, bu_pak.node_levels,
+            "{name}: bottom-up BFS node levels"
+        );
+        assert_eq!(hyper_cc(&h), hyper_cc(&c), "{name}: CC");
+    }
+}
+
+/// Node parents are hyperedges containing the node; edge parents (except
+/// the source, its own parent) are member hypernodes by dense index —
+/// checked against the bi-adjacency `h` for a BFS run on `g`.
+fn assert_parents_cross_type<A: HyperAdjacency>(name: &str, h: &Hypergraph, g: &A) {
+    let check = |variant: &str, r: HyperBfsResult| {
+        for (v, &p) in r.node_parents.iter().enumerate() {
+            let v = u32::try_from(v).unwrap();
+            if p != u32::MAX {
+                assert!(
+                    h.edge_members(p).contains(&v),
+                    "{name} {variant}: node {v} parent {p}"
+                );
+            }
+        }
+        for (e, &p) in r.edge_parents.iter().enumerate().skip(1) {
+            if p != u32::MAX {
+                let e = u32::try_from(e).unwrap();
+                assert!(
+                    h.edge_members(e).contains(&p),
+                    "{name} {variant}: edge {e} parent {p}"
+                );
+            }
+        }
+    };
+    check("top-down", hyper_bfs_top_down(g, 0));
+    check("bottom-up", hyper_bfs_bottom_up(g, 0));
+}
+
+#[test]
+fn parents_are_cross_type() {
+    for (name, h) in fixtures()
+        .into_iter()
+        .chain([("paper", paper_hypergraph())])
+    {
+        assert_parents_cross_type(&format!("{name} bi-adjacency"), &h, &h);
+        let a = AdjoinGraph::from_hypergraph(&h);
+        assert_parents_cross_type(&format!("{name} adjoin"), &h, &a);
+        assert_parents_cross_type(&format!("{name} packed"), &h, &compress(&h));
     }
 }

@@ -4,7 +4,7 @@
 //! codec-valid — and then serves s-line construction, BFS, CC, and
 //! `Validate`.
 
-use nwhy_core::algorithms::{hyper_bfs_generic, hyper_cc_generic};
+use nwhy_core::algorithms::{hyper_bfs_bottom_up, hyper_bfs_top_down, hyper_cc};
 use nwhy_core::fixtures::paper_hypergraph;
 use nwhy_core::validate::Validate;
 use nwhy_core::{BiEdgeList, Hypergraph, SLineBuilder};
@@ -37,9 +37,10 @@ fn open_and_query(img: Vec<u8>) -> bool {
     };
     let _ = SLineBuilder::new(&c).s(1).edges();
     if c.num_hyperedges() > 0 {
-        hyper_bfs_generic(&c, 0);
+        hyper_bfs_top_down(&c, 0);
+        hyper_bfs_bottom_up(&c, 0);
     }
-    hyper_cc_generic(&c);
+    hyper_cc(&c);
     let _ = c.validate();
     true
 }
