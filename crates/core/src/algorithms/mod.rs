@@ -36,3 +36,45 @@ pub use hyper_cc::{hyper_cc, HyperCcResult};
 pub use kcore::{kl_core, node_core_numbers, KLCore};
 pub use s_components::{is_s_connected_online, s_connected_components_online};
 pub use toplex::{toplexes, toplexes_sequential};
+
+/// The kernels generic over [`HyperAdjacency`](crate::repr::HyperAdjacency)
+/// give the same answer on the bi-adjacency and the adjoin graph, and on
+/// degenerate inputs.
+#[cfg(test)]
+mod generic {
+    mod tests {
+        use crate::adjoin::AdjoinGraph;
+        use crate::algorithms::{hyper_bfs_top_down, hyper_cc};
+        use crate::fixtures::paper_hypergraph;
+        use crate::hypergraph::Hypergraph;
+
+        #[test]
+        fn bfs_levels_agree_on_adjoin() {
+            let h = paper_hypergraph();
+            let a = AdjoinGraph::from_hypergraph(&h);
+            for src in 0..4 {
+                let on_h = hyper_bfs_top_down(&h, src);
+                let on_a = hyper_bfs_top_down(&a, src);
+                assert_eq!(on_h.edge_levels, on_a.edge_levels, "src {src}");
+                assert_eq!(on_h.node_levels, on_a.node_levels, "src {src}");
+            }
+        }
+
+        #[test]
+        fn cc_labels_agree_on_adjoin() {
+            let h = Hypergraph::from_memberships(&[vec![0], vec![0, 1], vec![2], vec![2, 3]]);
+            let a = AdjoinGraph::from_hypergraph(&h);
+            assert_eq!(hyper_cc(&a), hyper_cc(&h));
+        }
+
+        #[test]
+        fn empty_and_degenerate() {
+            let h = Hypergraph::from_memberships(&[vec![], vec![0]]);
+            let r = hyper_bfs_top_down(&h, 0);
+            assert_eq!(r.edges_reached(), 1);
+            assert_eq!(r.nodes_reached(), 0);
+            let cc = hyper_cc(&h);
+            assert_eq!(cc.num_components(), 2);
+        }
+    }
+}
