@@ -63,7 +63,6 @@ fn main() {
                 Algorithm::Intersection,
                 Algorithm::QueueHashmap,
                 Algorithm::QueueIntersection,
-                Algorithm::PairSort,
             ] {
                 // Naive is quadratic in |E| — only run it on inputs small
                 // enough that the sweep stays interactive.

@@ -71,18 +71,15 @@ fn adaptive_engine_meets_acceptance_on_emitted_bench() {
     };
     validate_bench_json(&text).unwrap();
     let doc = nwhy_obs::json::parse(&text).unwrap();
-    const FIXED: [&str; 6] = [
+    const FIXED: [&str; 5] = [
         "naive",
         "hashmap",
         "intersection",
         "queue-hashmap(alg1)",
         "queue-intersection(alg2)",
-        "pair-sort",
     ];
     // zero-valued counters are omitted from the snapshot, so "missing"
-    // means 0 once the row's presence is pinned by pairs_examined;
-    // pair-sort is excluded from the work metric (its work is inside
-    // the sort, which neither counter observes)
+    // means 0 once the row's presence is pinned by pairs_examined
     let work = |algorithm: &str, s: u64| -> u64 {
         let get = |c| slinegraph_counter(&doc, "PowerLawSkew", algorithm, s, c).unwrap_or(0);
         get("sline.intersection_comparisons") + get("sline.hashmap_insertions")
@@ -105,12 +102,7 @@ fn adaptive_engine_meets_acceptance_on_emitted_bench() {
             "s={s}: auto examined {auto_pairs} pairs, best fixed kernel {best_pairs}"
         );
         let auto_work = work("auto", s);
-        let best_work = FIXED
-            .iter()
-            .filter(|a| **a != "pair-sort")
-            .map(|a| work(a, s))
-            .min()
-            .unwrap();
+        let best_work = FIXED.iter().map(|a| work(a, s)).min().unwrap();
         assert!(
             auto_work as f64 <= best_work as f64 * 1.05,
             "s={s}: auto work {auto_work}, best fixed kernel {best_work}"

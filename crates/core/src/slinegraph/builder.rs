@@ -321,7 +321,7 @@ pub(crate) fn dispatch<A: HyperAdjacency + ?Sized>(
     strategy: Strategy,
     overlap: OverlapPolicy,
 ) -> Vec<(Id, Id)> {
-    use super::{hashmap, intersection, naive, pair_sort, queue_single, queue_two_phase};
+    use super::{hashmap, intersection, naive, queue_single, queue_two_phase};
     match algo {
         Algorithm::Naive => naive::naive(h, s, strategy),
         Algorithm::Intersection => intersection::intersection_with(h, s, strategy, overlap),
@@ -334,7 +334,6 @@ pub(crate) fn dispatch<A: HyperAdjacency + ?Sized>(
             let queue: Vec<Id> = (0..ids::from_usize(h.num_hyperedges())).collect();
             queue_two_phase::queue_intersection_with(h, &queue, s, strategy, overlap)
         }
-        Algorithm::PairSort => pair_sort::pair_sort(h, s),
     }
 }
 

@@ -12,25 +12,11 @@
 //! the workers' lists concatenate into a sorted list and
 //! [`canonicalize`]'s sort is a linear pass.
 
+use super::rows::{run_rows, Rows, Worker};
 use super::stats::KernelStats;
 use super::{canonicalize, meets, HyperAdjacency};
 use crate::ids::{self, Overlap};
 use crate::Id;
-use nwhy_util::partition::{par_map_bins, Strategy};
-use nwhy_util::workq::ChunkedQueue;
-use std::sync::{Mutex, PoisonError};
-
-/// Where a counting kernel's rows (outer hyperedges) come from.
-pub(super) enum Rows<'q> {
-    /// Every hyperedge `0..n_e`, split by a static strategy. A row below
-    /// the degree threshold counts the pairs it would have formed as
-    /// skipped.
-    All(Strategy),
-    /// The hyperedges in a queue, its slots split by a static strategy.
-    Queue(&'q [Id], Strategy),
-    /// The hyperedges in a queue, drained by chunk stealing.
-    Stealing(&'q ChunkedQueue<'q, Id>),
-}
 
 /// The dense sparse accumulator. Between rows `counts` is all zero and
 /// the two lists are empty.
@@ -41,14 +27,7 @@ struct Spa {
     kept: Vec<(Id, Overlap)>,
 }
 
-/// One worker's accumulator, output and tallies.
-struct Worker<O> {
-    spa: Spa,
-    out: O,
-    stats: KernelStats,
-}
-
-impl<O> Worker<O> {
+impl<O> Worker<Spa, O> {
     /// Counts row `i` (skipped when `deg(e_i) < min_s`), resets the
     /// touched slots, and emits the entries meeting `min_s` in `j` order.
     #[inline]
@@ -70,7 +49,7 @@ impl<O> Worker<O> {
             counts,
             touched,
             kept,
-        } = &mut self.spa;
+        } = &mut self.scratch;
         // Alg. 1 lines 9–11
         for &v in nbrs_i.iter() {
             for &raw in h.node_neighbors(v).iter() {
@@ -112,9 +91,6 @@ impl<O> Worker<O> {
 /// pair whose overlap `n` meets `min_s`. Returns each worker's output (in
 /// bin order for the static sources) and the merged tallies, which the
 /// caller flushes once it knows how many edges it emitted.
-///
-/// A static bin borrows its accumulator from an idle list and returns it
-/// when done, so the `n_e`-slot arrays number the threads, not the bins.
 pub(super) fn count_rows<A, O, I, F>(
     h: &A,
     rows: Rows<'_>,
@@ -129,48 +105,13 @@ where
     F: Fn(&mut O, Id, Id, Overlap) + Sync,
 {
     let ne = h.num_hyperedges();
-    let idle = Mutex::new(Vec::new());
-    // Every update leaves the idle list valid, so a poisoned lock is
-    // still safe to use.
-    let fresh = || {
-        let spa = idle.lock().unwrap_or_else(PoisonError::into_inner).pop();
-        Worker {
-            spa: spa.unwrap_or_else(|| Spa {
-                counts: vec![0; ne],
-                ..Spa::default()
-            }),
-            out: init(),
-            stats: KernelStats::default(),
-        }
+    let spa = || Spa {
+        counts: vec![0; ne],
+        ..Spa::default()
     };
-    let run_bin = |row_ids: &mut dyn Iterator<Item = Id>, count_skips: bool| {
-        let mut w = fresh();
-        for i in row_ids {
-            w.row(h, i, min_s, count_skips, &emit);
-        }
-        let spa = std::mem::take(&mut w.spa);
-        idle.lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(spa);
-        w
-    };
-    let done = match rows {
-        Rows::All(strategy) => par_map_bins(ne, strategy, |bin| {
-            run_bin(&mut bin.map(ids::from_usize), true)
-        }),
-        Rows::Queue(queue, strategy) => par_map_bins(queue.len(), strategy, |bin| {
-            run_bin(&mut bin.filter_map(|slot| queue.get(slot).copied()), false)
-        }),
-        Rows::Stealing(q) => {
-            let workers = rayon::current_num_threads().max(1);
-            q.drain_with(workers, fresh, |w, &i| w.row(h, i, min_s, false, &emit))
-        }
-    };
-    let mut stats = KernelStats::default();
-    for w in &done {
-        stats.merge(&w.stats);
-    }
-    (done.into_iter().map(|w| w.out).collect(), stats)
+    run_rows(ne, rows, spa, init, |w, i, all| {
+        w.row(h, i, min_s, all, &emit)
+    })
 }
 
 /// Counts `rows` and returns the canonical pairs whose overlap meets `s`
@@ -188,7 +129,7 @@ pub(super) fn pairs_meeting<A: HyperAdjacency + ?Sized>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::super::ensemble::ensemble;
     use super::super::hashmap::hashmap;
     use super::super::naive::naive;
@@ -199,30 +140,44 @@ mod tests {
     use crate::hypergraph::Hypergraph;
     use crate::ids::Relabeling;
     use crate::repr::RelabeledView;
+    use nwhy_util::partition::Strategy;
     use proptest::strategy::Strategy as _;
     use proptest::{prop_assert_eq, proptest};
 
-    const STRATEGIES: [Strategy; 3] = [
+    pub(in crate::slinegraph) const STRATEGIES: [Strategy; 3] = [
         Strategy::AUTO,
         Strategy::Blocked { num_bins: 3 },
         Strategy::Cyclic { num_bins: 2 },
     ];
 
-    fn arb_memberships() -> impl proptest::strategy::Strategy<Value = Vec<Vec<Id>>> {
+    pub(in crate::slinegraph) fn arb_memberships(
+    ) -> impl proptest::strategy::Strategy<Value = Vec<Vec<Id>>> {
         proptest::collection::vec(proptest::collection::btree_set(0u32..20, 0..8), 0..12)
             .prop_map(|sets| sets.into_iter().map(|s| s.into_iter().collect()).collect())
     }
 
-    /// Exact `|e ∩ f|` from the representation's sorted rows.
-    fn overlap<A: HyperAdjacency + ?Sized>(h: &A, e: Id, f: Id) -> Overlap {
-        let (a, b) = (h.edge_neighbors(e), h.edge_neighbors(f));
-        ids::from_usize(a.iter().filter(|v| b.binary_search(v).is_ok()).count())
+    /// The descending-degree relabeling of `h`'s hyperedges.
+    pub(in crate::slinegraph) fn descending(h: &Hypergraph) -> Relabeling {
+        let degrees: Vec<usize> = (0..h.num_hyperedges())
+            .map(|e| h.edge_degree(ids::from_usize(e)))
+            .collect();
+        Relabeling::from_permutation(nwgraph::degree_permutation(
+            &degrees,
+            nwgraph::Direction::Descending,
+        ))
     }
 
-    /// Every counting entry point against `naive` on one representation.
-    /// `seed` picks a queue order and a partial queue.
-    fn agrees_with_naive<A: HyperAdjacency + ?Sized>(h: &A, s: usize, seed: u32) {
-        let want = naive(h, s, Strategy::AUTO);
+    /// A named queue and the pairs it must give.
+    pub(in crate::slinegraph) type QueueCase = (&'static str, Vec<Id>, Vec<(Id, Id)>);
+
+    /// The queues a case runs: every hyperedge in order, the same
+    /// shuffled by `seed`, and a partial queue, which gives the pairs of
+    /// `want` whose lower ID it holds.
+    pub(in crate::slinegraph) fn queue_cases<A: HyperAdjacency + ?Sized>(
+        h: &A,
+        want: &[(Id, Id)],
+        seed: u32,
+    ) -> [QueueCase; 3] {
         let all: Vec<Id> = (0..ids::from_usize(h.num_hyperedges())).collect();
         let mix = |e: Id| (e ^ seed).wrapping_mul(0x9E37_79B9).rotate_left(13);
         let mut shuffled = all.clone();
@@ -237,23 +192,30 @@ mod tests {
             .copied()
             .filter(|(a, _)| partial.contains(a))
             .collect();
+        [
+            ("all", all, want.to_vec()),
+            ("shuffled", shuffled, want.to_vec()),
+            ("partial", partial, want_partial),
+        ]
+    }
+
+    /// Exact `|e ∩ f|` from the representation's sorted rows.
+    fn overlap<A: HyperAdjacency + ?Sized>(h: &A, e: Id, f: Id) -> Overlap {
+        let (a, b) = (h.edge_neighbors(e), h.edge_neighbors(f));
+        ids::from_usize(a.iter().filter(|v| b.binary_search(v).is_ok()).count())
+    }
+
+    /// Every counting entry point against `naive` on one representation.
+    /// `seed` picks a queue order and a partial queue.
+    fn agrees_with_naive<A: HyperAdjacency + ?Sized>(h: &A, s: usize, seed: u32) {
+        let want = naive(h, s, Strategy::AUTO);
+        let queues = queue_cases(h, &want, seed);
         for strategy in STRATEGIES {
             assert_eq!(hashmap(h, s, strategy), want, "hashmap {strategy:?}");
-            assert_eq!(
-                queue_hashmap(h, &all, s, strategy),
-                want,
-                "queue {strategy:?}"
-            );
-            assert_eq!(
-                queue_hashmap(h, &shuffled, s, strategy),
-                want,
-                "shuffled {strategy:?}"
-            );
-            assert_eq!(
-                queue_hashmap(h, &partial, s, strategy),
-                want_partial,
-                "partial {strategy:?}"
-            );
+            for (name, queue, want) in &queues {
+                let got = queue_hashmap(h, queue, s, strategy);
+                assert_eq!(&got, want, "queue {name} {strategy:?}");
+            }
             let sweep = ensemble(h, &[s, s + 1, 1], strategy);
             assert_eq!(sweep[0], want, "ensemble {strategy:?}");
             assert_eq!(sweep[1], naive(h, s + 1, Strategy::AUTO), "ensemble s+1");
@@ -265,12 +227,10 @@ mod tests {
                 assert_eq!(n, overlap(h, e, f), "weight of ({e},{f})");
             }
         }
-        assert_eq!(queue_hashmap_dynamic(h, &shuffled, s), want, "dynamic");
-        assert_eq!(
-            queue_hashmap_dynamic(h, &partial, s),
-            want_partial,
-            "dynamic partial"
-        );
+        for (name, queue, want) in &queues {
+            let got = queue_hashmap_dynamic(h, queue, s);
+            assert_eq!(&got, want, "dynamic {name}");
+        }
     }
 
     proptest! {
@@ -279,14 +239,7 @@ mod tests {
             let h = Hypergraph::from_memberships(&ms);
             agrees_with_naive(&h, s, seed);
             agrees_with_naive(&AdjoinGraph::from_hypergraph(&h), s, seed);
-            let degrees: Vec<usize> = (0..h.num_hyperedges())
-                .map(|e| h.edge_degree(ids::from_usize(e)))
-                .collect();
-            let r = Relabeling::from_permutation(nwgraph::degree_permutation(
-                &degrees,
-                nwgraph::Direction::Descending,
-            ));
-            agrees_with_naive(&RelabeledView::from_relabeling(&h, &r), s, seed);
+            agrees_with_naive(&RelabeledView::from_relabeling(&h, &descending(&h)), s, seed);
         }
 
         #[test]

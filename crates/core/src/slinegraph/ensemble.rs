@@ -8,7 +8,8 @@
 //! wants an s-sweep (as the paper's Fig. 9 benchmarks and HyperNetX
 //! workflows do).
 
-use super::counting::{count_rows, Rows};
+use super::counting::count_rows;
+use super::rows::Rows;
 use super::{canonicalize, meets, HyperAdjacency};
 use crate::Id;
 use nwhy_util::partition::Strategy;

@@ -9,7 +9,8 @@
 //! the dense array of [`super::counting`], so an increment costs an array
 //! bump, not a hash probe.
 
-use super::counting::{pairs_meeting, Rows};
+use super::counting::pairs_meeting;
+use super::rows::Rows;
 use super::HyperAdjacency;
 use crate::Id;
 use nwhy_util::partition::Strategy;

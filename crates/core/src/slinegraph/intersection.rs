@@ -17,23 +17,16 @@
 //! bitset and routes skewed pairs to a galloping search, falling back to
 //! the merge scan for similar-length rows; `Force(..)` pins one path for
 //! ablation benches and agreement tests.
+//!
+//! The walk and the check are the shared [`super::candidates`] core;
+//! this kernel checks each candidate as soon as the walk finds it.
 
-use super::overlap::{OverlapEngine, OverlapPolicy};
-use super::stats::KernelStats;
+use super::candidates::{candidate_rows, Verifier};
+use super::overlap::OverlapPolicy;
+use super::rows::Rows;
 use super::{canonicalize, HyperAdjacency};
 use crate::{ids, Id};
-use nwhy_util::partition::{par_for_each_index_with, Strategy};
-
-/// Worker-local state: the output pairs, the candidate-dedup stamps,
-/// the overlap engine (row bitset + path rule), and kernel tallies.
-struct Local {
-    pairs: Vec<(Id, Id)>,
-    /// `stamp[j] == current_i + 1` ⇒ candidate `j` already intersected
-    /// for the hyperedge currently being expanded.
-    stamp: Vec<Id>,
-    engine: OverlapEngine,
-    stats: KernelStats,
-}
+use nwhy_util::partition::Strategy;
 
 /// Pre-sizes each worker's output vec from a sampled degree estimate:
 /// the expected candidate fan-out per row (Σ of incident node degrees,
@@ -74,56 +67,21 @@ pub fn intersection_with<A: HyperAdjacency + ?Sized>(
     strategy: Strategy,
     policy: OverlapPolicy,
 ) -> Vec<(Id, Id)> {
-    let ne = h.num_hyperedges();
-    let universe = ne + h.num_hypernodes();
     let capacity = pair_capacity_hint(h, strategy.bins().max(1));
-    let locals = par_for_each_index_with(
-        ne,
-        strategy,
-        || Local {
-            pairs: Vec::with_capacity(capacity),
-            stamp: vec![0; ne],
-            engine: OverlapEngine::new(policy, universe),
-            stats: KernelStats::default(),
-        },
-        |local, i| {
-            let i = ids::from_usize(i);
-            let nbrs_i = h.edge_neighbors(i);
-            if nbrs_i.len() < s {
-                return;
+    let (outs, stats) = candidate_rows(
+        h,
+        Rows::All(strategy),
+        s,
+        true,
+        || (Vec::with_capacity(capacity), Verifier::new(h, s, policy)),
+        |(pairs, verifier): &mut (Vec<(Id, Id)>, _), stats, i, j| {
+            if verifier.check(i, j, stats) {
+                pairs.push((i, j));
             }
-            // hoist the one Deref through the row's whole expansion: the
-            // decoded slice (a real decode for compressed backends) is
-            // borrowed once and reused by every candidate check below
-            let row_i: &[Id] = &nbrs_i;
-            local.engine.begin_row(row_i);
-            let mark = i + 1;
-            for &v in row_i {
-                for &raw in h.node_neighbors(v).iter() {
-                    let j = h.edge_id(raw);
-                    if j <= i || local.stamp[ids::to_usize(j)] == mark {
-                        continue;
-                    }
-                    local.stamp[ids::to_usize(j)] = mark;
-                    local.stats.pair_examined();
-                    let nbrs_j = h.edge_neighbors(j);
-                    if nbrs_j.len() < s {
-                        local.stats.pairs_skipped(1);
-                        continue;
-                    }
-                    if local.engine.overlaps(row_i, &nbrs_j, s, &mut local.stats) {
-                        local.pairs.push((i, j));
-                    }
-                }
-            }
-            local.engine.end_row(row_i);
         },
     );
-    let pairs: Vec<(Id, Id)> = locals
-        .iter()
-        .flat_map(|l| l.pairs.iter().copied())
-        .collect();
-    KernelStats::flush_all(locals.iter().map(|l| &l.stats), pairs.len());
+    let pairs: Vec<(Id, Id)> = outs.into_iter().flat_map(|(pairs, _)| pairs).collect();
+    stats.flush(pairs.len());
     canonicalize(pairs)
 }
 
@@ -147,18 +105,20 @@ mod tests {
         }
     }
 
+    /// `intersection` under `strategy` equals `naive` for `s` in `1..=max_s`.
+    fn agrees_with_naive(h: &Hypergraph, max_s: usize, strategy: Strategy) {
+        for s in 1..=max_s {
+            let want = naive(h, s, Strategy::AUTO);
+            assert_eq!(intersection(h, s, strategy), want, "s={s}");
+        }
+    }
+
     #[test]
     fn matches_naive_on_shared_node_hub() {
         // hypernode 0 belongs to every hyperedge — max candidate fan-out
         let h =
             Hypergraph::from_memberships(&[vec![0, 1], vec![0, 2], vec![0, 3], vec![0, 1, 2, 3]]);
-        for s in 1..=3 {
-            assert_eq!(
-                intersection(&h, s, Strategy::AUTO),
-                naive(&h, s, Strategy::AUTO),
-                "s={s}"
-            );
-        }
+        agrees_with_naive(&h, 3, Strategy::AUTO);
     }
 
     #[test]
@@ -171,13 +131,7 @@ mod tests {
             vec![2, 3, 4],
             vec![3, 4, 0],
         ]);
-        for s in 1..=2 {
-            assert_eq!(
-                intersection(&h, s, Strategy::Cyclic { num_bins: 2 }),
-                naive(&h, s, Strategy::AUTO),
-                "s={s}"
-            );
-        }
+        agrees_with_naive(&h, 2, Strategy::Cyclic { num_bins: 2 });
     }
 
     #[test]
@@ -204,13 +158,7 @@ mod tests {
         memberships.push(vec![0, 64]);
         memberships.push(vec![1, 2]);
         let h = Hypergraph::from_memberships(&memberships);
-        for s in 1..=3 {
-            assert_eq!(
-                intersection(&h, s, Strategy::AUTO),
-                naive(&h, s, Strategy::AUTO),
-                "s={s}"
-            );
-        }
+        agrees_with_naive(&h, 3, Strategy::AUTO);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! s-line graph construction (§III-B.4, §III-C.3).
 //!
 //! The s-line graph `L_s(H)` has the hyperedges of `H` as vertices and an
-//! edge `{e, f}` whenever `|e ∩ f| ≥ s`. Seven construction algorithms are
+//! edge `{e, f}` whenever `|e ∩ f| ≥ s`. Six construction algorithms are
 //! implemented, all producing identical canonical edge sets, plus a
 //! weighted variant that keeps the exact overlap sizes:
 //!
@@ -13,13 +13,20 @@
 //! | [`ensemble`] | all requested `s` in one counting pass | \[18\] |
 //! | [`queue_single`] | **Algorithm 1**: work-queue + overlap counting | this paper |
 //! | [`queue_two_phase`] | **Algorithm 2**: pair queue + set intersection | this paper |
-//! | [`pair_sort`] | pair enumeration + parallel sort | completeness (memory-heavy alternative) |
 //! | [`weighted`] | overlap counting, keeping `\|e ∩ f\|` as edge weight | Fig. 5 / s-walk framework |
 //!
 //! The four counting kernels ([`hashmap`], [`queue_single`]'s two
 //! variants, [`ensemble`], [`weighted`]) are thin wrappers over one
 //! private counting core: a dense per-worker overlap accumulator that
 //! takes its rows from a static range, queue slots, or a stealing queue.
+//!
+//! The two intersection kernels ([`intersection`], [`queue_two_phase`])
+//! are thin wrappers over one private candidate-and-verify core: a
+//! per-worker stamp array finds each row's distinct candidates, and a
+//! shared verifier checks them with the [`overlap`] engine. Intersection
+//! checks each candidate as it is found; Algorithm 2 queues them first
+//! and checks the pair queue in one flat parallel pass. Both cores take
+//! their rows from the same runner.
 //!
 //! Every algorithm is generic over [`HyperAdjacency`] — the bipartite
 //! indirection trait defined in [`crate::repr`] — so the same code runs
@@ -36,16 +43,17 @@
 // every value-returning stage and terminal is annotated.
 #[deny(clippy::must_use_candidate)]
 pub mod builder;
+mod candidates;
 mod counting;
 pub mod ensemble;
 pub mod hashmap;
 pub mod intersection;
 pub mod naive;
 pub mod overlap;
-pub mod pair_sort;
 pub mod planner;
 pub mod queue_single;
 pub mod queue_two_phase;
+mod rows;
 pub(crate) mod stats;
 pub mod weighted;
 
@@ -71,19 +79,16 @@ pub enum Algorithm {
     QueueHashmap,
     /// Paper Algorithm 2: two-phase queue + set intersection.
     QueueIntersection,
-    /// Pair-enumeration + parallel sort (memory-heavy alternative).
-    PairSort,
 }
 
 impl Algorithm {
     /// All algorithm variants, for sweeps.
-    pub const ALL: [Algorithm; 6] = [
+    pub const ALL: [Algorithm; 5] = [
         Algorithm::Naive,
         Algorithm::Intersection,
         Algorithm::Hashmap,
         Algorithm::QueueHashmap,
         Algorithm::QueueIntersection,
-        Algorithm::PairSort,
     ];
 
     /// Short display name used in benchmark tables.
@@ -94,7 +99,6 @@ impl Algorithm {
             Algorithm::Hashmap => "hashmap",
             Algorithm::QueueHashmap => "queue-hashmap(alg1)",
             Algorithm::QueueIntersection => "queue-intersection(alg2)",
-            Algorithm::PairSort => "pair-sort",
         }
     }
 
@@ -108,7 +112,6 @@ impl Algorithm {
             Algorithm::Hashmap => "sline.hashmap",
             Algorithm::QueueHashmap => "sline.queue_hashmap",
             Algorithm::QueueIntersection => "sline.queue_intersection",
-            Algorithm::PairSort => "sline.pair_sort",
         }
     }
 }
@@ -285,8 +288,7 @@ mod tests {
             let h = Hypergraph::from_memberships(&ms);
             let reference = build(&h, s, Algorithm::Naive);
             for algo in [Algorithm::Intersection, Algorithm::Hashmap,
-                         Algorithm::QueueHashmap, Algorithm::QueueIntersection,
-                         Algorithm::PairSort] {
+                         Algorithm::QueueHashmap, Algorithm::QueueIntersection] {
                 let got = build(&h, s, algo);
                 prop_assert_eq!(&got, &reference, "{}", algo.name());
             }
@@ -296,19 +298,13 @@ mod tests {
         fn prop_overlap_paths_and_planner_agree(ms in arb_memberships(), s in 1usize..5) {
             // the forced gallop/bitset paths, the adaptive rule, and the
             // planner's auto choice must all be invisible in the results
+            // (the kernels themselves are pinned in `candidates::tests`)
             let h = Hypergraph::from_memberships(&ms);
             let reference = build(&h, s, Algorithm::Naive);
             for policy in [OverlapPolicy::Adaptive,
                            OverlapPolicy::Force(OverlapPath::Merge),
                            OverlapPolicy::Force(OverlapPath::Gallop),
                            OverlapPolicy::Force(OverlapPath::Bitset)] {
-                let via_intersection =
-                    intersection::intersection_with(&h, s, Strategy::AUTO, policy);
-                prop_assert_eq!(&via_intersection, &reference, "intersection {}", policy.name());
-                let queue: Vec<Id> = (0..crate::ids::from_usize(h.num_hyperedges())).collect();
-                let via_queue = queue_two_phase::queue_intersection_with(
-                    &h, &queue, s, Strategy::AUTO, policy);
-                prop_assert_eq!(&via_queue, &reference, "queue {}", policy.name());
                 let via_builder = SLineBuilder::new(&h)
                     .s(s)
                     .algorithm(Algorithm::Intersection)

@@ -6,46 +6,42 @@
 //! algorithms are validated against, and as the baseline the paper's §III-C.3
 //! lists first.
 
-use super::stats::KernelStats;
+use super::rows::{run_rows, Rows};
 use super::{canonicalize, HyperAdjacency};
 use crate::{ids, Id};
-use nwhy_util::partition::{par_for_each_index_with, Strategy};
-
-/// Worker-local state: output pairs and kernel tallies.
-#[derive(Default)]
-struct Local {
-    pairs: Vec<(Id, Id)>,
-    stats: KernelStats,
-}
+use nwhy_util::partition::Strategy;
 
 /// All-pairs construction; returns canonical pairs.
+// lint: obs: the runner's merged KernelStats are flushed below
 pub fn naive<A: HyperAdjacency + ?Sized>(h: &A, s: usize, strategy: Strategy) -> Vec<(Id, Id)> {
     let ne = h.num_hyperedges();
-    let locals = par_for_each_index_with(ne, strategy, Local::default, |local: &mut Local, i| {
-        let i = ids::from_usize(i);
-        let nbrs_i = h.edge_neighbors(i);
-        if nbrs_i.len() < s {
-            // Skipping the whole row discards all of its i < j pairs.
-            local.stats.pairs_skipped(ne as u64 - 1 - i as u64);
-            return;
-        }
-        for j in (i + 1)..ids::from_usize(ne) {
-            local.stats.pair_examined();
-            let nbrs_j = h.edge_neighbors(j);
-            if nbrs_j.len() < s {
-                local.stats.pairs_skipped(1);
-                continue;
+    let (outs, stats) = run_rows(
+        ne,
+        Rows::All(strategy),
+        || (),
+        Vec::new,
+        |w, i, _| {
+            let nbrs_i = h.edge_neighbors(i);
+            if nbrs_i.len() < s {
+                // Skipping the whole row discards all of its i < j pairs.
+                w.stats.pairs_skipped(ne as u64 - 1 - u64::from(i));
+                return;
             }
-            if local.stats.intersect_at_least(&nbrs_i, &nbrs_j, s) {
-                local.pairs.push((i, j));
+            for j in (i + 1)..ids::from_usize(ne) {
+                w.stats.pair_examined();
+                let nbrs_j = h.edge_neighbors(j);
+                if nbrs_j.len() < s {
+                    w.stats.pairs_skipped(1);
+                    continue;
+                }
+                if w.stats.intersect_at_least(&nbrs_i, &nbrs_j, s) {
+                    w.out.push((i, j));
+                }
             }
-        }
-    });
-    let pairs: Vec<(Id, Id)> = locals
-        .iter()
-        .flat_map(|l| l.pairs.iter().copied())
-        .collect();
-    KernelStats::flush_all(locals.iter().map(|l| &l.stats), pairs.len());
+        },
+    );
+    let pairs = outs.concat();
+    stats.flush(pairs.len());
     canonicalize(pairs)
 }
 

@@ -96,8 +96,8 @@ impl OverlapPolicy {
 }
 
 /// Worker-local overlap engine: owns the row bitset and applies the
-/// per-pair path rule. One engine lives inside each worker's `Local`
-/// state, next to its [`KernelStats`].
+/// per-pair path rule. One engine lives inside each candidate verifier
+/// (`super::candidates::Verifier`).
 #[derive(Debug)]
 pub(crate) struct OverlapEngine {
     policy: OverlapPolicy,

@@ -16,7 +16,8 @@
 //! linear in the number of hyperedges, so the asymptotic complexity
 //! matches the non-queue hashmap algorithm.
 
-use super::counting::{pairs_meeting, Rows};
+use super::counting::pairs_meeting;
+use super::rows::Rows;
 use super::HyperAdjacency;
 use crate::Id;
 use nwhy_obs::Counter;

@@ -13,16 +13,19 @@
 //! algorithm. Like Algorithm 1 it is representation-independent (bipartite
 //! or adjoin, original or permuted IDs).
 //!
-//! The paper's pseudocode enqueues a pair once per shared hypernode; we
-//! dedup with a per-worker stamp array in phase 1 so each pair is
-//! intersected exactly once (a pair enqueued `k` times would otherwise be
-//! intersected `k` times and emitted as a duplicate edge).
+//! The paper's pseudocode enqueues a pair once per shared hypernode;
+//! phase 1 is the [`super::candidates`] walk, which dedups with a
+//! per-worker stamp array so each pair is intersected exactly once (a
+//! pair enqueued `k` times would otherwise be intersected `k` times and
+//! emitted as a duplicate edge).
 
-use super::overlap::{OverlapEngine, OverlapPolicy};
+use super::candidates::{candidate_rows, Verifier};
+use super::overlap::OverlapPolicy;
+use super::rows::Rows;
 use super::stats::KernelStats;
 use super::{canonicalize, HyperAdjacency};
-use crate::{ids, Id};
-use nwhy_util::partition::{par_for_each_index_with, Strategy};
+use crate::Id;
+use nwhy_util::partition::Strategy;
 use rayon::prelude::*;
 
 /// Algorithm 2 with the default adaptive overlap policy. `queue` holds
@@ -37,122 +40,72 @@ pub fn queue_intersection<H: HyperAdjacency + ?Sized>(
 }
 
 /// Algorithm 2 with an explicit overlap policy.
-pub fn queue_intersection_with<'h, H: HyperAdjacency + ?Sized>(
-    h: &'h H,
+pub fn queue_intersection_with<H: HyperAdjacency + ?Sized>(
+    h: &H,
     queue: &[Id],
     s: usize,
     strategy: Strategy,
     policy: OverlapPolicy,
 ) -> Vec<(Id, Id)> {
-    let ne = h.num_hyperedges();
-
     // ---- Phase 1: build the pair queue (Alg. 2 lines 1–6). ----
-    struct Local {
-        pairs: Vec<(Id, Id)>,
-        stamp: Vec<Id>,
-        stats: KernelStats,
-    }
-    let locals = par_for_each_index_with(
-        queue.len(),
-        strategy,
-        || Local {
-            pairs: Vec::new(),
-            stamp: vec![0; ne],
-            stats: KernelStats::default(),
-        },
-        |local, slot| {
-            let i = queue[slot];
-            let nbrs_i = h.edge_neighbors(i);
-            if nbrs_i.len() < s {
-                return;
-            }
-            let mark = i + 1;
-            for &v in nbrs_i.iter() {
-                for &raw in h.node_neighbors(v).iter() {
-                    let j = h.edge_id(raw);
-                    if j <= i || local.stamp[ids::to_usize(j)] == mark {
-                        continue;
-                    }
-                    local.stamp[ids::to_usize(j)] = mark;
-                    if h.edge_degree(j) >= s {
-                        // lint: alloc: per-thread output accumulator; push is amortized O(1)
-                        local.pairs.push((i, j));
-                    } else {
-                        local.stats.pairs_skipped(1);
-                    }
-                }
-            }
-        },
-    );
-    let mut phase1 = KernelStats::default();
-    for l in &locals {
-        phase1.merge(&l.stats);
-    }
-    let pair_queue: Vec<(Id, Id)> = locals.into_iter().flat_map(|l| l.pairs).collect();
+    let (pair_queue, mut stats) = phase1(h, queue, s, strategy);
     // Hyperedge IDs enqueued up front plus candidate pairs enqueued by
     // phase 1.
-    phase1.queue_pushed(queue.len() as u64 + pair_queue.len() as u64);
+    stats.queue_pushed(queue.len() as u64 + pair_queue.len() as u64);
 
     // ---- Phase 2: flat intersection pass (Alg. 2 lines 7–13). ----
     //
-    // The pair queue is grouped by `i` (phase 1 emits each row's pairs
-    // contiguously), so each fold chain caches the decoded `nbrs_i` and
-    // its loaded row bitset across consecutive pairs sharing `i` — for a
-    // compressed backend that turns O(pairs) row decodes into O(rows),
-    // and the bitset build cost is paid once per cached row. Path choice
-    // depends only on row lengths, so splitting a row across workers
-    // changes nothing about results or counter values.
-    struct Chain<'h, H: HyperAdjacency + ?Sized + 'h> {
-        acc: Vec<(Id, Id)>,
-        stats: KernelStats,
-        engine: OverlapEngine,
-        row: Option<(Id, H::Neighbors<'h>)>,
-    }
-    let universe = ne + h.num_hypernodes();
-    let new_chain = || Chain::<'h, H> {
-        acc: Vec::new(),
-        stats: KernelStats::default(),
-        engine: OverlapEngine::new(policy, universe),
-        row: None,
+    // Phase 1 emits each row's pairs contiguously, so each fold chain's
+    // verifier loads row `i` once per run of pairs sharing it.
+    let chain = || {
+        (
+            Vec::new(),
+            Verifier::new(h, s, policy),
+            KernelStats::default(),
+        )
     };
-    let (survivors, phase2) = pair_queue
+    let chains: Vec<_> = pair_queue
         .par_iter()
-        .fold(new_chain, |mut chain: Chain<'h, H>, &(i, j)| {
-            if chain.row.as_ref().map(|(ri, _)| *ri) != Some(i) {
-                if let Some((_, old)) = chain.row.take() {
-                    chain.engine.end_row(&old);
-                }
-                let nbrs = h.edge_neighbors(i);
-                chain.engine.begin_row(&nbrs);
-                chain.row = Some((i, nbrs));
+        .fold(chain, |(mut acc, mut verifier, mut stats), &(i, j)| {
+            if verifier.check(i, j, &mut stats) {
+                acc.push((i, j));
             }
-            let (_, nbrs_i) = chain.row.as_ref().expect("row cached above");
-            chain.stats.pair_examined();
-            if chain
-                .engine
-                .overlaps(nbrs_i, &h.edge_neighbors(j), s, &mut chain.stats)
-            {
-                chain.acc.push((i, j));
-            }
-            chain
+            (acc, verifier, stats)
         })
-        .map(|chain| (chain.acc, chain.stats))
-        .reduce(
-            || (Vec::new(), KernelStats::default()),
-            |(mut a, mut sa), (mut b, sb)| {
-                a.append(&mut b);
-                sa.merge(&sb);
-                (a, sa)
-            },
-        );
-    phase1.merge(&phase2);
-    phase1.flush(survivors.len());
+        .map(|(acc, _, stats)| (acc, stats))
+        .collect();
+    let mut survivors = Vec::new();
+    for (acc, phase2) in chains {
+        survivors.extend(acc);
+        stats.merge(&phase2);
+    }
+    stats.flush(survivors.len());
     canonicalize(survivors)
 }
 
-/// Phase-1-only variant: returns the candidate pair queue without the
-/// intersection pass. Exposed for the ablation bench that measures the
-/// two phases separately.
+/// Phase 1: the candidate pairs of the queued rows whose partner has at
+/// least `s` members, row by row, with the phase's tallies.
+fn phase1<H: HyperAdjacency + ?Sized>(
+    h: &H,
+    queue: &[Id],
+    s: usize,
+    strategy: Strategy,
+) -> (Vec<(Id, Id)>, KernelStats) {
+    let (outs, stats) = candidate_rows(
+        h,
+        Rows::Queue(queue, strategy),
+        s,
+        false,
+        Vec::new,
+        // lint: alloc: per-worker output accumulator; push is amortized O(1)
+        |pairs: &mut Vec<(Id, Id)>, _, i, j| pairs.push((i, j)),
+    );
+    (outs.concat(), stats)
+}
+
+/// Phase 1 alone: returns the candidate pair queue Algorithm 2 builds,
+/// without the intersection pass. Exposed for the ablation bench that
+/// measures the two phases separately.
 // lint: obs: ablation-bench helper; the full kernel path flushes KernelStats
 pub fn candidate_pairs<H: HyperAdjacency + ?Sized>(
     h: &H,
@@ -160,40 +113,7 @@ pub fn candidate_pairs<H: HyperAdjacency + ?Sized>(
     s: usize,
     strategy: Strategy,
 ) -> Vec<(Id, Id)> {
-    let ne = h.num_hyperedges();
-    struct Local {
-        pairs: Vec<(Id, Id)>,
-        stamp: Vec<Id>,
-    }
-    let locals = par_for_each_index_with(
-        queue.len(),
-        strategy,
-        || Local {
-            pairs: Vec::new(),
-            stamp: vec![0; ne],
-        },
-        |local, slot| {
-            let i = queue[slot];
-            let nbrs_i = h.edge_neighbors(i);
-            if nbrs_i.len() < s {
-                return;
-            }
-            let mark = i + 1;
-            for &v in nbrs_i.iter() {
-                for &raw in h.node_neighbors(v).iter() {
-                    let j = h.edge_id(raw);
-                    if j <= i || local.stamp[ids::to_usize(j)] == mark {
-                        continue;
-                    }
-                    local.stamp[ids::to_usize(j)] = mark;
-                    if h.edge_degree(j) >= s {
-                        local.pairs.push((i, j));
-                    }
-                }
-            }
-        },
-    );
-    locals.into_iter().flat_map(|l| l.pairs).collect()
+    phase1(h, queue, s, strategy).0
 }
 
 #[cfg(test)]
@@ -202,6 +122,7 @@ mod tests {
     use crate::adjoin::AdjoinGraph;
     use crate::fixtures::{paper_hypergraph, paper_slinegraph_edges};
     use crate::hypergraph::Hypergraph;
+    use crate::ids;
 
     #[test]
     fn matches_fixture_on_biadjacency() {

@@ -1,7 +1,7 @@
 //! Worker-local kernel tallies for the s-line constructions.
 //!
-//! Every algorithm keeps a [`KernelStats`] inside its per-worker `Local`
-//! state and bumps plain `u64` fields in the hot loops — no atomics per
+//! Every algorithm keeps a [`KernelStats`] inside its per-worker state
+//! and bumps plain `u64` fields in the hot loops — no atomics per
 //! item. The bumps are guarded by the `const fn` [`nwhy_obs::enabled`],
 //! so a `--no-default-features` build folds all of this away and runs
 //! the exact same loop bodies. After the parallel region, the merged
@@ -168,17 +168,5 @@ impl KernelStats {
         nwhy_obs::add(Counter::OverlapPathMerge, self.overlap_merge);
         nwhy_obs::add(Counter::OverlapPathGallop, self.overlap_gallop);
         nwhy_obs::add(Counter::OverlapPathBitset, self.overlap_bitset);
-    }
-
-    /// Merges and flushes a collection of worker tallies in one go.
-    pub fn flush_all<'a>(locals: impl IntoIterator<Item = &'a KernelStats>, edges_emitted: usize) {
-        if !nwhy_obs::enabled() {
-            return;
-        }
-        let mut total = KernelStats::default();
-        for l in locals {
-            total.merge(l);
-        }
-        total.flush(edges_emitted);
     }
 }

@@ -7,7 +7,8 @@
 //! keeping each surviving count instead of discarding it after
 //! thresholding, so the cost matches the unweighted build.
 
-use super::counting::{count_rows, Rows};
+use super::counting::count_rows;
+use super::rows::Rows;
 use super::HyperAdjacency;
 use crate::ids::Overlap;
 use crate::Id;

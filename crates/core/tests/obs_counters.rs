@@ -157,6 +157,47 @@ fn counting_entry_points_share_counter_semantics() {
     }
 }
 
+/// Intersection and Algorithm 2 walk the same candidates but keep their
+/// own counters. At s = 1 each of the 5 distinct candidate pairs of the
+/// Fig. 1 fixture is verified and becomes an edge. At s = 5 rows `e0`
+/// and `e1` (4 members) fail the degree filter, which neither kernel
+/// counts; row `e2` verifies its one candidate `e3` (overlap 2) and
+/// emits nothing. No candidate falls below `s`, so nothing is skipped.
+/// Algorithm 2 also pushes its 4 rows plus every queued pair, and both
+/// kernels do the same comparison work.
+#[test]
+fn candidate_entry_points_share_counter_semantics() {
+    use nwhy_core::slinegraph::{intersection, queue_two_phase};
+    use nwhy_util::partition::Strategy;
+    let h = paper_hypergraph();
+    let queue: Vec<Id> = (0..4).collect();
+    let auto = Strategy::AUTO;
+    // (s, edges, pairs examined, intersection comparisons)
+    for (s, edges, examined, comparisons) in [(1, 5, 5, 15), (5, 0, 1, 8)] {
+        for alg2 in [false, true] {
+            isolated(|| {
+                let got = if alg2 {
+                    queue_two_phase::queue_intersection(&h, &queue, s, auto)
+                } else {
+                    intersection::intersection(&h, s, auto)
+                };
+                assert_eq!(got.len() as u64, edges, "alg2={alg2} s={s}");
+                let pushes = if alg2 { 4 + examined } else { 0 };
+                for (counter, want) in [
+                    (Counter::SlinePairsExamined, examined),
+                    (Counter::SlinePairsSkippedDegree, 0),
+                    (Counter::SlineQueuePushes, pushes),
+                    (Counter::SlineEdgesEmitted, edges),
+                    (Counter::SlineIntersectionComparisons, comparisons),
+                ] {
+                    let got = nwhy_obs::counter_value(counter);
+                    assert_eq!(got, want, "{counter:?} alg2={alg2} s={s}");
+                }
+            });
+        }
+    }
+}
+
 /// The kernel's canonicalize step reports its own span under the
 /// kernel's, so `--metrics` separates sorting from counting.
 #[test]

@@ -12,8 +12,8 @@
 //! nwhy-cli sline   <file> --s S [--kernel K] [--overlap O] [--relabel R]
 //!                  [--out FILE]
 //!                  K ∈ auto | naive | intersection | hashmap | queue1 |
-//!                      queue2 | pairsort   (default hashmap; `auto` asks
-//!                      the planner; `--algo` is accepted as an alias)
+//!                      queue2   (default hashmap; `auto` asks the
+//!                      planner; `--algo` is accepted as an alias)
 //!                  O ∈ adaptive | merge | gallop | bitset   (overlap path)
 //!                  R ∈ none | asc | desc    (degree relabeling)
 //! nwhy-cli check   <file> [--s S]         validate structural invariants
@@ -513,7 +513,6 @@ fn cmd_sline(args: &Args) -> CliResult {
         "hashmap" => Some(Algorithm::Hashmap),
         "queue1" => Some(Algorithm::QueueHashmap),
         "queue2" => Some(Algorithm::QueueIntersection),
-        "pairsort" => Some(Algorithm::PairSort),
         other => return Err(CliError::usage(format!("sline: unknown --kernel {other}"))),
     };
     let overlap = match args.flag("overlap") {

@@ -116,7 +116,12 @@ fn relabel_and_strategy_do_not_change_results() {
                 Strategy::Cyclic { num_bins: 8 },
             ] {
                 let opts = BuildOptions { strategy, relabel };
-                for algo in [Algorithm::Hashmap, Algorithm::QueueHashmap] {
+                for algo in [
+                    Algorithm::Hashmap,
+                    Algorithm::QueueHashmap,
+                    Algorithm::Intersection,
+                    Algorithm::QueueIntersection,
+                ] {
                     let got = SLineBuilder::new(&h)
                         .s(2)
                         .algorithm(algo)
