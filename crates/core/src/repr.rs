@@ -42,10 +42,12 @@ use crate::Id;
 pub trait HyperAdjacency: Sync {
     /// The neighbor-list handle: anything that derefs to a sorted
     /// `[Id]` slice. In-memory representations use `&'a [Id]` (zero
-    /// cost — the borrow points straight into the CSR); compressed
-    /// backends (`nwhy-store`) return an owned decode buffer
-    /// (`Vec<Id>`), which is what lets a gap-coded on-disk row satisfy
-    /// the same bound without materializing the whole structure.
+    /// cost — the borrow points straight into the CSR); the compressed
+    /// backend (`nwhy-store`) returns a `Cow<'a, [Id]>`: borrowed from a
+    /// side it has decoded into memory once, else an owned buffer
+    /// holding the one row just decoded. That is what lets a gap-coded
+    /// on-disk row satisfy the same bound without materializing the
+    /// whole structure.
     ///
     /// Generic code treats the handle as a slice: bind it (`let nbrs =
     /// h.edge_neighbors(e);`), then index/iterate through deref

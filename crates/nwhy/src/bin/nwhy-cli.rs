@@ -38,7 +38,11 @@
 //! Kernels that are generic over `HyperAdjacency` (s-line construction,
 //! `bfs --algo hyper|hyper-bu`, `cc --algo hyper`, online s-components)
 //! run straight off the packed image; the rest materialize the
-//! pointer-based form first.
+//! pointer-based form first. The s-line and s-component walks first
+//! decode the image's node rows into memory once, and `cc --algo hyper`
+//! its edge rows, because those kernels read that side again and again
+//! (see `keep_resident`); BFS decodes each row at most once and stays
+//! zero-copy.
 //!
 //! Every subcommand additionally accepts the observability flags
 //! (no-ops unless built with the default `obs` feature):
@@ -69,7 +73,7 @@ use nwhy::core::algorithms::{
 use nwhy::core::{
     AdjoinGraph, Algorithm, HyperedgeId, Hypergraph, OverlapPolicy, Relabel, SLineBuilder,
 };
-use nwhy::store::{Backend, CompressedHypergraph};
+use nwhy::store::{Backend, CompressedHypergraph, Side};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
 use std::path::Path;
@@ -264,6 +268,25 @@ macro_rules! on_input {
     };
 }
 
+/// Decodes the side of a packed input that `query` re-reads into memory
+/// once, under the `build.resident` span, so its kernel borrows those
+/// rows instead of decoding them on every visit. The `e → v → e` walks
+/// (`sline`, `scomp`) decode Σ_v d_v² ≥ nnz node IDs, so they keep the
+/// node rows; label-propagation `cc` sweeps every edge row at least
+/// twice, so it keeps the edge rows. Any other query, and an in-memory
+/// input, is left as it is.
+fn keep_resident(input: &mut Input, query: &str) {
+    let side = match query {
+        "sline" | "scomp" => Side::Nodes,
+        "cc" => Side::Edges,
+        _ => return,
+    };
+    if let Input::Packed(c) = input {
+        let _span = nwhy::obs::span("build.resident");
+        c.materialize(side);
+    }
+}
+
 /// Resolves the storage backend from the `--mmap` / `--no-mmap` flags.
 fn backend_choice(args: &Args) -> CliResult<Backend> {
     match (args.flag("mmap").is_some(), args.flag("no-mmap").is_some()) {
@@ -330,7 +353,7 @@ fn cmd_stats(args: &Args) -> CliResult {
         .positional
         .first()
         .ok_or_else(|| CliError::usage("stats: missing <file>"))?;
-    let input = load_input(args, path)?;
+    let mut input = load_input(args, path)?;
     let s = match &input {
         Input::Memory(h) => h.stats(),
         Input::Packed(c) => packed_stats(c),
@@ -376,6 +399,7 @@ fn cmd_stats(args: &Args) -> CliResult {
                 println!("ran bfs from hyperedge 0: reached {reached} hyperedges");
             }
             "cc" => {
+                keep_resident(&mut input, "cc");
                 let n = match &input {
                     Input::Memory(h) => nwhy::hygra::hygra_cc(h).num_components(),
                     Input::Packed(c) => hyper_cc(c).num_components(),
@@ -384,6 +408,10 @@ fn cmd_stats(args: &Args) -> CliResult {
             }
             "sline" => {
                 let s: usize = parse_flag(args, "stats", "s", 2)?;
+                if s == 0 {
+                    return Err(CliError::usage("stats: --s must be >= 1"));
+                }
+                keep_resident(&mut input, "sline");
                 let pairs = on_input!(&input, g => SLineBuilder::new(g).s(s).edges());
                 println!("ran sline (s={s}): {} line-graph edges", pairs.len());
             }
@@ -409,9 +437,12 @@ fn cmd_cc(args: &Args) -> CliResult {
         .first()
         .ok_or_else(|| CliError::usage("cc: missing <file>"))?;
     let algo = args.flag("algo").unwrap_or("hyper");
-    let input = load_input(args, path)?;
+    let mut input = load_input(args, path)?;
     let n = match algo {
-        "hyper" => on_input!(&input, g => hyper_cc(g)).num_components(),
+        "hyper" => {
+            keep_resident(&mut input, "cc");
+            on_input!(&input, g => hyper_cc(g)).num_components()
+        }
         "adjoin" => {
             adjoin_cc_afforest(&AdjoinGraph::from_hypergraph(&input.into_memory())).num_components()
         }
@@ -526,9 +557,10 @@ fn cmd_sline(args: &Args) -> CliResult {
         "desc" => Relabel::Descending,
         other => return Err(CliError::usage(format!("sline: unknown --relabel {other}"))),
     };
-    let input = load_input(args, path)?;
+    let mut input = load_input(args, path)?;
     let ne = input.num_hyperedges();
     let t = std::time::Instant::now();
+    keep_resident(&mut input, "sline");
     // `SLineBuilder` is generic over `HyperAdjacency`: packed inputs
     // feed the construction kernels straight off the on-disk image
     fn build<A: nwhy::core::HyperAdjacency + ?Sized>(
@@ -670,8 +702,9 @@ fn cmd_scomp(args: &Args) -> CliResult {
     if s == 0 {
         return Err(CliError::usage("scomp: --s must be >= 1"));
     }
-    let input = load_input(args, path)?;
+    let mut input = load_input(args, path)?;
     let ne = input.num_hyperedges();
+    keep_resident(&mut input, "scomp");
     // the online kernel is generic over `HyperAdjacency`
     let labels = on_input!(&input, g => {
         nwhy::core::algorithms::s_components::s_connected_components_online(g, s)
@@ -1038,6 +1071,73 @@ mod tests {
         assert!(matches!(
             cmd_stats(&Args::parse(&[])),
             Err(CliError::Usage(_))
+        ));
+    }
+
+    #[test]
+    fn stats_rejects_s_zero_like_sline_and_scomp() {
+        let h = nwhy::core::fixtures::paper_hypergraph();
+        let hgr = std::env::temp_dir().join(format!("nwhy_cli_s0_{}.hgr", std::process::id()));
+        let path = hgr.to_str().unwrap();
+        save(path, &h).unwrap();
+        for (cmd, argv) in [
+            (
+                cmd_stats as fn(&Args) -> CliResult,
+                vec![path, "--run", "sline", "--s", "0"],
+            ),
+            (cmd_sline, vec![path, "--s", "0"]),
+            (cmd_scomp, vec![path, "--s", "0"]),
+        ] {
+            let err = cmd(&Args::parse(&to_vec(&argv))).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{argv:?}: {err}");
+        }
+        let _ = std::fs::remove_file(&hgr);
+    }
+
+    /// The obs registry is process-global; serialize the tests that
+    /// reset it and read its spans.
+    static OBS_GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    /// Runs `cmd` on a packed fixture from a clean registry and reports
+    /// whether it recorded the `build.resident` span.
+    fn records_resident_span(cmd: fn(&Args) -> CliResult, flags: &[&str]) -> bool {
+        let _g = OBS_GATE.lock().unwrap_or_else(|e| e.into_inner());
+        let h = nwhy::core::fixtures::paper_hypergraph();
+        let pak = std::env::temp_dir().join(format!(
+            "nwhy_cli_resident_{}_{}.nwhypak",
+            std::process::id(),
+            flags.join("_")
+        ));
+        let path = pak.to_str().unwrap();
+        save(path, &h).unwrap();
+        nwhy::obs::reset();
+        let mut argv = vec![path];
+        argv.extend_from_slice(flags);
+        cmd(&Args::parse(&to_vec(&argv))).unwrap();
+        let _ = std::fs::remove_file(&pak);
+        nwhy::obs::snapshot()
+            .spans
+            .iter()
+            .any(|s| s.path.ends_with("build.resident"))
+    }
+
+    #[test]
+    fn sline_and_cc_on_packed_input_record_the_resident_decode() {
+        if !nwhy::obs::enabled() {
+            return;
+        }
+        assert!(records_resident_span(cmd_sline, &["--s", "2"]));
+        assert!(records_resident_span(cmd_cc, &["--algo", "hyper"]));
+    }
+
+    #[test]
+    fn bfs_on_packed_input_stays_zero_copy() {
+        if !nwhy::obs::enabled() {
+            return;
+        }
+        assert!(!records_resident_span(
+            cmd_bfs,
+            &["--source", "0", "--algo", "hyper"]
         ));
     }
 

@@ -13,6 +13,12 @@
 //! varint. An image that opens is codec-valid by construction, so no
 //! query after open can fail: a corrupt image is a typed error at open,
 //! never a panic inside a kernel.
+//!
+//! A query that reads one [`Side`] over and over can decode it once
+//! with [`CompressedHypergraph::materialize`]: the side's rows become a
+//! resident CSR (offsets and targets, no weights; 4·nnz + 8·(rows + 1)
+//! bytes), borrowed straight out of memory from then on, while the
+//! other side keeps decoding per row from the image.
 
 use crate::format::{Header, HEADER_LEN, SAMPLE_EVERY};
 use crate::storage::{Backend, Storage};
@@ -21,6 +27,7 @@ use crate::StoreError;
 use nwgraph::Csr;
 use nwhy_core::validate::{InvariantViolation, Validate};
 use nwhy_core::{ids, HyperAdjacency, Hypergraph, Id};
+use std::borrow::Cow;
 use std::ops::Range;
 use std::path::Path;
 
@@ -36,6 +43,9 @@ struct PackedCsr {
     /// Payload-relative start of every row, then the payload length
     /// (`rows + 1` entries): row `r` is `starts[r]..starts[r + 1]`.
     starts: Vec<usize>,
+    /// Every row decoded once, after [`CompressedHypergraph::materialize`]
+    /// (boxed so that an image without one stays small).
+    resident: Option<Box<Csr>>,
 }
 
 impl PackedCsr {
@@ -70,6 +80,7 @@ impl PackedCsr {
             payload,
             weights,
             starts,
+            resident: None,
         })
     }
 
@@ -85,6 +96,47 @@ impl PackedCsr {
             Some(&[start, end, ..]) => payload.get(start..end).unwrap_or_default(),
             _ => &[],
         }
+    }
+
+    /// The members of row `r`: borrowed from the resident CSR when there
+    /// is one, else decoded from the image. Rows past the end read as
+    /// empty.
+    fn neighbors<'a>(&'a self, bytes: &'a [u8], r: usize) -> Cow<'a, [Id]> {
+        match &self.resident {
+            Some(csr) => Cow::Borrowed(match csr.offsets().get(r..) {
+                Some(&[start, end, ..]) => csr.targets().get(start..end).unwrap_or_default(),
+                _ => &[],
+            }),
+            None => {
+                let mut out = Vec::new();
+                decode_row(self.row(bytes, r), &mut out);
+                Cow::Owned(out)
+            }
+        }
+    }
+
+    /// The length of row `r`: two resident offsets, or the row's length
+    /// varint. Rows past the end have length 0.
+    fn len(&self, bytes: &[u8], r: usize) -> usize {
+        match &self.resident {
+            Some(csr) => match csr.offsets().get(r..) {
+                Some(&[start, end, ..]) => end - start,
+                _ => 0,
+            },
+            None => row_len(self.row(bytes, r)),
+        }
+    }
+
+    /// Decodes every row front to back into CSR offsets and targets.
+    fn decode(&self, bytes: &[u8], nnz: usize) -> (Vec<usize>, Vec<Id>) {
+        let mut offsets = Vec::with_capacity(self.rows() + 1);
+        offsets.push(0usize);
+        let mut targets: Vec<Id> = Vec::with_capacity(nnz);
+        scan(self, bytes, |_, row| {
+            targets.extend_from_slice(row);
+            offsets.push(targets.len());
+        });
+        (offsets, targets)
     }
 }
 
@@ -229,9 +281,19 @@ impl StorageStats {
     }
 }
 
+/// One side of the bi-adjacency, as stored in the image.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Side {
+    /// The hyperedge rows (members of each hyperedge).
+    Edges,
+    /// The hypernode rows (hyperedges incident to each hypernode).
+    Nodes,
+}
+
 /// A hypergraph served from a packed `NWHYPAK1` image without
 /// decompression: both bi-adjacency directions decode per row, on
-/// demand, straight out of the (possibly memory-mapped) byte image.
+/// demand, straight out of the (possibly memory-mapped) byte image,
+/// unless [`CompressedHypergraph::materialize`] has made a side resident.
 #[derive(Debug)]
 pub struct CompressedHypergraph {
     bytes: Storage,
@@ -375,30 +437,53 @@ impl CompressedHypergraph {
         }
     }
 
+    /// Decodes every row of `side` once and keeps them resident, so
+    /// later row and degree queries on that side read memory instead of
+    /// the image. Costs 4·nnz + 8·(rows + 1) bytes; weights stay in the
+    /// image. A no-op when the side is already resident.
+    // lint: obs: nwhy-store has no nwhy-obs dependency; the CLI opens the
+    // `build.resident` span around this call
+    pub fn materialize(&mut self, side: Side) {
+        let packed = match side {
+            Side::Edges => &mut self.edges,
+            Side::Nodes => &mut self.nodes,
+        };
+        if packed.resident.is_none() {
+            let (offsets, targets) = packed.decode(&self.bytes, self.nnz);
+            packed.resident = Some(Box::new(Csr::from_raw_parts(
+                packed.num_targets,
+                offsets,
+                targets,
+                None,
+            )));
+        }
+    }
+
     /// Decodes the member hypernodes of hyperedge `e` (empty when `e` is
     /// out of range).
     pub fn edge_row(&self, e: Id) -> Vec<Id> {
-        let mut out = Vec::new();
-        decode_row(self.edges.row(&self.bytes, ids::to_usize(e)), &mut out);
-        out
+        self.edges
+            .neighbors(&self.bytes, ids::to_usize(e))
+            .into_owned()
     }
 
     /// Decodes the incident hyperedges of hypernode `v`, as
     /// [`CompressedHypergraph::edge_row`].
     pub fn node_row(&self, v: Id) -> Vec<Id> {
-        let mut out = Vec::new();
-        decode_row(self.nodes.row(&self.bytes, ids::to_usize(v)), &mut out);
-        out
+        self.nodes
+            .neighbors(&self.bytes, ids::to_usize(v))
+            .into_owned()
     }
 
-    /// Size of hyperedge `e` — reads only the length varint.
+    /// Size of hyperedge `e` — reads only the length varint (or the
+    /// resident offsets).
     pub fn edge_row_len(&self, e: Id) -> usize {
-        row_len(self.edges.row(&self.bytes, ids::to_usize(e)))
+        self.edges.len(&self.bytes, ids::to_usize(e))
     }
 
-    /// Degree of hypernode `v` — reads only the length varint.
+    /// Degree of hypernode `v`, as [`CompressedHypergraph::edge_row_len`].
     pub fn node_row_len(&self, v: Id) -> usize {
-        row_len(self.nodes.row(&self.bytes, ids::to_usize(v)))
+        self.nodes.len(&self.bytes, ids::to_usize(v))
     }
 
     /// Streams every hyperedge row front to back, reusing one decode
@@ -420,15 +505,9 @@ impl CompressedHypergraph {
         Hypergraph::from_raw_parts(self.unpack_csr(&self.edges), self.unpack_csr(&self.nodes))
     }
 
-    /// Decodes one packed CSR into a materialized [`Csr`].
+    /// Decodes one packed CSR, weights included, into a [`Csr`].
     fn unpack_csr(&self, packed: &PackedCsr) -> Csr {
-        let mut offsets = Vec::with_capacity(packed.rows() + 1);
-        offsets.push(0usize);
-        let mut targets: Vec<Id> = Vec::with_capacity(self.nnz);
-        scan(packed, &self.bytes, |_, row| {
-            targets.extend_from_slice(row);
-            offsets.push(targets.len());
-        });
+        let (offsets, targets) = packed.decode(&self.bytes, self.nnz);
         let weights = packed.weights.as_ref().map(|range| {
             let ws = self.bytes.get(range.clone()).unwrap_or_default();
             ws.chunks_exact(8)
@@ -470,7 +549,7 @@ fn row_count(value: u64, what: &'static str, offset: usize) -> Result<usize, Sto
 
 impl HyperAdjacency for CompressedHypergraph {
     type Neighbors<'a>
-        = Vec<Id>
+        = Cow<'a, [Id]>
     where
         Self: 'a;
 
@@ -482,19 +561,19 @@ impl HyperAdjacency for CompressedHypergraph {
     fn num_hypernodes(&self) -> usize {
         self.n_v
     }
-    /// Decodes the row on every call.
-    fn edge_neighbors(&self, e: Id) -> Vec<Id> {
-        self.edge_row(e)
+    /// Borrows the row from a resident side; decodes it otherwise.
+    fn edge_neighbors(&self, e: Id) -> Cow<'_, [Id]> {
+        self.edges.neighbors(&self.bytes, ids::to_usize(e))
     }
     /// See [`HyperAdjacency::edge_neighbors`] on this impl.
-    fn node_neighbors(&self, v: Id) -> Vec<Id> {
-        self.node_row(v)
+    fn node_neighbors(&self, v: Id) -> Cow<'_, [Id]> {
+        self.nodes.neighbors(&self.bytes, ids::to_usize(v))
     }
-    /// Length-varint fast path: no row decode.
+    /// Resident offsets or the length varint: no row decode.
     fn edge_degree(&self, e: Id) -> usize {
         self.edge_row_len(e)
     }
-    /// Length-varint fast path: no row decode.
+    /// Resident offsets or the length varint: no row decode.
     fn node_degree(&self, v: Id) -> usize {
         self.node_row_len(v)
     }
@@ -569,6 +648,58 @@ mod tests {
             assert_eq!(c.node_row_len(v), h.node_degree(v), "node {v}");
         }
         assert!(c.edge_row(n_e).is_empty() && c.node_row_len(n_v) == 0);
+    }
+
+    /// A resident side serves the same rows and degrees as the packed
+    /// one, for every row visited last to first, and reads rows past
+    /// the end as empty.
+    #[test]
+    fn resident_rows_match_packed_rows_in_reverse() {
+        let h = multi_block_hypergraph();
+        let packed = CompressedHypergraph::from_bytes(pack_hypergraph(&h)).unwrap();
+        let mut c = CompressedHypergraph::from_bytes(pack_hypergraph(&h)).unwrap();
+        c.materialize(Side::Edges);
+        c.materialize(Side::Nodes);
+        let (n_e, n_v) = (
+            ids::from_usize(h.num_hyperedges()),
+            ids::from_usize(h.num_hypernodes()),
+        );
+        for e in (0..=n_e).rev() {
+            assert!(matches!(c.edge_neighbors(e), Cow::Borrowed(_)), "edge {e}");
+            assert_eq!(c.edge_neighbors(e), packed.edge_neighbors(e), "edge {e}");
+            assert_eq!(c.edge_degree(e), packed.edge_degree(e), "edge {e}");
+        }
+        for v in (0..=n_v).rev() {
+            assert!(matches!(c.node_neighbors(v), Cow::Borrowed(_)), "node {v}");
+            assert_eq!(c.node_neighbors(v), packed.node_neighbors(v), "node {v}");
+            assert_eq!(c.node_degree(v), packed.node_degree(v), "node {v}");
+        }
+        assert!(c.edge_neighbors(n_e).is_empty() && c.node_degree(n_v) == 0);
+    }
+
+    /// The resident CSR of a weighted image holds exactly nnz targets
+    /// and no weights; the weights stay in the image.
+    #[test]
+    fn resident_side_of_weighted_image_carries_no_weights() {
+        let el = nwhy_core::BiEdgeList::from_weighted_incidences(
+            3,
+            4,
+            vec![(0, 1), (0, 3), (1, 0), (2, 1), (2, 2)],
+            vec![0.5, -1.0, 2.0, 3.5, 4.0],
+        );
+        let h = Hypergraph::from_biedgelist(&el);
+        let mut c = CompressedHypergraph::from_bytes(pack_hypergraph(&h)).unwrap();
+        assert!(c.is_weighted());
+        for side in [Side::Edges, Side::Nodes] {
+            c.materialize(side);
+        }
+        for (packed, rows) in [(&c.edges, 3), (&c.nodes, 4)] {
+            let csr = packed.resident.as_ref().unwrap();
+            assert!(csr.weights().is_none());
+            assert_eq!(csr.targets().len(), c.num_incidences());
+            assert_eq!(csr.offsets().len(), rows + 1);
+        }
+        assert_eq!(c.to_hypergraph(), h);
     }
 
     #[test]

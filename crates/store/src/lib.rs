@@ -10,6 +10,8 @@
 //! s-metric runs on the packed form unchanged. Opening an image validates
 //! all of it in one walk that also builds a row-offset table, so a
 //! corrupt file is an error at open and every later query is infallible.
+//! A query that re-reads one side can decode it into memory once
+//! ([`CompressedHypergraph::materialize`]) and borrow its rows from then on.
 //!
 //! Two backends hold the image ([`Storage`]): a read-only `mmap` (unix,
 //! `mmap` cargo feature, the zero-copy path) and a pure-safe
@@ -38,7 +40,7 @@ pub mod mmap;
 pub mod storage;
 pub mod varint;
 
-pub use compressed::{CompressedHypergraph, StorageStats};
+pub use compressed::{CompressedHypergraph, Side, StorageStats};
 pub use error::StoreError;
 pub use format::{pack_hypergraph, write_packed, Header, FLAG_WEIGHTS, MAGIC, VERSION};
 pub use storage::{Backend, Storage};

@@ -5,7 +5,8 @@
 //! This is the acceptance gate for the zero-copy storage subsystem: the
 //! kernels are generic over `HyperAdjacency`, so the only way results can
 //! diverge is a codec bug — which is exactly what this test exists to
-//! catch. BFS parents, which CAS races make non-deterministic, are
+//! catch. The kernel agreement checks run on the image with no side,
+//! each side, and both sides made resident by `materialize`. BFS parents, which CAS races make non-deterministic, are
 //! checked for type instead: on the bi-adjacency, the adjoin graph and a
 //! packed image alike they must be incident entities of the other side.
 
@@ -15,7 +16,7 @@ use nwhy_core::repr::HyperAdjacency;
 use nwhy_core::{AdjoinGraph, Algorithm, Hypergraph, OverlapPath, OverlapPolicy, SLineBuilder};
 use nwhy_gen::powerlaw::PowerlawParams;
 use nwhy_gen::{powerlaw_hypergraph, uniform_random};
-use nwhy_store::{pack_hypergraph, Backend, CompressedHypergraph};
+use nwhy_store::{pack_hypergraph, Backend, CompressedHypergraph, Side};
 
 fn fixtures() -> Vec<(&'static str, Hypergraph)> {
     vec![
@@ -50,20 +51,41 @@ fn compress(h: &Hypergraph) -> CompressedHypergraph {
     CompressedHypergraph::from_bytes(pack_hypergraph(h)).expect("pack image must open")
 }
 
+/// The packed image of `h` with no side, each side, and both sides
+/// resident.
+fn residencies(h: &Hypergraph) -> Vec<(&'static str, CompressedHypergraph)> {
+    [
+        ("packed", &[][..]),
+        ("edges resident", &[Side::Edges][..]),
+        ("nodes resident", &[Side::Nodes][..]),
+        ("both resident", &[Side::Edges, Side::Nodes][..]),
+    ]
+    .into_iter()
+    .map(|(name, sides)| {
+        let mut c = compress(h);
+        for &side in sides {
+            c.materialize(side);
+        }
+        (name, c)
+    })
+    .collect()
+}
+
 #[test]
 fn all_algorithms_agree_across_backends() {
     for (name, h) in fixtures() {
-        let c = compress(&h);
-        for algorithm in Algorithm::ALL {
-            for s in 1..=3 {
-                let on_memory = SLineBuilder::new(&h).algorithm(algorithm).s(s).edges();
-                let on_packed = SLineBuilder::new(&c).algorithm(algorithm).s(s).edges();
-                assert_eq!(
-                    on_memory,
-                    on_packed,
-                    "{name}: {} disagrees at s={s}",
-                    algorithm.name()
-                );
+        for (residency, c) in residencies(&h) {
+            for algorithm in Algorithm::ALL {
+                for s in 1..=3 {
+                    let on_memory = SLineBuilder::new(&h).algorithm(algorithm).s(s).edges();
+                    let on_packed = SLineBuilder::new(&c).algorithm(algorithm).s(s).edges();
+                    assert_eq!(
+                        on_memory,
+                        on_packed,
+                        "{name}/{residency}: {} disagrees at s={s}",
+                        algorithm.name()
+                    );
+                }
             }
         }
     }
@@ -143,27 +165,23 @@ fn traversals_agree_across_backends() {
         if h.num_hyperedges() == 0 {
             continue;
         }
-        let c = compress(&h);
         let bfs_mem = hyper_bfs_top_down(&h, 0);
-        let bfs_pak = hyper_bfs_top_down(&c, 0);
-        assert_eq!(
-            bfs_mem.edge_levels, bfs_pak.edge_levels,
-            "{name}: BFS edge levels"
-        );
-        assert_eq!(
-            bfs_mem.node_levels, bfs_pak.node_levels,
-            "{name}: BFS node levels"
-        );
-        let bu_pak = hyper_bfs_bottom_up(&c, 0);
-        assert_eq!(
-            bfs_mem.edge_levels, bu_pak.edge_levels,
-            "{name}: bottom-up BFS edge levels"
-        );
-        assert_eq!(
-            bfs_mem.node_levels, bu_pak.node_levels,
-            "{name}: bottom-up BFS node levels"
-        );
-        assert_eq!(hyper_cc(&h), hyper_cc(&c), "{name}: CC");
+        for (residency, c) in residencies(&h) {
+            for (variant, bfs_pak) in [
+                ("top-down", hyper_bfs_top_down(&c, 0)),
+                ("bottom-up", hyper_bfs_bottom_up(&c, 0)),
+            ] {
+                assert_eq!(
+                    bfs_mem.edge_levels, bfs_pak.edge_levels,
+                    "{name}/{residency}: {variant} BFS edge levels"
+                );
+                assert_eq!(
+                    bfs_mem.node_levels, bfs_pak.node_levels,
+                    "{name}/{residency}: {variant} BFS node levels"
+                );
+            }
+            assert_eq!(hyper_cc(&h), hyper_cc(&c), "{name}/{residency}: CC");
+        }
     }
 }
 

@@ -2,13 +2,13 @@
 //! image can make a kernel panic. Each mutated image either fails to
 //! open with a typed error, or opens — the open walk having proved it
 //! codec-valid — and then serves s-line construction, BFS, CC, and
-//! `Validate`.
+//! `Validate`, before and after both sides are made resident.
 
 use nwhy_core::algorithms::{hyper_bfs_bottom_up, hyper_bfs_top_down, hyper_cc};
 use nwhy_core::fixtures::paper_hypergraph;
 use nwhy_core::validate::Validate;
 use nwhy_core::{BiEdgeList, Hypergraph, SLineBuilder};
-use nwhy_store::{pack_hypergraph, CompressedHypergraph};
+use nwhy_store::{pack_hypergraph, CompressedHypergraph, Side};
 
 fn weighted_fixture() -> Hypergraph {
     let incidences = vec![
@@ -29,20 +29,28 @@ fn weighted_fixture() -> Hypergraph {
     ))
 }
 
-/// Opens `img`; when it opens, runs the kernels over it. Returns whether
-/// it opened.
+/// Opens `img`; when it opens, runs the kernels over it, then
+/// materializes both sides and runs them again. Returns whether it
+/// opened.
 fn open_and_query(img: Vec<u8>) -> bool {
-    let Ok(c) = CompressedHypergraph::from_bytes(img) else {
+    let Ok(mut c) = CompressedHypergraph::from_bytes(img) else {
         return false;
     };
-    let _ = SLineBuilder::new(&c).s(1).edges();
-    if c.num_hyperedges() > 0 {
-        hyper_bfs_top_down(&c, 0);
-        hyper_bfs_bottom_up(&c, 0);
-    }
-    hyper_cc(&c);
-    let _ = c.validate();
+    query(&c);
+    c.materialize(Side::Edges);
+    c.materialize(Side::Nodes);
+    query(&c);
     true
+}
+
+fn query(c: &CompressedHypergraph) {
+    let _ = SLineBuilder::new(c).s(1).edges();
+    if c.num_hyperedges() > 0 {
+        hyper_bfs_top_down(c, 0);
+        hyper_bfs_bottom_up(c, 0);
+    }
+    hyper_cc(c);
+    let _ = c.validate();
 }
 
 #[test]
