@@ -19,7 +19,7 @@
 //! (output directory, default `.`).
 
 use nwhy_bench::{bench_cell, env_usize, write_json, BenchRecord};
-use nwhy_core::algorithms::{hyper_bfs_top_down, hyper_cc};
+use nwhy_core::algorithms::{hyper_bfs_top_down, hyper_cc_label_propagation};
 use nwhy_core::{Hypergraph, SLineBuilder};
 use nwhy_gen::profiles::profile_by_name;
 use nwhy_store::Backend;
@@ -96,10 +96,10 @@ fn main() {
             std::hint::black_box(hyper_bfs_top_down(&c, src));
         });
         let cc_ptr = run(&mut records, name, "HyperCC-pointer", None, &mut || {
-            std::hint::black_box(hyper_cc(&h));
+            std::hint::black_box(hyper_cc_label_propagation(&h));
         });
         let cc_pak = run(&mut records, name, "HyperCC-packed", None, &mut || {
-            std::hint::black_box(hyper_cc(&c));
+            std::hint::black_box(hyper_cc_label_propagation(&c));
         });
         let sl_ptr = run(
             &mut records,

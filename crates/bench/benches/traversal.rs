@@ -11,7 +11,7 @@
 use nwhy_bench::{bench_cell, env_usize, write_json, BenchRecord};
 use nwhy_core::algorithms::{
     adjoin_bfs, adjoin_cc_afforest, adjoin_cc_label_propagation, hyper_bfs_bottom_up,
-    hyper_bfs_top_down, hyper_cc,
+    hyper_bfs_top_down, hyper_cc_label_propagation,
 };
 use nwhy_core::{AdjoinGraph, HyperedgeId, Hypergraph};
 use nwhy_gen::profiles::profile_by_name;
@@ -58,7 +58,7 @@ fn main() {
             ));
         });
         run(&mut records, name, "HyperCC", &mut || {
-            std::hint::black_box(hyper_cc(&h));
+            std::hint::black_box(hyper_cc_label_propagation(&h));
         });
         run(&mut records, name, "AdjoinCC-afforest", &mut || {
             std::hint::black_box(adjoin_cc_afforest(&a));

@@ -1,20 +1,28 @@
-//! HyperCC — connected components over the bipartite incidence structure
-//! via minimum-label propagation (§III-C.1; Orzan / Yan et al.), generic
-//! over any [`HyperAdjacency`].
+//! HyperCC — connected components over the bipartite incidence structure,
+//! generic over any [`HyperAdjacency`].
 //!
 //! A hyperedge and a hypernode are connected when incident; two
 //! hypernodes are connected when they share a hyperedge. Labels live in a
 //! combined space (`hyperedge e ↦ e`, `hypernode index i ↦ n_e + i`) so
-//! every initial label is distinct; rounds of parallel min-exchange across
-//! the incidence lists converge to per-component minima. Because hyperedge
-//! IDs sit below hypernode IDs, every final label is the smallest
-//! *hyperedge* ID of the component (or the node's own shifted ID for
-//! isolated hypernodes). Label minima are deterministic, so every
-//! representation yields the same labels.
+//! every initial label is distinct, and every final label is the minimum
+//! of its component. Because hyperedge IDs sit below hypernode IDs, that
+//! is the smallest *hyperedge* ID of the component (or the node's own
+//! shifted ID for isolated hypernodes). Both kernels below compute these
+//! minima, so they return the same labels, bit for bit, on every
+//! representation.
+//!
+//! - [`hyper_cc`] is Afforest's link/compress (Sutton et al., IPDPS'18,
+//!   the hooking behind AdjoinCC) run straight on the incidence lists:
+//!   one parallel sweep over the edge rows links each hyperedge with its
+//!   members, then one compress pass. It decodes every row exactly once,
+//!   so a packed image needs no resident side.
+//! - [`hyper_cc_label_propagation`] is the paper's HyperCC (§III-C.1,
+//!   Fig. 7; Orzan / Yan et al.): rounds of parallel min-exchange across
+//!   the incidence lists until no label moves.
 
 use crate::repr::HyperAdjacency;
 use crate::{ids, Id};
-use nwhy_util::atomics::atomic_min_u32;
+use nwhy_util::atomics::{atomic_min_u32, compress, link};
 use nwhy_util::sync::{AtomicBool, AtomicU32, Ordering};
 use rayon::prelude::*;
 
@@ -44,9 +52,33 @@ impl HyperCcResult {
     }
 }
 
-/// Label-propagation HyperCC.
+/// Union-find HyperCC: links every hyperedge `e` with `n_e + node_index(v)`
+/// for each member `v` in one parallel sweep over the edge rows, then
+/// compresses. Labels equal [`hyper_cc_label_propagation`]'s.
 pub fn hyper_cc<A: HyperAdjacency + ?Sized>(h: &A) -> HyperCcResult {
     let _span = nwhy_obs::span("algo.hyper_cc");
+    let ne = h.num_hyperedges();
+    let comp: Vec<AtomicU32> = (0..ids::from_usize(ne + h.num_hypernodes()))
+        .map(AtomicU32::new)
+        .collect();
+    (0..ne).into_par_iter().for_each(|e| {
+        let e = ids::from_usize(e);
+        for &handle in h.edge_neighbors(e).iter() {
+            link(e, ids::from_usize(ne + h.node_index(handle)), &comp);
+        }
+    });
+    compress(&comp);
+    let mut edge_labels: Vec<Id> = comp.into_iter().map(AtomicU32::into_inner).collect();
+    let node_labels = edge_labels.split_off(ne);
+    HyperCcResult {
+        edge_labels,
+        node_labels,
+    }
+}
+
+/// Label-propagation HyperCC, the paper's Fig. 7 kernel.
+pub fn hyper_cc_label_propagation<A: HyperAdjacency + ?Sized>(h: &A) -> HyperCcResult {
+    let _span = nwhy_obs::span("algo.hyper_cc.lp");
     let ne = h.num_hyperedges();
     let nv = h.num_hypernodes();
     let edge_labels: Vec<AtomicU32> = (0..ids::from_usize(ne)).map(AtomicU32::new).collect();
@@ -86,6 +118,8 @@ mod tests {
     use crate::adjoin::AdjoinGraph;
     use crate::fixtures::paper_hypergraph;
     use crate::hypergraph::Hypergraph;
+    use crate::repr::{DualView, RelabeledView};
+    use nwhy_util::pool::with_threads;
     use proptest::prelude::*;
 
     #[test]
@@ -191,7 +225,8 @@ mod tests {
             let h = Hypergraph::from_memberships(&ms);
             let (el, nl) = dfs_components(&h);
             let ne = h.num_hyperedges();
-            for r in [hyper_cc(&h), hyper_cc(&AdjoinGraph::from_hypergraph(&h))] {
+            let a = AdjoinGraph::from_hypergraph(&h);
+            for r in [hyper_cc(&h), hyper_cc(&a)] {
                 // same partition: pairwise equality must agree
                 for a in 0..ne {
                     for b in 0..ne {
@@ -210,6 +245,18 @@ mod tests {
                         );
                     }
                 }
+            }
+            // Union-find and label propagation agree bit for bit on every
+            // view and at every thread count.
+            let perm: Vec<Id> = (0..ids::from_usize(ne)).rev().collect();
+            let relabeled = RelabeledView::new(&h, &perm, &perm);
+            let dual = DualView::new(&h);
+            prop_assert_eq!(hyper_cc(&h), hyper_cc_label_propagation(&h));
+            prop_assert_eq!(hyper_cc(&a), hyper_cc_label_propagation(&a));
+            prop_assert_eq!(hyper_cc(&dual), hyper_cc_label_propagation(&dual));
+            prop_assert_eq!(hyper_cc(&relabeled), hyper_cc_label_propagation(&relabeled));
+            for t in [1, 2, 3] {
+                prop_assert_eq!(with_threads(t, || hyper_cc(&h)), hyper_cc_label_propagation(&h));
             }
         }
     }

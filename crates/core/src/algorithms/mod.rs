@@ -3,7 +3,8 @@
 //! Two algorithm families compute *exact* hypergraph metrics:
 //!
 //! - over the **incidence structure** (two index sets): [`mod@hyper_bfs`]
-//!   (top-down and bottom-up) and [`mod@hyper_cc`], which maintain
+//!   (top-down and bottom-up) and [`mod@hyper_cc`] (union-find and label
+//!   propagation), which maintain
 //!   separate frontiers/label arrays for the hyperedge and hypernode
 //!   sides — the bookkeeping burden the paper notes as the bi-adjacency's
 //!   biggest drawback. Each has one implementation, generic over
@@ -32,7 +33,7 @@ pub use hyper_bfs::{hyper_bfs_bottom_up, hyper_bfs_top_down, HyperBfsResult};
 /// (`perfbench/tool`) imports it, and that tool changes only together
 /// with its recorded baselines.
 pub use hyper_cc::hyper_cc as hyper_cc_generic;
-pub use hyper_cc::{hyper_cc, HyperCcResult};
+pub use hyper_cc::{hyper_cc, hyper_cc_label_propagation, HyperCcResult};
 pub use kcore::{kl_core, node_core_numbers, KLCore};
 pub use s_components::{is_s_connected_online, s_connected_components_online};
 pub use toplex::{toplexes, toplexes_sequential};

@@ -26,6 +26,7 @@ use crate::hypergraph::Hypergraph;
 use crate::ids;
 use crate::repr::{DualView, HyperAdjacency, RelabeledView};
 use crate::Id;
+use nwgraph::algorithms::triangles::sorted_intersection_count;
 use nwgraph::Csr;
 use std::fmt;
 
@@ -517,25 +518,6 @@ pub struct SLineOutput<'a, A: HyperAdjacency + ?Sized> {
     pub s: usize,
 }
 
-/// Size of the intersection of two sorted slices (duplicates in either
-/// slice are counted at most once per matching pair — hyperedge member
-/// slices are dedup-sorted, so this is plain sorted-merge counting).
-fn sorted_intersection_size(a: &[Id], b: &[Id]) -> usize {
-    let (mut i, mut j, mut count) = (0, 0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                count += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    count
-}
-
 impl<A: HyperAdjacency + ?Sized> Validate for SLineOutput<'_, A> {
     fn validate(&self) -> Result<(), InvariantViolation> {
         self.csr.validate()?;
@@ -568,7 +550,7 @@ impl<A: HyperAdjacency + ?Sized> Validate for SLineOutput<'_, A> {
             }
             if self.csr.is_weighted() {
                 for (f, w) in self.csr.weighted_neighbors(e) {
-                    let overlap = sorted_intersection_size(
+                    let overlap = sorted_intersection_count(
                         &self.repr.edge_neighbors(e),
                         &self.repr.edge_neighbors(f),
                     );
@@ -592,7 +574,7 @@ impl<A: HyperAdjacency + ?Sized> Validate for SLineOutput<'_, A> {
                 }
             } else {
                 for &f in nbrs {
-                    let overlap = sorted_intersection_size(
+                    let overlap = sorted_intersection_count(
                         &self.repr.edge_neighbors(e),
                         &self.repr.edge_neighbors(f),
                     );
@@ -1042,7 +1024,7 @@ mod tests {
 
     #[test]
     fn sorted_intersection_size_counts_matches() {
-        assert_eq!(sorted_intersection_size(&[0, 2, 4], &[1, 2, 4, 5]), 2);
-        assert_eq!(sorted_intersection_size(&[], &[1]), 0);
+        assert_eq!(sorted_intersection_count(&[0, 2, 4], &[1, 2, 4, 5]), 2);
+        assert_eq!(sorted_intersection_count(&[], &[1]), 0);
     }
 }

@@ -10,7 +10,7 @@
 
 use crate::csr::Csr;
 use crate::Vertex;
-use nwhy_util::atomics::atomic_min_u32;
+use nwhy_util::atomics::{atomic_min_u32, compress, link};
 use nwhy_util::fxhash::FxHashMap;
 use nwhy_util::sync::{AtomicBool, AtomicU32, Ordering};
 use rayon::prelude::*;
@@ -77,37 +77,6 @@ pub fn shiloach_vishkin(g: &Csr) -> Vec<Vertex> {
         });
     }
     parent.into_iter().map(AtomicU32::into_inner).collect()
-}
-
-/// GAPBS-style concurrent hooking used by Afforest.
-#[inline]
-fn link(u: Vertex, v: Vertex, comp: &[AtomicU32]) {
-    let mut p1 = comp[u as usize].load(Ordering::Relaxed);
-    let mut p2 = comp[v as usize].load(Ordering::Relaxed);
-    while p1 != p2 {
-        let (high, low) = if p1 > p2 { (p1, p2) } else { (p2, p1) };
-        // Try to hook the root `high` directly under `low`.
-        if comp[high as usize]
-            .compare_exchange(high, low, Ordering::AcqRel, Ordering::Relaxed)
-            .is_ok()
-        {
-            break;
-        }
-        p1 = comp[comp[high as usize].load(Ordering::Relaxed) as usize].load(Ordering::Relaxed);
-        p2 = low;
-    }
-}
-
-/// Full pointer-jump compression of the component forest.
-fn compress(comp: &[AtomicU32]) {
-    (0..comp.len()).into_par_iter().for_each(|u| loop {
-        let p = comp[u].load(Ordering::Relaxed);
-        let gp = comp[p as usize].load(Ordering::Relaxed);
-        if p == gp {
-            break;
-        }
-        comp[u].store(gp, Ordering::Relaxed);
-    });
 }
 
 /// Finds the most frequent component among ~1024 sampled vertices — the

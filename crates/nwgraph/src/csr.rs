@@ -11,11 +11,15 @@
 //! ranges are the neighbor slices.
 //!
 //! Construction is a stable counting sort: a histogram of degrees, a
-//! prefix sum, and a scatter in input order. Rows that come out unsorted
-//! are then sorted (sorted adjacency is what the set-intersection s-line
-//! algorithms rely on); weighted rows sort stably, so duplicate targets
-//! keep their input weight order. [`Csr::transpose`] is the same scatter
-//! run over `self` row by row, which leaves every transposed row sorted.
+//! prefix sum, and a scatter in input order. The scatter runs in parallel,
+//! partitioned by destination row range: each pool thread owns a range of
+//! rows with about equal nnz, streams the whole input in order and writes
+//! only its own rows, so the output does not depend on the thread count.
+//! Rows that come out unsorted are then sorted (sorted adjacency is what
+//! the set-intersection s-line algorithms rely on); weighted rows sort
+//! stably, so duplicate targets keep their input weight order.
+//! [`Csr::transpose`] is the same counting sort with `self`'s rows read in
+//! order as the input, which leaves every transposed row sorted.
 
 use crate::edge_list::EdgeList;
 use crate::Vertex;
@@ -120,14 +124,24 @@ impl Csr {
     /// so each row holds its targets in the order `incidences` yields
     /// them. The `i`-th incidence carries weight `weights[i]`.
     ///
+    /// The scatter is partitioned by destination: the rows are split into
+    /// one range of about equal nnz per pool thread, and each range task
+    /// streams the whole input in order but writes only its own rows,
+    /// into its own disjoint slices of the output. Every row therefore
+    /// sees its incidences in stream order whatever the thread count, and
+    /// one thread runs one range.
+    ///
     /// # Panics
     /// Panics if any endpoint is out of its range.
-    fn counting_sort(
+    fn counting_sort<I>(
         num_sources: usize,
         num_targets: usize,
-        incidences: impl Iterator<Item = (Vertex, Vertex)> + Clone,
+        incidences: I,
         weights: Option<&[f64]>,
-    ) -> Self {
+    ) -> Self
+    where
+        I: Iterator<Item = (Vertex, Vertex)> + Clone + Sync,
+    {
         // `offsets[u + 1]` counts row `u`, then (after the scan) serves as
         // its write cursor, ending at the row's end = the next row's start.
         let mut offsets = vec![0usize; num_sources + 1];
@@ -145,14 +159,49 @@ impl Csr {
         let nnz = exclusive_prefix_sum_in_place(&mut offsets[1..]);
         let mut targets = vec![0; nnz];
         let mut out_weights = weights.map(|_| vec![0.0; nnz]);
-        for (i, (u, v)) in incidences.enumerate() {
-            let cursor = &mut offsets[u as usize + 1];
-            targets[*cursor] = v;
-            if let (Some(out), Some(ws)) = (&mut out_weights, weights) {
-                out[*cursor] = ws[i];
+
+        // Row ranges of about equal nnz, as `(first row, its start)`: range
+        // `k` starts at the first row whose start reaches `k · nnz / parts`.
+        let parts = rayon::current_num_threads().max(1);
+        let mut bounds: Vec<(usize, usize)> = (0..parts)
+            .map(|k| {
+                let u = offsets[1..].partition_point(|&s| s < k * nnz / parts);
+                (u, offsets.get(u + 1).copied().unwrap_or(nnz))
+            })
+            .collect();
+        bounds.push((num_sources, nnz));
+
+        // Hand each range its cursors and its slices of the output.
+        let mut tasks = Vec::with_capacity(parts);
+        let (mut cursors, mut rest_t) = (&mut offsets[1..], &mut targets[..]);
+        let mut rest_w = out_weights.as_deref_mut();
+        for w in bounds.windows(2) {
+            let ((lo, base), (hi, end)) = (w[0], w[1]);
+            let (c, tail_c) = cursors.split_at_mut(hi - lo);
+            let (t, tail_t) = rest_t.split_at_mut(end - base);
+            let (ws, tail_w) = rest_w.map(|rw| rw.split_at_mut(end - base)).unzip();
+            (cursors, rest_t, rest_w) = (tail_c, tail_t, tail_w);
+            if end > base {
+                tasks.push((lo, base, c, t, ws));
             }
-            *cursor += 1;
         }
+        tasks
+            .into_par_iter()
+            .for_each(|(lo, base, cursors, targets, mut out)| {
+                for (i, (u, v)) in incidences.clone().enumerate() {
+                    let Some(cursor) = (u as usize)
+                        .checked_sub(lo)
+                        .and_then(|r| cursors.get_mut(r))
+                    else {
+                        continue;
+                    };
+                    targets[*cursor - base] = v;
+                    if let (Some(out), Some(ws)) = (&mut out, weights) {
+                        out[*cursor - base] = ws[i];
+                    }
+                    *cursor += 1;
+                }
+            });
         Self {
             num_targets,
             offsets,
@@ -346,6 +395,7 @@ impl Csr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nwhy_util::pool::with_threads;
     use proptest::prelude::*;
 
     fn toy() -> Csr {
@@ -507,6 +557,30 @@ mod tests {
         assert_eq!(g.transpose().transpose(), g);
     }
 
+    #[test]
+    fn counting_sort_handles_empty_shapes_at_every_thread_count() {
+        for threads in [1, 2, 3] {
+            with_threads(threads, || {
+                // rows but no targets: every row empty, transpose has no rows
+                let g = Csr::from_pairs(4, 0, &[], None);
+                assert_eq!(g, reference(4, 0, &[], None));
+                assert_eq!(g.transpose(), reference(0, 4, &[], None));
+                // empty rows between full ones, weighted
+                let pairs = [(3, 1), (0, 2), (3, 1), (0, 0)];
+                let ws = [1.0, 2.0, 3.0, 4.0];
+                let g = Csr::from_pairs(5, 3, &pairs, Some(&ws));
+                assert_eq!(g, reference(5, 3, &pairs, Some(&ws)));
+                let swapped = pairs.map(|(u, v)| (v, u));
+                assert_eq!(g.transpose(), reference(3, 5, &swapped, Some(&ws)));
+                // no rows at all
+                assert_eq!(
+                    Csr::from_pairs(0, 3, &[], None).transpose(),
+                    reference(3, 0, &[], None)
+                );
+            });
+        }
+    }
+
     proptest! {
         #[test]
         fn prop_counting_sort_matches_reference(
@@ -519,10 +593,18 @@ mod tests {
             let pairs: Vec<(Vertex, Vertex)> = triples.iter().map(|&(u, v, _)| (u, v)).collect();
             let ws: Vec<f64> = triples.iter().map(|&(_, _, w)| f64::from(w)).collect();
             let ws = weighted.then_some(&ws[..]);
-            let g = Csr::from_pairs(ns, nt, &pairs, ws);
-            prop_assert_eq!(&g, &reference(ns, nt, &pairs, ws));
             let swapped: Vec<(Vertex, Vertex)> = pairs.iter().map(|&(u, v)| (v, u)).collect();
-            prop_assert_eq!(g.transpose(), reference(nt, ns, &swapped, ws));
+            // rows repeat targets (60 pairs over < 8 × 12 cells), and 3
+            // threads exceed the destination rows whenever ns or nt < 3
+            for threads in [1, 2, 3] {
+                let (g, t) = with_threads(threads, || {
+                    let g = Csr::from_pairs(ns, nt, &pairs, ws);
+                    let t = g.transpose();
+                    (g, t)
+                });
+                prop_assert_eq!(&g, &reference(ns, nt, &pairs, ws), "{} threads", threads);
+                prop_assert_eq!(t, reference(nt, ns, &swapped, ws), "{} threads", threads);
+            }
         }
 
         #[test]

@@ -6,7 +6,9 @@
 //!                                              optionally followed by one
 //!                                              traversal/build + counters
 //! nwhy-cli cc      <file> [--algo A]           hypergraph components
-//!                  A ∈ hyper | adjoin | adjoin-lp | hygra   (default hyper)
+//!                  A ∈ hyper | hyper-lp | adjoin | adjoin-lp | hygra
+//!                      (default hyper: union-find; hyper-lp is the
+//!                      paper's label-propagation HyperCC)
 //! nwhy-cli bfs     <file> --source E [--algo A]
 //!                  A ∈ hyper | hyper-bu | adjoin | hygra    (default adjoin)
 //! nwhy-cli sline   <file> --s S [--kernel K] [--overlap O] [--relabel R]
@@ -36,13 +38,12 @@
 //! ```
 //!
 //! Kernels that are generic over `HyperAdjacency` (s-line construction,
-//! `bfs --algo hyper|hyper-bu`, `cc --algo hyper`, online s-components)
-//! run straight off the packed image; the rest materialize the
-//! pointer-based form first. The s-line and s-component walks first
-//! decode the image's node rows into memory once, and `cc --algo hyper`
-//! its edge rows, because those kernels read that side again and again
-//! (see `keep_resident`); BFS decodes each row at most once and stays
-//! zero-copy.
+//! `bfs --algo hyper|hyper-bu`, `cc --algo hyper|hyper-lp`, online
+//! s-components) run straight off the packed image; the rest materialize
+//! the pointer-based form first. The s-line and s-component walks first
+//! decode the image's node rows into memory once, because they read that
+//! side again and again (see `keep_resident`); BFS and union-find CC
+//! decode each row at most once and stay zero-copy.
 //!
 //! Every subcommand additionally accepts the observability flags
 //! (no-ops unless built with the default `obs` feature):
@@ -68,7 +69,7 @@
 
 use nwhy::core::algorithms::{
     adjoin_bfs, adjoin_cc_afforest, adjoin_cc_label_propagation, hyper_bfs_bottom_up,
-    hyper_bfs_top_down, hyper_cc, toplexes,
+    hyper_bfs_top_down, hyper_cc, hyper_cc_label_propagation, toplexes,
 };
 use nwhy::core::{
     AdjoinGraph, Algorithm, HyperedgeId, Hypergraph, OverlapPolicy, Relabel, SLineBuilder,
@@ -268,22 +269,16 @@ macro_rules! on_input {
     };
 }
 
-/// Decodes the side of a packed input that `query` re-reads into memory
-/// once, under the `build.resident` span, so its kernel borrows those
-/// rows instead of decoding them on every visit. The `e → v → e` walks
-/// (`sline`, `scomp`) decode Σ_v d_v² ≥ nnz node IDs, so they keep the
-/// node rows; label-propagation `cc` sweeps every edge row at least
-/// twice, so it keeps the edge rows. Any other query, and an in-memory
-/// input, is left as it is.
-fn keep_resident(input: &mut Input, query: &str) {
-    let side = match query {
-        "sline" | "scomp" => Side::Nodes,
-        "cc" => Side::Edges,
-        _ => return,
-    };
+/// Decodes the node rows of a packed input into memory once, under the
+/// `build.resident` span, so the `e → v → e` walks (`sline`, `scomp`)
+/// borrow those rows instead of decoding them on every visit: they decode
+/// Σ_v d_v² ≥ nnz node IDs. No other query re-reads a side: union-find
+/// `cc` and BFS decode each row at most once and stay zero-copy. An
+/// in-memory input is left as it is.
+fn keep_resident(input: &mut Input) {
     if let Input::Packed(c) = input {
         let _span = nwhy::obs::span("build.resident");
-        c.materialize(side);
+        c.materialize(Side::Nodes);
     }
 }
 
@@ -399,11 +394,7 @@ fn cmd_stats(args: &Args) -> CliResult {
                 println!("ran bfs from hyperedge 0: reached {reached} hyperedges");
             }
             "cc" => {
-                keep_resident(&mut input, "cc");
-                let n = match &input {
-                    Input::Memory(h) => nwhy::hygra::hygra_cc(h).num_components(),
-                    Input::Packed(c) => hyper_cc(c).num_components(),
-                };
+                let n = on_input!(&input, g => hyper_cc(g)).num_components();
                 println!("ran cc: {n} components");
             }
             "sline" => {
@@ -411,7 +402,7 @@ fn cmd_stats(args: &Args) -> CliResult {
                 if s == 0 {
                     return Err(CliError::usage("stats: --s must be >= 1"));
                 }
-                keep_resident(&mut input, "sline");
+                keep_resident(&mut input);
                 let pairs = on_input!(&input, g => SLineBuilder::new(g).s(s).edges());
                 println!("ran sline (s={s}): {} line-graph edges", pairs.len());
             }
@@ -437,12 +428,10 @@ fn cmd_cc(args: &Args) -> CliResult {
         .first()
         .ok_or_else(|| CliError::usage("cc: missing <file>"))?;
     let algo = args.flag("algo").unwrap_or("hyper");
-    let mut input = load_input(args, path)?;
+    let input = load_input(args, path)?;
     let n = match algo {
-        "hyper" => {
-            keep_resident(&mut input, "cc");
-            on_input!(&input, g => hyper_cc(g)).num_components()
-        }
+        "hyper" => on_input!(&input, g => hyper_cc(g)).num_components(),
+        "hyper-lp" => on_input!(&input, g => hyper_cc_label_propagation(g)).num_components(),
         "adjoin" => {
             adjoin_cc_afforest(&AdjoinGraph::from_hypergraph(&input.into_memory())).num_components()
         }
@@ -560,7 +549,7 @@ fn cmd_sline(args: &Args) -> CliResult {
     let mut input = load_input(args, path)?;
     let ne = input.num_hyperedges();
     let t = std::time::Instant::now();
-    keep_resident(&mut input, "sline");
+    keep_resident(&mut input);
     // `SLineBuilder` is generic over `HyperAdjacency`: packed inputs
     // feed the construction kernels straight off the on-disk image
     fn build<A: nwhy::core::HyperAdjacency + ?Sized>(
@@ -704,7 +693,7 @@ fn cmd_scomp(args: &Args) -> CliResult {
     }
     let mut input = load_input(args, path)?;
     let ne = input.num_hyperedges();
-    keep_resident(&mut input, "scomp");
+    keep_resident(&mut input);
     // the online kernel is generic over `HyperAdjacency`
     let labels = on_input!(&input, g => {
         nwhy::core::algorithms::s_components::s_connected_components_online(g, s)
@@ -1094,13 +1083,16 @@ mod tests {
         let _ = std::fs::remove_file(&hgr);
     }
 
-    /// The obs registry is process-global; serialize the tests that
-    /// reset it and read its spans.
+    /// The obs registry is process-global; serialize the tests that read
+    /// its spans.
     static OBS_GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-    /// Runs `cmd` on a packed fixture from a clean registry and reports
-    /// whether it recorded the `build.resident` span.
-    fn records_resident_span(cmd: fn(&Args) -> CliResult, flags: &[&str]) -> bool {
+    /// Runs `cmd` on a packed fixture and returns the paths of the
+    /// `build.*` spans it recorded. The query runs under its own root span
+    /// and only completions added by this run count, so the registry is
+    /// never reset: a reset while another test holds a span open would
+    /// leave that test's span stack naming paths the table no longer has.
+    fn packed_build_spans(cmd: fn(&Args) -> CliResult, flags: &[&str]) -> Vec<String> {
         let _g = OBS_GATE.lock().unwrap_or_else(|e| e.into_inner());
         let h = nwhy::core::fixtures::paper_hypergraph();
         let pak = std::env::temp_dir().join(format!(
@@ -1110,24 +1102,50 @@ mod tests {
         ));
         let path = pak.to_str().unwrap();
         save(path, &h).unwrap();
-        nwhy::obs::reset();
+        let build_counts = || -> Vec<(String, u64)> {
+            nwhy::obs::snapshot()
+                .spans
+                .into_iter()
+                .filter(|s| s.path.starts_with("test.packed_query/") && s.path.contains("build."))
+                .map(|s| (s.path, s.count))
+                .collect()
+        };
+        let before = build_counts();
         let mut argv = vec![path];
         argv.extend_from_slice(flags);
-        cmd(&Args::parse(&to_vec(&argv))).unwrap();
+        {
+            let _root = nwhy::obs::span("test.packed_query");
+            cmd(&Args::parse(&to_vec(&argv))).unwrap();
+        }
         let _ = std::fs::remove_file(&pak);
-        nwhy::obs::snapshot()
-            .spans
-            .iter()
-            .any(|s| s.path.ends_with("build.resident"))
+        build_counts()
+            .into_iter()
+            .filter(|after| !before.contains(after))
+            .map(|(path, _)| path)
+            .collect()
     }
 
     #[test]
-    fn sline_and_cc_on_packed_input_record_the_resident_decode() {
+    fn sline_on_packed_input_records_the_resident_decode() {
         if !nwhy::obs::enabled() {
             return;
         }
-        assert!(records_resident_span(cmd_sline, &["--s", "2"]));
-        assert!(records_resident_span(cmd_cc, &["--algo", "hyper"]));
+        let spans = packed_build_spans(cmd_sline, &["--s", "2"]);
+        assert!(
+            spans.iter().any(|p| p.ends_with("build.resident")),
+            "{spans:?}"
+        );
+    }
+
+    #[test]
+    fn cc_on_packed_input_stays_zero_copy() {
+        if !nwhy::obs::enabled() {
+            return;
+        }
+        for algo in ["hyper", "hyper-lp"] {
+            let spans = packed_build_spans(cmd_cc, &["--algo", algo]);
+            assert!(spans.is_empty(), "cc --algo {algo}: {spans:?}");
+        }
     }
 
     #[test]
@@ -1135,10 +1153,11 @@ mod tests {
         if !nwhy::obs::enabled() {
             return;
         }
-        assert!(!records_resident_span(
-            cmd_bfs,
-            &["--source", "0", "--algo", "hyper"]
-        ));
+        let spans = packed_build_spans(cmd_bfs, &["--source", "0", "--algo", "hyper"]);
+        assert!(
+            !spans.iter().any(|p| p.ends_with("build.resident")),
+            "{spans:?}"
+        );
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! checked for type instead: on the bi-adjacency, the adjoin graph and a
 //! packed image alike they must be incident entities of the other side.
 
-use nwhy_core::algorithms::{hyper_bfs_bottom_up, hyper_bfs_top_down, hyper_cc, HyperBfsResult};
+use nwhy_core::algorithms::{
+    hyper_bfs_bottom_up, hyper_bfs_top_down, hyper_cc, hyper_cc_label_propagation, HyperBfsResult,
+};
 use nwhy_core::fixtures::{multi_block_hypergraph, paper_hypergraph};
 use nwhy_core::repr::HyperAdjacency;
 use nwhy_core::{AdjoinGraph, Algorithm, Hypergraph, OverlapPath, OverlapPolicy, SLineBuilder};
@@ -166,6 +168,13 @@ fn traversals_agree_across_backends() {
             continue;
         }
         let bfs_mem = hyper_bfs_top_down(&h, 0);
+        // union-find and label propagation: the same labels, bit for bit
+        let cc_mem = hyper_cc_label_propagation(&h);
+        assert_eq!(
+            hyper_cc(&h),
+            cc_mem,
+            "{name}: union-find vs label propagation"
+        );
         for (residency, c) in residencies(&h) {
             for (variant, bfs_pak) in [
                 ("top-down", hyper_bfs_top_down(&c, 0)),
@@ -180,7 +189,12 @@ fn traversals_agree_across_backends() {
                     "{name}/{residency}: {variant} BFS node levels"
                 );
             }
-            assert_eq!(hyper_cc(&h), hyper_cc(&c), "{name}/{residency}: CC");
+            assert_eq!(hyper_cc(&c), cc_mem, "{name}/{residency}: CC");
+            assert_eq!(
+                hyper_cc_label_propagation(&c),
+                cc_mem,
+                "{name}/{residency}: label-propagation CC"
+            );
         }
     }
 }

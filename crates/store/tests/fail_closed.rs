@@ -4,7 +4,9 @@
 //! codec-valid — and then serves s-line construction, BFS, CC, and
 //! `Validate`, before and after both sides are made resident.
 
-use nwhy_core::algorithms::{hyper_bfs_bottom_up, hyper_bfs_top_down, hyper_cc};
+use nwhy_core::algorithms::{
+    hyper_bfs_bottom_up, hyper_bfs_top_down, hyper_cc, hyper_cc_label_propagation,
+};
 use nwhy_core::fixtures::paper_hypergraph;
 use nwhy_core::validate::Validate;
 use nwhy_core::{BiEdgeList, Hypergraph, SLineBuilder};
@@ -49,7 +51,7 @@ fn query(c: &CompressedHypergraph) {
         hyper_bfs_top_down(c, 0);
         hyper_bfs_bottom_up(c, 0);
     }
-    hyper_cc(c);
+    assert_eq!(hyper_cc(c), hyper_cc_label_propagation(c));
     let _ = c.validate();
 }
 

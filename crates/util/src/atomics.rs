@@ -3,7 +3,8 @@
 //! Label-propagation connected components, Afforest, and BFS all rely on
 //! "write the smaller value, tell me whether I won" primitives. These are
 //! expressed here as CAS loops over the standard atomic integer types, plus
-//! an [`AtomicF64`] for accumulating floating-point centrality scores.
+//! Afforest's union-find hooking ([`link`], [`compress`]) and an
+//! [`AtomicF64`] for accumulating floating-point centrality scores.
 //!
 //! # Ordering policy
 //!
@@ -39,6 +40,7 @@
 //! model checker's instrumented versions (see [`crate::sync`]).
 
 use crate::sync::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use rayon::prelude::*;
 
 /// Atomically set `a = min(a, val)`.
 ///
@@ -56,6 +58,65 @@ pub fn atomic_min_u32(a: &AtomicU32, val: u32) -> bool {
         }
     }
     false
+}
+
+/// Afforest's concurrent hooking (Sutton et al., IPDPS'18, after GAPBS):
+/// joins the trees of `u` and `v` in the parent forest `comp`.
+///
+/// Parents only ever decrease (`comp[x] ≤ x`), so every root is the
+/// minimum of its tree. A link finds both roots and hooks the larger under
+/// the smaller with one claim CAS, which fails only when another thread
+/// hooked that root first; then it finds both roots again. Any number of
+/// threads may link concurrently; once every incidence is linked and
+/// [`compress`] has run, `comp[x]` is the minimum of `x`'s component. CAS
+/// orderings follow the [module policy](self).
+#[inline]
+pub fn link(u: u32, v: u32, comp: &[AtomicU32]) {
+    let (mut a, mut b) = (find(u, comp), find(v, comp));
+    while a != b {
+        let (high, low) = if a > b { (a, b) } else { (b, a) };
+        if comp[high as usize]
+            .compare_exchange(high, low, Ordering::AcqRel, Ordering::Relaxed)
+            .is_ok()
+        {
+            return;
+        }
+        a = find(high, comp);
+        b = find(low, comp);
+    }
+}
+
+/// The root of `x`'s tree in a [`link`] forest, halving the path on the
+/// way: each visited slot is pointed at its grandparent. A slot that is
+/// not a root never becomes one again and no CAS targets it, so only
+/// these stores write it, and whatever ancestor a racing store leaves
+/// there stays an ancestor (`Relaxed` stores, like [`compress`]).
+#[inline]
+fn find(mut x: u32, comp: &[AtomicU32]) -> u32 {
+    loop {
+        let p = comp[x as usize].load(Ordering::Relaxed);
+        if p == x {
+            return x;
+        }
+        let gp = comp[p as usize].load(Ordering::Relaxed);
+        if gp != p {
+            comp[x as usize].store(gp, Ordering::Relaxed);
+        }
+        x = gp;
+    }
+}
+
+/// Full pointer-jump compression of a parent forest built by [`link`]:
+/// afterwards every entry names its root.
+pub fn compress(comp: &[AtomicU32]) {
+    (0..comp.len()).into_par_iter().for_each(|u| loop {
+        let p = comp[u].load(Ordering::Relaxed);
+        let gp = comp[p as usize].load(Ordering::Relaxed);
+        if p == gp {
+            break;
+        }
+        comp[u].store(gp, Ordering::Relaxed);
+    });
 }
 
 /// Atomically set `a = max(a, val)`. Returns `true` if the value was raised.
@@ -224,6 +285,17 @@ mod tests {
             }
         });
         assert_eq!(a.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn link_then_compress_names_component_minima() {
+        let comp: Vec<AtomicU32> = (0..7).map(AtomicU32::new).collect();
+        for (u, v) in [(5, 3), (6, 4), (4, 5), (2, 1)] {
+            link(u, v, &comp);
+        }
+        compress(&comp);
+        let labels: Vec<u32> = comp.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+        assert_eq!(labels, vec![0, 1, 1, 3, 3, 3, 3]);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! practice (test-only binary).
 #![cfg(loom)]
 
-use nwhy_util::atomics::{atomic_min_u32, cas_u32};
+use nwhy_util::atomics::{atomic_min_u32, cas_u32, link};
 use nwhy_util::bitmap::AtomicBitmap;
 use nwhy_util::sync::{AtomicU32, AtomicUsize, Ordering};
 use nwhy_util::workq::ChunkedQueue;
@@ -75,6 +75,40 @@ fn loom_cas_claims_exactly_once() {
 
         assert_eq!(wins.load(Ordering::Relaxed), 1, "exactly one claimant");
         assert!(a.load(Ordering::Relaxed) < 2, "winner's value stored");
+    });
+}
+
+/// Two threads link overlapping pairs of one parent forest (the HyperCC
+/// and Afforest hooking): afterwards the linked entities share one root,
+/// that root is their minimum, no parent exceeds its child, and an
+/// entity no link touched stays its own root.
+#[test]
+fn loom_link_overlapping_pairs_leaves_one_minimum_root() {
+    loom::model(|| {
+        let comp: &'static [AtomicU32] = Box::leak(
+            (0..4u32)
+                .map(AtomicU32::new)
+                .collect::<Vec<_>>()
+                .into_boxed_slice(),
+        );
+
+        let t1 = loom::thread::spawn(move || link(2, 3, comp));
+        let t2 = loom::thread::spawn(move || link(1, 3, comp));
+        t1.join().unwrap();
+        t2.join().unwrap();
+
+        let root = |mut x: u32| loop {
+            let p = comp[x as usize].load(Ordering::Relaxed);
+            assert!(p <= x, "parent {p} above child {x}");
+            if p == x {
+                return x;
+            }
+            x = p;
+        };
+        for x in 1..4 {
+            assert_eq!(root(x), 1, "entity {x} must end under the minimum");
+        }
+        assert_eq!(root(0), 0, "an untouched entity stays its own root");
     });
 }
 

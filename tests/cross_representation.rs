@@ -8,10 +8,12 @@
 
 use nwhy::core::algorithms::{
     adjoin_bfs, adjoin_cc_afforest, adjoin_cc_label_propagation, hyper_bfs_bottom_up,
-    hyper_bfs_top_down, hyper_cc,
+    hyper_bfs_top_down, hyper_cc, hyper_cc_label_propagation,
 };
+use nwhy::core::repr::{DualView, HyperAdjacency, RelabeledView};
 use nwhy::core::slinegraph::queue_single::queue_hashmap;
 use nwhy::core::slinegraph::queue_two_phase::queue_intersection;
+use nwhy::core::Relabeling;
 use nwhy::core::{
     AdjoinGraph, Algorithm, BuildOptions, HyperedgeId, Hypergraph, Relabel, SLineBuilder,
 };
@@ -71,6 +73,27 @@ fn cc_agrees_across_representations_and_frameworks() {
             "{name}: adjoin lp"
         );
         assert_eq!(exact.num_components(), hy.num_components(), "{name}: hygra");
+        // union-find HyperCC returns label propagation's labels bit for
+        // bit on the bi-adjacency and the adjoin, dual and relabeled views
+        fn same_labels<A: HyperAdjacency + ?Sized>(name: &str, view: &str, g: &A) {
+            let lp = hyper_cc_label_propagation(g);
+            assert_eq!(hyper_cc(g), lp, "{name}: {view}");
+        }
+        same_labels(name, "bi-adjacency", &h);
+        same_labels(name, "adjoin", &a);
+        same_labels(name, "dual", &DualView::new(&h));
+        let degrees: Vec<usize> = (0..h.num_hyperedges())
+            .map(|e| h.edge_degree(u32::try_from(e).unwrap()))
+            .collect();
+        let relabeling = Relabeling::from_permutation(nwhy::nwgraph::degree_permutation(
+            &degrees,
+            nwhy::nwgraph::Direction::Descending,
+        ));
+        same_labels(
+            name,
+            "relabeled",
+            &RelabeledView::from_relabeling(&h, &relabeling),
+        );
     }
 }
 
