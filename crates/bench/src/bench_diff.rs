@@ -1,23 +1,20 @@
-//! `cargo xtask bench-diff <old> <new>` — the counter-based perf gate.
+//! The counter-based perf gate behind the `bench_diff` binary.
 //!
 //! Compares two `BENCH_*.json` perf-trajectory files (see
-//! `crates/bench`) row by row and fails when any kernel counter grew by
-//! more than a threshold. Counters — not wall-clock — are the gated
-//! quantity: they are deterministic for a fixed input and thread-count
-//! independent (the one stealing-dependent counter is denylisted), so
-//! the gate never flakes on loaded CI runners the way timing gates do.
+//! [`crate::validate_bench_json`] for the schema) row by row and fails
+//! when any kernel counter grew by more than a threshold. Counters — not
+//! wall-clock — are the gated quantity: they are deterministic for a
+//! fixed input and thread-count independent (the one stealing-dependent
+//! counter is denylisted), so the gate never flakes on loaded CI runners
+//! the way timing gates do.
 //!
 //! Rows are matched by `(bench, dataset, algorithm, s)`. A row or
 //! counter present in the baseline but missing from the new file is a
 //! failure (a silently dropped measurement must not pass the gate);
 //! new rows and new counters are informational only, so adding
 //! datasets or counters never requires a simultaneous baseline bump.
-//!
-//! The scanner below is a deliberately tiny JSON reader for exactly the
-//! bench schema (array of flat objects whose only nesting is the
-//! `counters` object). `xtask` stays dependency-free — see the crate
-//! docs — so it cannot reuse `nwhy-obs`'s generic parser.
 
+use nwhy_obs::json::{parse, Value};
 use std::fmt;
 
 /// Counters excluded from the gate because their value depends on the
@@ -156,255 +153,56 @@ pub fn resolve_threshold(flag: Option<f64>) -> f64 {
     .unwrap_or(DEFAULT_THRESHOLD_PCT)
 }
 
-// --- minimal bench-schema JSON scanner ---
-
-struct Scanner<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Scanner<'a> {
-    fn new(text: &'a str) -> Self {
-        Self {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("byte {}: expected {:?}", self.pos, char::from(b)))
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> bool {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.bytes.get(self.pos).copied();
-                    self.pos += 1;
-                    match esc {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).ok_or("bad \\u escape")?);
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                }
-                Some(&b) if b < 0x80 => {
-                    out.push(char::from(b));
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // multi-byte UTF-8: copy the whole code point
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).map_err(|e| e.to_string())?;
-                    let c = rest.chars().next().ok_or("truncated UTF-8")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<f64, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while matches!(
-            self.bytes.get(self.pos),
-            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        ) {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|e| e.to_string())?
-            .parse()
-            .map_err(|_| format!("byte {start}: bad number"))
-    }
-
-    fn literal(&mut self, word: &str) -> bool {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Skips any value — used for fields the gate does not read.
-    fn skip_value(&mut self) -> Result<(), String> {
-        match self.peek() {
-            Some(b'"') => {
-                self.string()?;
-            }
-            Some(b'[') => {
-                self.expect(b'[')?;
-                if !self.eat(b']') {
-                    loop {
-                        self.skip_value()?;
-                        if !self.eat(b',') {
-                            break;
-                        }
-                    }
-                    self.expect(b']')?;
-                }
-            }
-            Some(b'{') => {
-                self.expect(b'{')?;
-                if !self.eat(b'}') {
-                    loop {
-                        self.string()?;
-                        self.expect(b':')?;
-                        self.skip_value()?;
-                        if !self.eat(b',') {
-                            break;
-                        }
-                    }
-                    self.expect(b'}')?;
-                }
-            }
-            _ => {
-                if !(self.literal("null") || self.literal("true") || self.literal("false")) {
-                    self.number()?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn counters(&mut self) -> Result<Vec<(String, u64)>, String> {
-        self.expect(b'{')?;
-        let mut out = Vec::new();
-        if self.eat(b'}') {
-            return Ok(out);
-        }
-        loop {
-            let name = self.string()?;
-            self.expect(b':')?;
-            let v = self.number()?;
-            if v < 0.0 || v.fract() != 0.0 {
-                return Err(format!("counter {name:?} must be a non-negative integer"));
-            }
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            // lint: checked non-negative and integral just above
-            out.push((name, v as u64));
-            if !self.eat(b',') {
-                break;
-            }
-        }
-        self.expect(b'}')?;
-        Ok(out)
-    }
-
-    fn row(&mut self) -> Result<Row, String> {
-        self.expect(b'{')?;
-        let mut row = Row {
-            bench: String::new(),
-            dataset: String::new(),
-            algorithm: String::new(),
-            s: None,
-            counters: Vec::new(),
-        };
-        if self.eat(b'}') {
-            return Err("row must not be empty".into());
-        }
-        loop {
-            let field = self.string()?;
-            self.expect(b':')?;
-            match field.as_str() {
-                "bench" => row.bench = self.string()?,
-                "dataset" => row.dataset = self.string()?,
-                "algorithm" => row.algorithm = self.string()?,
-                "s" => {
-                    if !self.literal("null") {
-                        let v = self.number()?;
-                        if v < 0.0 || v.fract() != 0.0 {
-                            return Err("\"s\" must be a non-negative integer".into());
-                        }
-                        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-                        // lint: checked non-negative and integral just above
-                        let s = v as u64;
-                        row.s = Some(s);
-                    }
-                }
-                "counters" => row.counters = self.counters()?,
-                _ => self.skip_value()?,
-            }
-            if !self.eat(b',') {
-                break;
-            }
-        }
-        self.expect(b'}')?;
-        Ok(row)
-    }
-}
-
-/// Parses a `BENCH_*.json` document into its rows.
+/// Parses a `BENCH_*.json` document into its rows. Only the match key
+/// and the counters are read; every other field is ignored.
 pub fn parse_rows(text: &str) -> Result<Vec<Row>, String> {
-    let mut sc = Scanner::new(text);
-    sc.expect(b'[')?;
-    let mut rows = Vec::new();
-    if !sc.eat(b']') {
-        loop {
-            rows.push(sc.row()?);
-            if !sc.eat(b',') {
-                break;
-            }
+    let doc = parse(text)?;
+    let rows = doc.as_array().ok_or("top level must be an array")?;
+    rows.iter().enumerate().map(|(i, r)| row(i, r)).collect()
+}
+
+fn row(i: usize, r: &Value) -> Result<Row, String> {
+    let Value::Object(fields) = r else {
+        return Err(format!("row {i}: must be an object"));
+    };
+    if fields.is_empty() {
+        return Err(format!("row {i}: must not be empty"));
+    }
+    let text = |key: &str| -> Result<String, String> {
+        match r.get(key) {
+            None => Ok(String::new()),
+            Some(v) => v
+                .as_str()
+                .map(str::to_string)
+                .ok_or_else(|| format!("row {i}: {key:?} must be a string")),
         }
-        sc.expect(b']')?;
-    }
-    sc.skip_ws();
-    if sc.pos != sc.bytes.len() {
-        return Err(format!("trailing content at byte {}", sc.pos));
-    }
-    Ok(rows)
+    };
+    let s = match r.get("s") {
+        None | Some(Value::Null) => None,
+        Some(v) => Some(
+            v.as_u64()
+                .ok_or_else(|| format!("row {i}: \"s\" must be a non-negative integer"))?,
+        ),
+    };
+    let counters = match r.get("counters") {
+        None => Vec::new(),
+        Some(Value::Object(m)) => m
+            .iter()
+            .map(|(name, v)| {
+                v.as_u64().map(|v| (name.clone(), v)).ok_or_else(|| {
+                    format!("row {i}: counter {name:?} must be a non-negative integer")
+                })
+            })
+            .collect::<Result<_, _>>()?,
+        Some(_) => return Err(format!("row {i}: \"counters\" must be an object")),
+    };
+    Ok(Row {
+        bench: text("bench")?,
+        dataset: text("dataset")?,
+        algorithm: text("algorithm")?,
+        s,
+        counters,
+    })
 }
 
 #[cfg(test)]
@@ -513,6 +311,8 @@ mod tests {
     fn malformed_json_is_an_error() {
         assert!(parse_rows("[{\"bench\": }]").is_err());
         assert!(parse_rows("not json").is_err());
+        assert!(parse_rows("[{}]").is_err());
+        assert!(parse_rows("[{\"bench\": \"b\", \"counters\": {\"x\": -1}}]").is_err());
         assert!(diff("[]", "[]", 15.0).unwrap().passed());
     }
 }

@@ -10,6 +10,9 @@
 //! | `fig8_bfs_scaling` | Fig. 8 — strong scaling of hypergraph BFS |
 //! | `fig9_slinegraph` | Fig. 9 — s-line construction, normalized to Hashmap |
 //!
+//! The `bench_diff` binary is the CI perf gate over the `BENCH_*.json`
+//! files the Criterion benches emit (see [`bench_diff`]).
+//!
 //! Common environment knobs:
 //!
 //! - `NWHY_SCALE` — down-scale factor for the Table I twins
@@ -22,6 +25,8 @@
 //! - `NWHY_SEED` — generator seed (default 42).
 
 #![forbid(unsafe_code)]
+
+pub mod bench_diff;
 
 use nwhy_core::Hypergraph;
 use nwhy_gen::profiles::{DatasetProfile, TABLE1};

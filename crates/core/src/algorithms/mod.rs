@@ -29,7 +29,7 @@ pub mod toplex;
 pub use adjoin_bfs::{adjoin_bfs, AdjoinBfsResult};
 pub use adjoin_cc::{adjoin_cc_afforest, adjoin_cc_label_propagation, AdjoinCcResult};
 pub use hyper_bfs::{hyper_bfs_bottom_up, hyper_bfs_top_down, HyperBfsResult};
-/// Former name of [`hyper_cc`]: the end-to-end benchmark tool
+/// Former name of [`hyper_cc()`]: the end-to-end benchmark tool
 /// (`perfbench/tool`) imports it, and that tool changes only together
 /// with its recorded baselines.
 pub use hyper_cc::hyper_cc as hyper_cc_generic;

@@ -28,8 +28,8 @@
 //! `&[Id]`: the workspace forbids `unsafe`, so there is no transmuting a
 //! `&[Id]` into a `&[HyperedgeId]` — instead the raw word is lifted into
 //! a domain exactly at the point where code starts treating it as an ID,
-//! via `XxxId::new` / [`HyperAdjacency::global_edge`]
-//! (`crate::repr::HyperAdjacency::global_edge`).
+//! via `XxxId::new` /
+//! [`HyperAdjacency::global_edge`](crate::repr::HyperAdjacency::global_edge).
 //!
 //! The deliberately-boring casts `Id ↔ usize` (loop counters, slice
 //! indexing) are funneled through [`from_usize`]/[`to_usize`] and the

@@ -359,7 +359,8 @@ impl<'a, A: HyperAdjacency + ?Sized> RelabeledView<'a, A> {
         Self { inner, perm, inv }
     }
 
-    /// Wraps `inner` with an owned, pre-validated [`Relabeling`]
+    /// Wraps `inner` with an owned, pre-validated
+    /// [`Relabeling`](crate::ids::Relabeling)
     /// (zero-copy: the view borrows the relabeling's slices).
     ///
     /// # Panics

@@ -2,7 +2,7 @@
 //! construction over any [`HyperAdjacency`] representation.
 //!
 //! All construction surfaces (plain edges, symmetric CSR, weighted
-//! variants, Jaccard similarity, s-ensembles) flow through one pipeline:
+//! variants, s-ensembles) flow through one pipeline:
 //!
 //! ```text
 //! representation ──(optional RelabeledView)──► generic algorithm ──► map
@@ -236,7 +236,7 @@ impl<'a, A: HyperAdjacency + ?Sized> SLineBuilder<'a, A> {
     }
 
     /// The symmetric weighted CSR with edge weight `1 / |e ∩ f|` —
-    /// stronger overlaps are "shorter" for weighted s-walk distances.
+    /// stronger overlaps are "shorter".
     #[must_use]
     pub fn weighted_csr(&self) -> Csr {
         let triples = self.weighted_edges();
@@ -250,25 +250,6 @@ impl<'a, A: HyperAdjacency + ?Sized> SLineBuilder<'a, A> {
             "SLineBuilder::weighted_csr",
         );
         g
-    }
-
-    /// Canonical Jaccard-weighted pairs `(e, f, |e∩f| / |e∪f|)` for
-    /// pairs with overlap ≥ s.
-    #[must_use]
-    pub fn jaccard_edges(&self) -> Vec<(Id, Id, f64)> {
-        self.weighted_edges()
-            .into_iter()
-            .map(|(a, b, o)| {
-                // lint: Overlap is a count, not an ID — widen it for the union size
-                let union = self.repr.edge_degree(a) + self.repr.edge_degree(b) - o as usize;
-                let j = if union == 0 {
-                    0.0
-                } else {
-                    o as f64 / union as f64
-                };
-                (a, b, j)
-            })
-            .collect()
     }
 
     /// Canonical edge sets for *several* `s` values, sharing one counting
@@ -446,18 +427,6 @@ mod tests {
         assert!(g.is_symmetric());
         assert_eq!(g.num_vertices(), 4);
         assert_eq!(g.num_edges(), 2 * paper_slinegraph_edges(2).len());
-    }
-
-    #[test]
-    fn jaccard_terminal_matches_direct_computation() {
-        let h = paper_hypergraph();
-        let direct = weighted::slinegraph_jaccard_edges(&h, 1, Strategy::AUTO);
-        let built = SLineBuilder::new(&h).s(1).jaccard_edges();
-        assert_eq!(built.len(), direct.len());
-        for ((a1, b1, j1), (a2, b2, j2)) in built.iter().zip(&direct) {
-            assert_eq!((a1, b1), (a2, b2));
-            assert!((j1 - j2).abs() < 1e-12);
-        }
     }
 
     #[test]

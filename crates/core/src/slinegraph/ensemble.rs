@@ -2,7 +2,7 @@
 //!
 //! Computes the line graphs for *several* values of `s` in a single
 //! counting pass: exact overlap counts are accumulated once per hyperedge
-//! by the counting core the hashmap algorithm uses ([`super::counting`]),
+//! by the counting core the hashmap algorithm uses (`slinegraph::counting`),
 //! and each `(pair, count)` is emitted into every requested `s` bucket
 //! with `count ≥ s`. Amortizes the dominant indirection cost when a user
 //! wants an s-sweep (as the paper's Fig. 9 benchmarks and HyperNetX

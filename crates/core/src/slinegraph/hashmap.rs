@@ -6,7 +6,7 @@
 //! reaches `s` become line-graph edges. Unlike the intersection algorithm
 //! this touches each incidence exactly once per outer hyperedge and needs
 //! no sorted neighbor access. The name is the paper's; the accumulator is
-//! the dense array of [`super::counting`], so an increment costs an array
+//! the dense array of `slinegraph::counting`, so an increment costs an array
 //! bump, not a hash probe.
 
 use super::counting::pairs_meeting;

@@ -18,7 +18,7 @@
 //! the merge scan for similar-length rows; `Force(..)` pins one path for
 //! ablation benches and agreement tests.
 //!
-//! The walk and the check are the shared [`super::candidates`] core;
+//! The walk and the check are the shared `slinegraph::candidates` core;
 //! this kernel checks each candidate as soon as the walk finds it.
 
 use super::candidates::{candidate_rows, Verifier};

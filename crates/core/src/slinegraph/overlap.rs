@@ -20,7 +20,7 @@
 //! Path selection depends only on the two row lengths and the (length-
 //! derived) row-load decision, never on thread count or visit order, so
 //! the `overlap.path_*` and comparison counters stay deterministic — a
-//! property the CI perf gate (`cargo xtask bench-diff`) relies on.
+//! property the CI perf gate (`nwhy-bench`'s `bench_diff`) relies on.
 
 use super::stats::KernelStats;
 use crate::{ids, Id};
@@ -321,7 +321,7 @@ pub(super) fn bitset_overlap_at_least(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nwgraph::algorithms::triangles::sorted_intersection_at_least;
+    use nwgraph::algorithms::intersection::sorted_intersection_at_least;
 
     fn gallop(a: &[Id], b: &[Id], s: usize) -> bool {
         let mut cmp = 0u64;
@@ -381,7 +381,7 @@ mod tests {
         let a: Vec<Id> = (0..64).collect();
         let b: Vec<Id> = (32..96).collect();
         let mut merge_cmp = 0u64;
-        nwgraph::algorithms::triangles::sorted_intersection_at_least_counting(
+        nwgraph::algorithms::intersection::sorted_intersection_at_least_counting(
             &a,
             &b,
             33, // unreachable: |a ∩ b| = 32 — forces a full scan

@@ -11,7 +11,7 @@
 //! says the non-queue algorithms cannot handle directly.
 //!
 //! Both variants here are the shared counting core of
-//! [`super::counting`] with the queue as its work source: statically
+//! `slinegraph::counting` with the queue as its work source: statically
 //! split queue slots, or chunks stolen from a shared cursor. Enqueuing is
 //! linear in the number of hyperedges, so the asymptotic complexity
 //! matches the non-queue hashmap algorithm.

@@ -14,7 +14,7 @@
 //! or adjoin, original or permuted IDs).
 //!
 //! The paper's pseudocode enqueues a pair once per shared hypernode;
-//! phase 1 is the [`super::candidates`] walk, which dedups with a
+//! phase 1 is the `slinegraph::candidates` walk, which dedups with a
 //! per-worker stamp array so each pair is intersected exactly once (a
 //! pair enqueued `k` times would otherwise be intersected `k` times and
 //! emitted as a duplicate edge).

@@ -10,7 +10,7 @@
 
 use super::overlap;
 use crate::Id;
-use nwgraph::algorithms::triangles::{
+use nwgraph::algorithms::intersection::{
     sorted_intersection_at_least, sorted_intersection_at_least_counting,
 };
 use nwhy_obs::Counter;

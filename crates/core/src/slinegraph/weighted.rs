@@ -3,7 +3,7 @@
 //! Aksoy et al.'s s-walk framework (the basis of NWHy's s-metrics) weighs
 //! line-graph edges by the strength of the connection — Figure 5 of the
 //! paper draws exactly this, rendering edge width as overlap size. The
-//! construction is the shared counting core of [`super::counting`]
+//! construction is the shared counting core of `slinegraph::counting`
 //! keeping each surviving count instead of discarding it after
 //! thresholding, so the cost matches the unweighted build.
 
@@ -53,8 +53,7 @@ pub(crate) fn weighted_csr_from_triples(
 }
 
 /// Builds the symmetric weighted CSR over hyperedge IDs, with edge weight
-/// `1 / |e ∩ f|` — stronger overlaps are "shorter", so weighted s-walk
-/// distances prefer strong connections.
+/// `1 / |e ∩ f|` — stronger overlaps are "shorter".
 pub fn slinegraph_weighted_csr<A: HyperAdjacency + ?Sized>(
     h: &A,
     s: usize,
@@ -62,29 +61,6 @@ pub fn slinegraph_weighted_csr<A: HyperAdjacency + ?Sized>(
 ) -> nwgraph::Csr {
     let triples = slinegraph_weighted_edges(h, s, strategy);
     weighted_csr_from_triples(h.num_hyperedges(), &triples)
-}
-
-/// Canonical Jaccard-weighted pairs: `(e, f, |e∩f| / |e∪f|)` for pairs
-/// with overlap ≥ s. The normalized similarity HyperNetX-style workflows
-/// use when raw overlap sizes are biased by hyperedge size.
-pub fn slinegraph_jaccard_edges<A: HyperAdjacency + ?Sized>(
-    h: &A,
-    s: usize,
-    strategy: Strategy,
-) -> Vec<(Id, Id, f64)> {
-    slinegraph_weighted_edges(h, s, strategy)
-        .into_iter()
-        .map(|(a, b, o)| {
-            // lint: Overlap is a count, not an ID — widen it for the union size
-            let union = h.edge_degree(a) + h.edge_degree(b) - o as usize;
-            let j = if union == 0 {
-                0.0
-            } else {
-                o as f64 / union as f64
-            };
-            (a, b, j)
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -141,27 +117,5 @@ mod tests {
     fn empty_hypergraph() {
         let h = Hypergraph::from_memberships(&[]);
         assert!(slinegraph_weighted_edges(&h, 1, Strategy::AUTO).is_empty());
-    }
-
-    #[test]
-    fn jaccard_values_are_exact() {
-        let h = paper_hypergraph();
-        let j = slinegraph_jaccard_edges(&h, 1, Strategy::AUTO);
-        // |e0|=4, |e1|=4, overlap 1 → 1/7; |e0|=4, |e3|=5, overlap 3 → 3/6
-        let find = |a: u32, b: u32| j.iter().find(|&&(x, y, _)| (x, y) == (a, b)).unwrap().2;
-        assert!((find(0, 1) - 1.0 / 7.0).abs() < 1e-12);
-        assert!((find(0, 3) - 0.5).abs() < 1e-12);
-        // identical edges would give 1.0
-        let dup = Hypergraph::from_memberships(&[vec![0, 1], vec![0, 1]]);
-        let j = slinegraph_jaccard_edges(&dup, 1, Strategy::AUTO);
-        assert_eq!(j, vec![(0, 1, 1.0)]);
-    }
-
-    #[test]
-    fn jaccard_in_unit_interval() {
-        let h = paper_hypergraph();
-        for (_, _, j) in slinegraph_jaccard_edges(&h, 1, Strategy::AUTO) {
-            assert!((0.0..=1.0).contains(&j));
-        }
     }
 }

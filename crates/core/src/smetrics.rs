@@ -11,12 +11,11 @@ use crate::repr::HyperAdjacency;
 use crate::slinegraph::{Algorithm, BuildOptions, SLineBuilder};
 use crate::Id;
 use nwgraph::algorithms::betweenness::betweenness_centrality;
-use nwgraph::algorithms::bfs::bfs_direction_optimizing;
+use nwgraph::algorithms::bfs::{bfs_direction_optimizing, path_from_parents};
 use nwgraph::algorithms::cc::{afforest, normalize_labels};
 use nwgraph::algorithms::closeness::{
     closeness_centrality, eccentricity, harmonic_closeness_centrality,
 };
-use nwgraph::algorithms::sssp::path_from_parents;
 use nwgraph::Csr;
 use nwgraph::INVALID_VERTEX;
 
@@ -117,41 +116,36 @@ impl SLineGraph {
     }
 
     /// s-distance (s-walk length) between hyperedges, `None` if not
-    /// s-connected (Listing 5 `s_distance`).
+    /// s-connected or if either ID is not a hyperedge (Listing 5
+    /// `s_distance`).
     pub fn s_distance(&self, src: Id, dest: Id) -> Option<u32> {
+        if !self.has_vertices(src, dest) {
+            return None;
+        }
         let levels = bfs_direction_optimizing(&self.graph, src).levels;
         let d = levels[dest as usize];
         (d != INVALID_VERTEX).then_some(d)
     }
 
-    /// One shortest s-walk between hyperedges (Listing 5 `s_path`).
+    /// One shortest s-walk between hyperedges (Listing 5 `s_path`);
+    /// `None` under the same conditions as [`Self::s_distance`].
     pub fn s_path(&self, src: Id, dest: Id) -> Option<Vec<Id>> {
+        if !self.has_vertices(src, dest) {
+            return None;
+        }
         let parents = bfs_direction_optimizing(&self.graph, src).parents;
         path_from_parents(&parents, src, dest)
+    }
+
+    fn has_vertices(&self, src: Id, dest: Id) -> bool {
+        let n = self.num_vertices();
+        (src as usize) < n && (dest as usize) < n
     }
 
     /// s-betweenness centrality of every hyperedge (Listing 5
     /// `s_betweenness_centrality`).
     pub fn s_betweenness_centrality(&self, normalized: bool) -> Vec<f64> {
         betweenness_centrality(&self.graph, normalized)
-    }
-
-    /// Approximate s-betweenness from `samples` Brandes sources
-    /// (Brandes–Pich sampling) — the practical choice when the s-line
-    /// graph is large. Deterministic per seed; exact when
-    /// `samples ≥ |E|`.
-    pub fn s_betweenness_centrality_approx(
-        &self,
-        samples: usize,
-        seed: u64,
-        normalized: bool,
-    ) -> Vec<f64> {
-        nwgraph::algorithms::betweenness::betweenness_sampled(
-            &self.graph,
-            samples,
-            seed,
-            normalized,
-        )
     }
 
     /// s-closeness centrality; pass `Some(e)` for one hyperedge or `None`
@@ -188,74 +182,11 @@ impl SLineGraph {
     pub fn s_diameter(&self) -> u32 {
         self.s_eccentricity(None).into_iter().max().unwrap_or(0)
     }
-
-    /// PageRank over the s-line graph — a hyperedge-importance score
-    /// under s-walks (framework extension; MESH/HyperX expose PageRank
-    /// per §V).
-    pub fn s_pagerank(&self, damping: f64) -> Vec<f64> {
-        let (scores, _) = nwgraph::algorithms::pagerank::pagerank(
-            &self.graph,
-            nwgraph::algorithms::pagerank::PageRankOptions {
-                damping,
-                ..Default::default()
-            },
-        );
-        scores
-    }
-
-    /// Core numbers of the s-line graph (s-core decomposition; k-core is
-    /// in the §V framework algorithm suites).
-    pub fn s_kcore(&self) -> Vec<u32> {
-        nwgraph::algorithms::kcore::kcore_decomposition(&self.graph)
-    }
-
-    /// Triangle count of the s-line graph: triples of mutually
-    /// s-overlapping hyperedges.
-    pub fn s_triangles(&self) -> u64 {
-        nwgraph::algorithms::triangles::triangle_count(&self.graph)
-    }
-
-    /// A maximal set of pairwise *non*-s-overlapping hyperedges
-    /// (independent set on the s-line graph); deterministic per seed.
-    pub fn s_independent_set(&self, seed: u64) -> Vec<bool> {
-        nwgraph::algorithms::mis::maximal_independent_set(&self.graph, seed)
-    }
-
-    /// An s-walk (Aksoy et al.: "an s-walk is a random walk on the s-line
-    /// graph"): a uniform random walk of at most `steps` hops starting at
-    /// hyperedge `start`. The walk stops early at an s-isolated
-    /// hyperedge. Deterministic for a given seed; returns the visited
-    /// sequence including `start`.
-    pub fn s_random_walk(&self, start: Id, steps: usize, seed: u64) -> Vec<Id> {
-        let mut state = seed ^ 0x9E37_79B9_7F4A_7C15;
-        let mut next_u64 = move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        let mut walk = Vec::with_capacity(steps + 1);
-        let mut cur = start;
-        walk.push(cur);
-        for _ in 0..steps {
-            let nbrs = self.graph.neighbors(cur);
-            if nbrs.is_empty() {
-                break;
-            }
-            // lint: the 128-bit product >> 64 is bounded by nbrs.len()
-            #[allow(clippy::cast_possible_truncation)]
-            let pick = ((next_u64() as u128 * nbrs.len() as u128) >> 64) as usize;
-            cur = nbrs[pick];
-            walk.push(cur);
-        }
-        walk
-    }
 }
 
 /// An s-line graph whose edges carry the exact overlap size `|e ∩ f|`
-/// (Fig. 5 draws these as line widths). Distances treat an overlap-`o`
-/// edge as length `1/o`, so weighted s-walks prefer strong connections.
+/// (Fig. 5 draws these as line widths). Its CSR weighs an overlap-`o`
+/// edge as `1/o`, so strong connections are short.
 #[derive(Debug, Clone)]
 pub struct WeightedSLineGraph {
     s: usize,
@@ -301,14 +232,6 @@ impl WeightedSLineGraph {
             .map(|i| self.triples[i].2)
     }
 
-    /// Weighted s-distance: least total `Σ 1/overlap` over s-walks
-    /// between `src` and `dest` (`None` if not s-connected).
-    pub fn s_distance_weighted(&self, src: Id, dest: Id) -> Option<f64> {
-        let d = nwgraph::algorithms::sssp::delta_stepping(&self.graph, src, None);
-        let dist = d[dest as usize];
-        dist.is_finite().then_some(dist)
-    }
-
     /// Strength-weighted s-degree of `e`: `Σ overlap(e, f)` over its
     /// s-neighbors.
     pub fn s_strength(&self, e: Id) -> u64 {
@@ -331,24 +254,6 @@ mod tests {
     // overlaps: 01→1, 03→3, 12→3, 13→2, 23→2
 
     #[test]
-    fn extended_metrics_run_consistently() {
-        let h = paper_hypergraph();
-        let lg = SLineGraph::new(&h, 1);
-        let pr = lg.s_pagerank(0.85);
-        assert_eq!(pr.len(), 4);
-        assert!((pr.iter().sum::<f64>() - 1.0).abs() < 1e-6);
-        // vertex 3 (degree 3) should outrank vertex 0 (degree 2)
-        assert!(pr[3] > pr[0]);
-        let core = lg.s_kcore();
-        assert_eq!(core.len(), 4);
-        assert!(core.iter().all(|&k| k >= 1));
-        // triangles in {01,03,12,13,23}: (0,1,3) and (1,2,3)
-        assert_eq!(lg.s_triangles(), 2);
-        let mis = lg.s_independent_set(7);
-        nwgraph::algorithms::mis::validate_mis(lg.graph(), &mis).unwrap();
-    }
-
-    #[test]
     fn weighted_linegraph_overlaps() {
         let h = paper_hypergraph();
         let w = WeightedSLineGraph::new(&h, 1);
@@ -361,61 +266,12 @@ mod tests {
     }
 
     #[test]
-    fn weighted_distance_prefers_strong_overlaps() {
-        let h = paper_hypergraph();
-        let w = WeightedSLineGraph::new(&h, 1);
-        // 0→1 direct: 1/1 = 1.0; via 3: 1/3 + 1/2 ≈ 0.833 — the strong
-        // path through 3 is shorter despite more hops
-        let d = w.s_distance_weighted(0, 1).unwrap();
-        assert!((d - (1.0 / 3.0 + 1.0 / 2.0)).abs() < 1e-9, "{d}");
-        // unreachable at high s
-        let w4 = WeightedSLineGraph::new(&h, 4);
-        assert_eq!(w4.s_distance_weighted(0, 1), None);
-    }
-
-    #[test]
     fn strength_sums_overlaps() {
         let h = paper_hypergraph();
         let w = WeightedSLineGraph::new(&h, 1);
         // edge 3 overlaps: 03→3, 13→2, 23→2
         assert_eq!(w.s_strength(3), 7);
         assert_eq!(w.s_strength(0), 4); // 01→1, 03→3
-    }
-
-    #[test]
-    fn random_walk_stays_on_s_edges() {
-        let h = paper_hypergraph();
-        let lg = SLineGraph::new(&h, 2);
-        let walk = lg.s_random_walk(0, 50, 7);
-        assert_eq!(walk[0], 0);
-        assert_eq!(walk.len(), 51);
-        for w in walk.windows(2) {
-            assert!(
-                lg.s_neighbors(w[0]).contains(&w[1]),
-                "walk used non-edge {w:?}"
-            );
-        }
-        // deterministic per seed
-        assert_eq!(walk, lg.s_random_walk(0, 50, 7));
-        assert_ne!(walk, lg.s_random_walk(0, 50, 8));
-    }
-
-    #[test]
-    fn approx_betweenness_with_full_samples_is_exact() {
-        let h = paper_hypergraph();
-        let lg = SLineGraph::new(&h, 1);
-        let exact = lg.s_betweenness_centrality(false);
-        let approx = lg.s_betweenness_centrality_approx(10, 1, false);
-        for (a, b) in exact.iter().zip(&approx) {
-            assert!((a - b).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn random_walk_halts_on_isolated_vertex() {
-        let h = paper_hypergraph();
-        let lg = SLineGraph::new(&h, 4); // no edges at s=4
-        assert_eq!(lg.s_random_walk(2, 10, 1), vec![2]);
     }
 
     #[test]
@@ -454,6 +310,20 @@ mod tests {
         let lg3 = SLineGraph::new(&h, 3);
         assert_eq!(lg3.s_distance(0, 1), None);
         assert_eq!(lg3.s_path(0, 1), None);
+    }
+
+    #[test]
+    fn out_of_range_ids_have_no_distance_or_path() {
+        let h = paper_hypergraph();
+        let lg = SLineGraph::new(&h, 1);
+        let n: Id = crate::ids::from_usize(lg.num_vertices());
+        for (src, dest) in [(0, n), (n, 0), (n, n), (0, Id::MAX), (Id::MAX, 0)] {
+            assert_eq!(lg.s_distance(src, dest), None, "({src}, {dest})");
+            assert_eq!(lg.s_path(src, dest), None, "({src}, {dest})");
+        }
+        let empty = SLineGraph::new(&Hypergraph::from_memberships(&[]), 1);
+        assert_eq!(empty.s_distance(0, 0), None);
+        assert_eq!(empty.s_path(0, 0), None);
     }
 
     #[test]

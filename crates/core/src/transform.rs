@@ -97,12 +97,6 @@ pub fn collapse_duplicate_edges(h: &Hypergraph) -> (Hypergraph, Vec<Vec<Id>>) {
     (Hypergraph::from_biedgelist(&bel), reps)
 }
 
-/// Removes hyperedges with no members. Returns the cleaned hypergraph
-/// and `edge_map[new] = old`.
-pub fn remove_empty_edges(h: &Hypergraph) -> (Hypergraph, Vec<Id>) {
-    filter_edges_by_size(h, 1, usize::MAX)
-}
-
 /// Restricts to the *toplexes* (maximal hyperedges) — the simplification
 /// HyperNetX calls `restrict_to_edges(toplexes)`: every containment
 /// relation is preserved because non-maximal edges are subsets of kept
@@ -120,29 +114,6 @@ pub fn restrict_to_toplexes(h: &Hypergraph) -> (Hypergraph, Vec<Id>) {
         .collect();
     let bel = BiEdgeList::from_incidences(tops.len(), h.num_hypernodes(), incidences);
     (Hypergraph::from_biedgelist(&bel), tops)
-}
-
-/// Disjoint union: hyperedge and hypernode ID spaces of `b` are shifted
-/// past `a`'s.
-pub fn disjoint_union(a: &Hypergraph, b: &Hypergraph) -> Hypergraph {
-    let ne = a.num_hyperedges();
-    let nv = a.num_hypernodes();
-    let mut incidences: Vec<(Id, Id)> = Vec::with_capacity(a.num_incidences() + b.num_incidences());
-    for e in 0..ids::from_usize(ne) {
-        for &v in a.edge_members(e) {
-            incidences.push((e, v));
-        }
-    }
-    // shift b's storage words past a's spaces through the audited funnel
-    let (e_shift, v_shift) = (ids::from_usize(ne), ids::from_usize(nv));
-    for e in 0..ids::from_usize(b.num_hyperedges()) {
-        for &v in b.edge_members(e) {
-            incidences.push((e + e_shift, v + v_shift));
-        }
-    }
-    let bel =
-        BiEdgeList::from_incidences(ne + b.num_hyperedges(), nv + b.num_hypernodes(), incidences);
-    Hypergraph::from_biedgelist(&bel)
 }
 
 #[cfg(test)]
@@ -201,15 +172,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_empty_edges_cleans() {
-        let h = Hypergraph::from_memberships(&[vec![], vec![0, 1], vec![]]);
-        let (c, edge_map) = remove_empty_edges(&h);
-        assert_eq!(edge_map, vec![1]);
-        assert_eq!(c.num_hyperedges(), 1);
-        assert_eq!(c.edge_members(0), &[0, 1]);
-    }
-
-    #[test]
     fn restrict_to_toplexes_simplifies() {
         let h = nested_hypergraph();
         let (t, edge_map) = restrict_to_toplexes(&h);
@@ -223,21 +185,6 @@ mod tests {
                 assert!(t.node_degree(v) > 0, "node {v} lost coverage");
             }
         }
-    }
-
-    #[test]
-    fn disjoint_union_shifts_ids() {
-        let a = Hypergraph::from_memberships(&[vec![0, 1]]);
-        let b = Hypergraph::from_memberships(&[vec![0], vec![0, 1]]);
-        let u = disjoint_union(&a, &b);
-        assert_eq!(u.num_hyperedges(), 3);
-        assert_eq!(u.num_hypernodes(), 4);
-        assert_eq!(u.edge_members(0), &[0, 1]);
-        assert_eq!(u.edge_members(1), &[2]);
-        assert_eq!(u.edge_members(2), &[2, 3]);
-        // the union has one component per operand component
-        let cc = crate::algorithms::hyper_cc::hyper_cc(&u);
-        assert_eq!(cc.num_components(), 2);
     }
 
     #[test]

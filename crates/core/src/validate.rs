@@ -14,7 +14,7 @@
 //! enough to debug a corrupted structure (which index, which IDs, what
 //! was expected). Checks are wired into the builders behind
 //! `debug_assertions` / the `validate` cargo feature (see
-//! [`debug_validate`]), and exposed to users as the `nwhy check` CLI
+//! `debug_validate`), and exposed to users as the `nwhy check` CLI
 //! subcommand.
 //!
 //! Validation is read-only and single-threaded by design: it runs on
@@ -26,7 +26,7 @@ use crate::hypergraph::Hypergraph;
 use crate::ids;
 use crate::repr::{DualView, HyperAdjacency, RelabeledView};
 use crate::Id;
-use nwgraph::algorithms::triangles::sorted_intersection_count;
+use nwgraph::algorithms::intersection::sorted_intersection_count;
 use nwgraph::Csr;
 use std::fmt;
 

@@ -130,7 +130,5 @@ proptest! {
         let hc = lg.s_harmonic_closeness_centrality(None);
         let n = lg.num_vertices() as f64;
         prop_assert!(hc.iter().all(|&x| x >= 0.0 && x <= n));
-        let pr = lg.s_pagerank(0.85);
-        prop_assert!((pr.iter().sum::<f64>() - 1.0).abs() < 1e-6);
     }
 }

@@ -94,60 +94,6 @@ pub fn betweenness_centrality(g: &Csr, normalized: bool) -> Vec<f64> {
     scores
 }
 
-/// Approximate betweenness centrality from a sample of source vertices
-/// (Brandes–Pich style): runs the Brandes iteration from `samples`
-/// deterministically chosen sources and extrapolates by `n / samples`.
-/// For `samples ≥ n` this degrades to the exact computation.
-pub fn betweenness_sampled(g: &Csr, samples: usize, seed: u64, normalized: bool) -> Vec<f64> {
-    let n = g.num_vertices();
-    if n == 0 {
-        return Vec::new();
-    }
-    if samples >= n {
-        return betweenness_centrality(g, normalized);
-    }
-    // deterministic sample without replacement: SplitMix-shuffled IDs
-    let mut ids: Vec<Vertex> = (0..n as Vertex).collect();
-    let mut state = seed;
-    let mut next = move || {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
-    for i in (1..ids.len()).rev() {
-        let j = (next() % (i as u64 + 1)) as usize;
-        ids.swap(i, j);
-    }
-    ids.truncate(samples.max(1));
-
-    let mut scores = ids.par_iter().map(|&s| brandes_from(g, s)).reduce(
-        || vec![0f64; n],
-        |mut a, b| {
-            for (x, y) in a.iter_mut().zip(&b) {
-                *x += y;
-            }
-            a
-        },
-    );
-    let extrapolate = n as f64 / ids.len() as f64;
-    for s in scores.iter_mut() {
-        *s = *s * extrapolate / 2.0;
-    }
-    if normalized {
-        let scale = if n > 2 {
-            2.0 / ((n - 1) as f64 * (n - 2) as f64)
-        } else {
-            1.0
-        };
-        for s in scores.iter_mut() {
-            *s *= scale;
-        }
-    }
-    scores
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,45 +174,6 @@ mod tests {
         let bc = betweenness_centrality(&g, false);
         // all cross pairs {0,1}×{3,4} go through 2
         assert_eq!(bc[2], 4.0);
-    }
-
-    #[test]
-    fn sampled_with_all_sources_is_exact() {
-        let g = connected_undirected(60, 90, 1);
-        let exact = betweenness_centrality(&g, false);
-        let sampled = betweenness_sampled(&g, 60, 42, false);
-        for (a, b) in exact.iter().zip(&sampled) {
-            assert!((a - b).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn sampled_ranks_path_center_highest() {
-        // long path: the middle must dominate even from a half sample
-        let edges: Vec<(u32, u32)> = (0..40).map(|i| (i, i + 1)).collect();
-        let g = undirected(41, &edges);
-        let bc = betweenness_sampled(&g, 20, 7, false);
-        let mid = bc[20];
-        assert!(bc[0] < mid && bc[40] < mid);
-        let max = bc.iter().cloned().fold(f64::MIN, f64::max);
-        // argmax should land near the center
-        let arg = bc.iter().position(|&x| x == max).unwrap();
-        assert!((10..=30).contains(&arg), "argmax {arg}");
-    }
-
-    #[test]
-    fn sampled_is_deterministic_per_seed() {
-        let g = connected_undirected(50, 80, 2);
-        assert_eq!(
-            betweenness_sampled(&g, 10, 3, true),
-            betweenness_sampled(&g, 10, 3, true)
-        );
-    }
-
-    #[test]
-    fn sampled_empty_graph() {
-        let g = Csr::from_edge_list(&EdgeList::new(0));
-        assert!(betweenness_sampled(&g, 5, 1, false).is_empty());
     }
 
     #[test]

@@ -229,6 +229,28 @@ pub fn bfs_direction_optimizing(g: &Csr, source: Vertex) -> BfsResult {
     finish(parents, levels)
 }
 
+/// Reconstructs one shortest path `source → dest` from a BFS parent
+/// array; `None` if `dest` is unreachable or not a vertex of the array.
+pub fn path_from_parents(parents: &[Vertex], source: Vertex, dest: Vertex) -> Option<Vec<Vertex>> {
+    if parents
+        .get(dest as usize)
+        .is_none_or(|&p| p == INVALID_VERTEX)
+    {
+        return None;
+    }
+    let mut path = vec![dest];
+    let mut cur = dest;
+    while cur != source {
+        cur = parents[cur as usize];
+        path.push(cur);
+        if path.len() > parents.len() {
+            return None; // defensive: malformed parent array
+        }
+    }
+    path.reverse();
+    Some(path)
+}
+
 /// Validates that `r` is a legal BFS forest for `g` from `source`:
 /// level(source)=0, level(child)=level(parent)+1, every edge spans ≤ 1
 /// level, and reachability matches. Shared by the test suites of the BFS
@@ -378,6 +400,23 @@ mod tests {
                 validate_bfs(&g, 0, r).unwrap();
             }
         }
+    }
+
+    #[test]
+    fn path_reconstruction() {
+        let g = path_graph(4);
+        let r = bfs_direction_optimizing(&g, 0);
+        let p = path_from_parents(&r.parents, 0, 3).unwrap();
+        assert_eq!(p, vec![0, 1, 2, 3]);
+        assert_eq!(path_from_parents(&r.parents, 0, 0).unwrap(), vec![0]);
+    }
+
+    #[test]
+    fn path_unreachable_is_none() {
+        let g = Csr::from_edge_list(&EdgeList::new(3));
+        let r = bfs_direction_optimizing(&g, 0);
+        assert!(path_from_parents(&r.parents, 0, 2).is_none());
+        assert!(path_from_parents(&r.parents, 0, 3).is_none());
     }
 
     proptest! {

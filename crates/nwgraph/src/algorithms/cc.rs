@@ -1,12 +1,12 @@
-//! Parallel connected components: label propagation, Shiloach–Vishkin, and
+//! Parallel connected components on a graph: label propagation and
 //! Afforest.
 //!
-//! These are the three CC algorithm families the NWHy paper names:
-//! minimum-label propagation (Orzan; Yan et al.) drives HyperCC, Afforest
-//! (Sutton, Ben-Nun, Barak) drives AdjoinCC, and Shiloach–Vishkin is the
-//! classic PRAM baseline. All expect an undirected (symmetric) graph and
-//! return a label array where two vertices share a label iff they share a
-//! component.
+//! These are the two CC algorithm families the NWHy paper names:
+//! minimum-label propagation (Orzan; Yan et al.), HyperCC's family, and
+//! Afforest (Sutton, Ben-Nun, Barak), which drives AdjoinCC and the s-line
+//! graph's `s_connected_components`. Both expect an undirected (symmetric)
+//! graph and return a label array where two vertices share a label iff
+//! they share a component.
 
 use crate::csr::Csr;
 use crate::Vertex;
@@ -38,45 +38,6 @@ pub fn cc_label_propagation(g: &Csr) -> Vec<Vertex> {
         });
     }
     labels.into_iter().map(AtomicU32::into_inner).collect()
-}
-
-/// Shiloach–Vishkin (1982): alternating hook and pointer-jumping
-/// (compress) phases on a parent forest.
-pub fn shiloach_vishkin(g: &Csr) -> Vec<Vertex> {
-    let n = g.num_vertices();
-    let parent: Vec<AtomicU32> = (0..n as u32).map(AtomicU32::new).collect();
-    let changed = AtomicBool::new(true);
-    while changed.swap(false, Ordering::Relaxed) {
-        // Hook: for each edge (u, v), attach the root of the larger label
-        // under the smaller.
-        (0..n).into_par_iter().for_each(|u| {
-            for &v in g.neighbors(u as Vertex) {
-                let pu = parent[u].load(Ordering::Relaxed);
-                let pv = parent[v as usize].load(Ordering::Relaxed);
-                // only hook roots to keep the forest shallow
-                if pu < pv && pv == parent[pv as usize].load(Ordering::Relaxed) {
-                    if atomic_min_u32(&parent[pv as usize], pu) {
-                        changed.store(true, Ordering::Relaxed);
-                    }
-                } else if pv < pu
-                    && pu == parent[pu as usize].load(Ordering::Relaxed)
-                    && atomic_min_u32(&parent[pu as usize], pv)
-                {
-                    changed.store(true, Ordering::Relaxed);
-                }
-            }
-        });
-        // Compress: pointer jumping.
-        (0..n).into_par_iter().for_each(|u| loop {
-            let p = parent[u].load(Ordering::Relaxed);
-            let gp = parent[p as usize].load(Ordering::Relaxed);
-            if p == gp {
-                break;
-            }
-            parent[u].store(gp, Ordering::Relaxed);
-        });
-    }
-    parent.into_iter().map(AtomicU32::into_inner).collect()
 }
 
 /// Finds the most frequent component among ~1024 sampled vertices — the
@@ -166,15 +127,6 @@ pub fn num_components(labels: &[Vertex]) -> usize {
     distinct.len()
 }
 
-/// Sizes of each component, keyed by label.
-pub fn component_sizes(labels: &[Vertex]) -> FxHashMap<Vertex, usize> {
-    let mut sizes: FxHashMap<Vertex, usize> = FxHashMap::default();
-    for &l in labels {
-        *sizes.entry(l).or_insert(0) += 1;
-    }
-    sizes
-}
-
 /// Canonicalizes labels so that each component is named by its smallest
 /// member, making outputs of different CC algorithms directly comparable.
 pub fn normalize_labels(labels: &[Vertex]) -> Vec<Vertex> {
@@ -230,13 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn shiloach_vishkin_two_components() {
-        let g = two_components();
-        let labels = normalize_labels(&shiloach_vishkin(&g));
-        assert_eq!(labels, vec![0, 0, 0, 3, 3]);
-    }
-
-    #[test]
     fn afforest_two_components() {
         let g = two_components();
         let labels = normalize_labels(&afforest(&g));
@@ -248,7 +193,7 @@ mod tests {
         let g = Csr::from_edge_list(&EdgeList::new(0));
         assert!(cc_label_propagation(&g).is_empty());
         let g = Csr::from_edge_list(&EdgeList::new(4));
-        for f in [cc_label_propagation, shiloach_vishkin, afforest] {
+        for f in [cc_label_propagation, afforest] {
             let labels = f(&g);
             assert_eq!(num_components(&labels), 4);
         }
@@ -258,9 +203,6 @@ mod tests {
     fn num_components_and_sizes() {
         let labels = vec![0, 0, 3, 3, 3];
         assert_eq!(num_components(&labels), 2);
-        let sizes = component_sizes(&labels);
-        assert_eq!(sizes[&0], 2);
-        assert_eq!(sizes[&3], 3);
     }
 
     #[test]
@@ -272,11 +214,6 @@ mod tests {
                 normalize_labels(&cc_label_propagation(&g)),
                 truth,
                 "lp seed {seed}"
-            );
-            assert_eq!(
-                normalize_labels(&shiloach_vishkin(&g)),
-                truth,
-                "sv seed {seed}"
             );
             assert_eq!(normalize_labels(&afforest(&g)), truth, "aff seed {seed}");
         }
@@ -304,7 +241,6 @@ mod tests {
             let g = Csr::from_edge_list(&el);
             let truth = normalize_labels(&dfs_labels(&g));
             prop_assert_eq!(normalize_labels(&cc_label_propagation(&g)), truth.clone());
-            prop_assert_eq!(normalize_labels(&shiloach_vishkin(&g)), truth.clone());
             prop_assert_eq!(normalize_labels(&afforest(&g)), truth);
         }
     }

@@ -67,29 +67,9 @@ pub fn eccentricity(g: &Csr) -> Vec<u32> {
 }
 
 /// The diameter of the graph: max finite eccentricity (0 for empty).
-/// Exact — runs one BFS per vertex; use
-/// [`diameter_estimate_double_sweep`] for large graphs.
+/// Exact — runs one BFS per vertex.
 pub fn diameter(g: &Csr) -> u32 {
     eccentricity(g).into_iter().max().unwrap_or(0)
-}
-
-/// Double-sweep diameter lower bound: BFS from `start`, then BFS from the
-/// farthest vertex found. Exact on trees; on general graphs a lower bound
-/// that is usually tight in practice — the standard cheap estimator.
-pub fn diameter_estimate_double_sweep(g: &Csr, start: Vertex) -> u32 {
-    if g.num_vertices() == 0 {
-        return 0;
-    }
-    let first = bfs_direction_optimizing(g, start);
-    let farthest = first
-        .levels
-        .iter()
-        .enumerate()
-        .filter(|&(_, &l)| l != INVALID_VERTEX)
-        .max_by_key(|&(_, &l)| l)
-        .map(|(v, _)| v as Vertex)
-        .unwrap_or(start);
-    bfs_direction_optimizing(g, farthest).max_level()
 }
 
 #[cfg(test)]
@@ -160,29 +140,6 @@ mod tests {
         assert!(closeness_centrality(&g).is_empty());
         assert!(harmonic_closeness_centrality(&g).is_empty());
         assert_eq!(diameter(&g), 0);
-        assert_eq!(diameter_estimate_double_sweep(&g, 0), 0);
-    }
-
-    #[test]
-    fn double_sweep_exact_on_path() {
-        let g = undirected(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
-        // starting anywhere, the double sweep finds the true diameter 5
-        for start in 0..6u32 {
-            assert_eq!(
-                diameter_estimate_double_sweep(&g, start),
-                5,
-                "start {start}"
-            );
-        }
-    }
-
-    #[test]
-    fn double_sweep_is_lower_bound() {
-        let g = crate::random::connected_undirected(200, 260, 3);
-        let exact = diameter(&g);
-        let est = diameter_estimate_double_sweep(&g, 0);
-        assert!(est <= exact);
-        assert!(est >= exact / 2, "double sweep ≥ half the diameter");
     }
 
     #[test]

@@ -1,13 +1,7 @@
-//! Triangle counting by sorted-adjacency intersection.
-//!
-//! Counts each triangle once using the "forward" orientation trick: only
-//! edges (u, v) with u < v are expanded, and only common neighbors w > v
-//! are counted. Exercises the same sorted-set intersection kernel the
-//! s-line-graph Algorithm 2 builds on.
+//! Sorted-set intersection: the merge kernels the s-line-graph
+//! Intersection algorithm and Algorithm 2 verify candidate pairs with.
 
-use crate::csr::Csr;
 use crate::Vertex;
-use rayon::prelude::*;
 
 /// Number of common elements in two sorted slices.
 #[inline]
@@ -93,39 +87,9 @@ pub fn sorted_intersection_at_least_counting(
     false
 }
 
-/// Exact triangle count of an undirected graph (each triangle counted
-/// once).
-pub fn triangle_count(g: &Csr) -> u64 {
-    (0..g.num_vertices() as Vertex)
-        .into_par_iter()
-        .map(|u| {
-            let nbrs_u = g.neighbors(u);
-            // only higher neighbors of u
-            let start = nbrs_u.partition_point(|&v| v <= u);
-            let mut local = 0u64;
-            for &v in &nbrs_u[start..] {
-                let nbrs_v = g.neighbors(v);
-                // count w adjacent to both u and v with w > v
-                let su = nbrs_u.partition_point(|&w| w <= v);
-                let sv = nbrs_v.partition_point(|&w| w <= v);
-                local += sorted_intersection_count(&nbrs_u[su..], &nbrs_v[sv..]) as u64;
-            }
-            local
-        })
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::edge_list::EdgeList;
-
-    fn undirected(n: usize, edges: &[(u32, u32)]) -> Csr {
-        let mut el = EdgeList::from_edges(n, edges.to_vec());
-        el.symmetrize();
-        el.sort_dedup();
-        Csr::from_edge_list(&el)
-    }
 
     #[test]
     fn intersection_count_basics() {
@@ -140,42 +104,5 @@ mod tests {
         assert!(!sorted_intersection_at_least(&[1, 2, 3], &[4, 5], 1));
         assert!(sorted_intersection_at_least(&[1, 2], &[5, 9], 0));
         assert!(!sorted_intersection_at_least(&[1, 2, 3], &[2, 3], 3));
-    }
-
-    #[test]
-    fn single_triangle() {
-        let g = undirected(3, &[(0, 1), (1, 2), (0, 2)]);
-        assert_eq!(triangle_count(&g), 1);
-    }
-
-    #[test]
-    fn square_has_none() {
-        let g = undirected(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
-        assert_eq!(triangle_count(&g), 0);
-    }
-
-    #[test]
-    fn complete_graph_count() {
-        // K5 has C(5,3) = 10 triangles
-        let mut edges = Vec::new();
-        for u in 0..5u32 {
-            for v in (u + 1)..5 {
-                edges.push((u, v));
-            }
-        }
-        let g = undirected(5, &edges);
-        assert_eq!(triangle_count(&g), 10);
-    }
-
-    #[test]
-    fn two_triangles_sharing_an_edge() {
-        let g = undirected(4, &[(0, 1), (1, 2), (0, 2), (1, 3), (2, 3)]);
-        assert_eq!(triangle_count(&g), 2);
-    }
-
-    #[test]
-    fn empty_graph() {
-        let g = Csr::from_edge_list(&EdgeList::new(0));
-        assert_eq!(triangle_count(&g), 0);
     }
 }

@@ -187,31 +187,6 @@ impl EdgeList {
             }
         }
     }
-
-    /// Grows the vertex ID space to `n` (no-op if already at least `n`).
-    pub fn grow_vertices(&mut self, n: usize) {
-        self.num_vertices = self.num_vertices.max(n);
-    }
-
-    /// Extends with edges from another list over the same vertex space.
-    ///
-    /// # Panics
-    /// Panics if weightedness differs or other's IDs exceed this space.
-    pub fn append(&mut self, other: &EdgeList) {
-        assert!(
-            other.num_vertices <= self.num_vertices,
-            "appending list with larger vertex space"
-        );
-        assert_eq!(
-            self.weights.is_some(),
-            other.weights.is_some() || other.edges.is_empty(),
-            "weightedness mismatch in append"
-        );
-        self.edges.extend_from_slice(&other.edges);
-        if let (Some(ws), Some(ows)) = (&mut self.weights, &other.weights) {
-            ws.extend_from_slice(ows);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -299,23 +274,5 @@ mod tests {
         el.remove_self_loops();
         assert_eq!(el.edges(), &[(0, 1)]);
         assert_eq!(el.weights(), Some(&[2.0][..]));
-    }
-
-    #[test]
-    fn append_merges() {
-        let mut a = EdgeList::from_edges(4, vec![(0, 1)]);
-        let b = EdgeList::from_edges(4, vec![(2, 3)]);
-        a.append(&b);
-        assert_eq!(a.edges(), &[(0, 1), (2, 3)]);
-    }
-
-    #[test]
-    fn grow_vertices_expands_space() {
-        let mut el = EdgeList::new(2);
-        el.grow_vertices(5);
-        el.push(4, 0);
-        assert_eq!(el.num_vertices(), 5);
-        el.grow_vertices(3); // shrink is a no-op
-        assert_eq!(el.num_vertices(), 5);
     }
 }

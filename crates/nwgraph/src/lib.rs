@@ -11,12 +11,13 @@
 //!   inner neighbor slices), mirroring the paper's C++20 range model;
 //! - degree-based relabeling ([`relabel`]) — the permute-by-degree
 //!   optimization §III-B.2 discusses;
-//! - parallel algorithms ([`algorithms`]): breadth-first search (top-down,
-//!   bottom-up, direction-optimizing), connected components (label
-//!   propagation, Shiloach–Vishkin, Afforest), single-source shortest
-//!   paths, Brandes betweenness centrality, closeness/harmonic/
-//!   eccentricity, PageRank, k-core decomposition, maximal independent
-//!   set, and triangle counting.
+//! - parallel algorithms ([`algorithms`]) for the paper's s-metrics
+//!   (Listing 5): breadth-first search (top-down, bottom-up,
+//!   direction-optimizing) and shortest-path reconstruction, connected
+//!   components (label propagation, Afforest), Brandes betweenness
+//!   centrality, and closeness/harmonic closeness/eccentricity, plus the
+//!   sorted-set intersection kernels the s-line-graph builders verify
+//!   overlaps with.
 //!
 //! Vertices are dense `u32` IDs; [`INVALID_VERTEX`] (`u32::MAX`) marks
 //! "no vertex" (unvisited parents, infinite distances).
@@ -31,7 +32,6 @@
 pub mod algorithms;
 pub mod csr;
 pub mod edge_list;
-pub mod neighbor_range;
 pub mod random;
 pub mod relabel;
 

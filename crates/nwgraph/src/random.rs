@@ -108,40 +108,6 @@ pub fn connected_undirected(n: usize, extra: usize, seed: u64) -> Csr {
     Csr::from_edge_list(&el)
 }
 
-/// Random connected weighted undirected graph; weights uniform in
-/// `[1.0, 10.0)`.
-pub fn weighted_connected(n: usize, extra: usize, seed: u64) -> Csr {
-    let mut rng = SplitMix64::new(seed);
-    let mut edges: Vec<(Vertex, Vertex)> = Vec::new();
-    let mut weights: Vec<f64> = Vec::new();
-    let push =
-        |edges: &mut Vec<(Vertex, Vertex)>, ws: &mut Vec<f64>, u: Vertex, v: Vertex, w: f64| {
-            edges.push((u, v));
-            ws.push(w);
-            edges.push((v, u));
-            ws.push(w);
-        };
-    for v in 1..n {
-        let u = rng.below(v as u64) as Vertex;
-        let w = 1.0 + 9.0 * rng.unit_f64();
-        push(&mut edges, &mut weights, u, v as Vertex, w);
-    }
-    if n >= 2 {
-        for _ in 0..extra {
-            let u = rng.below(n as u64) as Vertex;
-            let mut v = rng.below(n as u64) as Vertex;
-            while v == u {
-                v = rng.below(n as u64) as Vertex;
-            }
-            let w = 1.0 + 9.0 * rng.unit_f64();
-            push(&mut edges, &mut weights, u, v, w);
-        }
-    }
-    let mut el = EdgeList::from_weighted_edges(n, edges, weights);
-    el.sort_dedup();
-    Csr::from_edge_list(&el)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,16 +171,5 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn weighted_generator_weights_in_range() {
-        let g = weighted_connected(30, 10, 11);
-        assert!(g.is_weighted());
-        for u in 0..30u32 {
-            for (_, w) in g.weighted_neighbors(u) {
-                assert!((1.0..10.0).contains(&w));
-            }
-        }
     }
 }

@@ -10,8 +10,6 @@
 //! A *permutation* here maps `new ID → old ID`; the *inverse* maps
 //! `old ID → new ID`.
 
-use crate::csr::Csr;
-use crate::edge_list::EdgeList;
 use crate::Vertex;
 use rayon::prelude::*;
 
@@ -46,41 +44,6 @@ pub fn invert_permutation(perm: &[Vertex]) -> Vec<Vertex> {
     inv
 }
 
-/// Applies `inv` (old → new) to every endpoint of `el`, producing the
-/// relabeled edge list.
-pub fn relabel_edge_list(el: &EdgeList, inv: &[Vertex]) -> EdgeList {
-    assert_eq!(inv.len(), el.num_vertices(), "permutation size mismatch");
-    let edges: Vec<(Vertex, Vertex)> = el
-        .edges()
-        .par_iter()
-        .map(|&(u, v)| (inv[u as usize], inv[v as usize]))
-        .collect();
-    match el.weights() {
-        None => EdgeList::from_edges(el.num_vertices(), edges),
-        Some(ws) => EdgeList::from_weighted_edges(el.num_vertices(), edges, ws.to_vec()),
-    }
-}
-
-/// Relabels a square CSR by out-degree; returns the new CSR and the
-/// permutation (`perm[new] = old`) needed to map results back.
-pub fn relabel_by_degree(g: &Csr, dir: Direction) -> (Csr, Vec<Vertex>) {
-    let perm = degree_permutation(&g.degrees(), dir);
-    let inv = invert_permutation(&perm);
-    let el = relabel_edge_list(&g.to_edge_list(), &inv);
-    (Csr::from_edge_list(&el), perm)
-}
-
-/// Maps a per-vertex result array computed on relabeled IDs back to the
-/// original ID order: `out[old] = result[new]` where `perm[new] = old`.
-pub fn unpermute<T: Copy + Send + Sync>(result: &[T], perm: &[Vertex]) -> Vec<T> {
-    assert_eq!(result.len(), perm.len(), "result/permutation size mismatch");
-    let mut out = vec![result[0]; result.len()];
-    for (new_id, &old_id) in perm.iter().enumerate() {
-        out[old_id as usize] = result[new_id];
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,30 +71,6 @@ mod tests {
         assert_eq!(invert_permutation(&inv), perm);
     }
 
-    #[test]
-    fn relabel_preserves_structure() {
-        // star: 0 is the hub
-        let mut el = EdgeList::from_edges(4, vec![(0, 1), (0, 2), (0, 3)]);
-        el.symmetrize();
-        let g = Csr::from_edge_list(&el);
-        let (rg, perm) = relabel_by_degree(&g, Direction::Descending);
-        // hub keeps id 0 under descending (it has max degree)
-        assert_eq!(perm[0], 0);
-        assert_eq!(rg.degree(0), 3);
-        assert_eq!(rg.num_edges(), g.num_edges());
-        // ascending: hub gets the largest id
-        let (rg2, perm2) = relabel_by_degree(&g, Direction::Ascending);
-        assert_eq!(perm2[3], 0);
-        assert_eq!(rg2.degree(3), 3);
-    }
-
-    #[test]
-    fn unpermute_restores_original_order() {
-        let perm = vec![2u32, 0, 1]; // new0=old2, new1=old0, new2=old1
-        let result_new = vec![20, 0, 10];
-        assert_eq!(unpermute(&result_new, &perm), vec![0, 10, 20]);
-    }
-
     proptest! {
         #[test]
         fn prop_permutation_is_bijection(degrees in proptest::collection::vec(0usize..50, 1..60)) {
@@ -153,20 +92,6 @@ mod tests {
             for w in perm.windows(2) {
                 prop_assert!(degrees[w[0] as usize] <= degrees[w[1] as usize]);
             }
-        }
-
-        #[test]
-        fn prop_relabel_preserves_degree_multiset(
-            edges in proptest::collection::vec((0u32..12, 0u32..12), 0..100)
-        ) {
-            let el = EdgeList::from_edges(12, edges);
-            let g = Csr::from_edge_list(&el);
-            let (rg, _) = relabel_by_degree(&g, Direction::Descending);
-            let mut d1 = g.degrees();
-            let mut d2 = rg.degrees();
-            d1.sort_unstable();
-            d2.sort_unstable();
-            prop_assert_eq!(d1, d2);
         }
     }
 }

@@ -231,7 +231,7 @@ fn save(path: &str, h: &Hypergraph) -> CliResult {
 /// A loaded analysis input: either the pointer-based in-memory
 /// bi-adjacency or a packed `NWHYPAK1` image served through
 /// [`CompressedHypergraph`]. Kernels generic over `HyperAdjacency` run
-/// on either variant directly (see [`on_input!`]); the rest call
+/// on either variant directly (see `on_input!`); the rest call
 /// [`Input::into_memory`].
 enum Input {
     Memory(Hypergraph),

@@ -10,8 +10,9 @@
 //!   which de-clusters skewed degree distributions (especially after
 //!   relabel-by-degree);
 //! - **cyclic neighbor range** — cyclic, but yielding `(id, neighborhood)`
-//!   tuples; the graph-aware version lives in `nwgraph` on top of
-//!   [`cyclic_indices`].
+//!   tuples; the s-line kernels get it from a cyclic [`Strategy`] bin whose
+//!   row runner (`nwhy-core`'s `slinegraph::rows`) reads each row's
+//!   neighborhood.
 //!
 //! Rayon's work-stealing scheduler plays the role of TBB's; each bin/block
 //! becomes one stealable task.

@@ -103,9 +103,9 @@ impl<'a, T> ChunkedQueue<'a, T> {
     /// stealing chunks and folding items into a worker-local accumulator;
     /// returns all accumulators.
     ///
-    /// Not available under `cfg(loom)`: the loom models drive [`steal`]
-    /// (self::ChunkedQueue::steal) directly with model-checked threads
-    /// rather than through rayon's scheduler.
+    /// Not available under `cfg(loom)`: the loom models drive
+    /// [`steal`](Self::steal) directly with model-checked threads rather
+    /// than through rayon's scheduler.
     #[cfg(not(loom))]
     pub fn drain_with<A, I, F>(&self, workers: usize, init: I, f: F) -> Vec<A>
     where

@@ -4,7 +4,6 @@
 //! nothing beyond the Rust toolchain.
 
 pub mod audit;
-pub mod bench_diff;
 pub mod callgraph;
 pub mod check_prom;
 pub mod lexer;

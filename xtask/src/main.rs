@@ -1,9 +1,8 @@
-//! `cargo xtask` entry point. Two tasks:
+//! `cargo xtask` entry point. Three tasks:
 //!
 //! ```text
 //! cargo xtask lint [--json | --sarif] [--update-baseline] [ROOT]
 //! cargo xtask audit [--json | --sarif] [--update-baseline] [ROOT]
-//! cargo xtask bench-diff <OLD.json> <NEW.json> [--threshold PCT]
 //! cargo xtask check-prom <FILE|-> [--require NAME]...
 //! ```
 //!
@@ -22,11 +21,6 @@
 //! machine-readable report, `--sarif` the findings as SARIF 2.1.0, and
 //! `--update-baseline` rewrites `xtask/reach_baseline.txt` from the
 //! current reach counts.
-//!
-//! `bench-diff` is the CI perf gate (see [`xtask::bench_diff`]): it
-//! compares two `BENCH_*.json` counter files and exits non-zero when
-//! any kernel counter grew more than the threshold (default 15%, also
-//! settable via `NWHY_BENCH_DIFF_THRESHOLD`).
 //!
 //! `check-prom` validates a Prometheus text exposition (see
 //! [`xtask::check_prom`]) read from FILE (or stdin with `-`); each
@@ -190,64 +184,6 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         }
-        Some("bench-diff") => {
-            let mut paths: Vec<String> = Vec::new();
-            let mut threshold: Option<f64> = None;
-            let mut args = args.peekable();
-            while let Some(a) = args.next() {
-                if a == "--threshold" {
-                    threshold = args.next().and_then(|v| v.parse().ok());
-                    if threshold.is_none() {
-                        eprintln!("bench-diff: --threshold needs a number");
-                        return ExitCode::from(2);
-                    }
-                } else if let Some(v) = a.strip_prefix("--threshold=") {
-                    match v.parse() {
-                        Ok(t) => threshold = Some(t),
-                        Err(_) => {
-                            eprintln!("bench-diff: --threshold needs a number");
-                            return ExitCode::from(2);
-                        }
-                    }
-                } else {
-                    paths.push(a);
-                }
-            }
-            let [old, new] = paths.as_slice() else {
-                eprintln!("usage: cargo xtask bench-diff <OLD.json> <NEW.json> [--threshold PCT]");
-                return ExitCode::from(2);
-            };
-            let threshold = xtask::bench_diff::resolve_threshold(threshold);
-            let read = |p: &str| std::fs::read_to_string(p).map_err(|e| format!("{p}: {e}"));
-            let report = read(old)
-                .and_then(|o| read(new).map(|n| (o, n)))
-                .and_then(|(o, n)| xtask::bench_diff::diff(&o, &n, threshold));
-            match report {
-                Err(e) => {
-                    eprintln!("bench-diff: {e}");
-                    ExitCode::from(2)
-                }
-                Ok(r) => {
-                    for v in &r.violations {
-                        println!("REGRESSION {v}");
-                    }
-                    for k in &r.added_rows {
-                        println!("new row (not gated): {k}");
-                    }
-                    eprintln!(
-                        "bench-diff: {} counter(s) compared at +{threshold}% threshold, \
-                         {} regression(s)",
-                        r.compared,
-                        r.violations.len()
-                    );
-                    if r.passed() {
-                        ExitCode::SUCCESS
-                    } else {
-                        ExitCode::FAILURE
-                    }
-                }
-            }
-        }
         Some("check-prom") => {
             let mut path: Option<String> = None;
             let mut requires: Vec<String> = Vec::new();
@@ -316,7 +252,6 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage: cargo xtask <lint [--json | --sarif] [--update-baseline] [ROOT] | \
                  audit [--json | --sarif] [--update-baseline] [ROOT] | \
-                 bench-diff <OLD.json> <NEW.json> [--threshold PCT] | \
                  check-prom <FILE|-> [--require NAME]...>"
             );
             ExitCode::from(2)
