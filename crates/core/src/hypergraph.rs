@@ -62,6 +62,54 @@ impl Hypergraph {
         h
     }
 
+    /// Builds from the rows of the hyperedge CSR, as a text reader appends
+    /// them: row `e` is `targets[offsets[e]..offsets[e + 1]]`, a set of
+    /// hypernodes. The rows are made canonical in place: a row that is not
+    /// strictly increasing is sorted and deduplicated, and the other rows
+    /// are not touched. The hypernode space is the smallest `0..n` that
+    /// covers every target. One transpose then builds the hypernode side.
+    ///
+    /// `offsets` must start at 0, never decrease and end at
+    /// `targets.len()`. A row outside `targets` comes out empty.
+    pub fn from_edge_rows(mut offsets: Vec<usize>, mut targets: Vec<Id>) -> Self {
+        debug_assert!(
+            offsets.first() == Some(&0)
+                && offsets.is_sorted()
+                && offsets.last() == Some(&targets.len()),
+            "malformed edge rows"
+        );
+        let mut space = 0;
+        // rows move down over the entries that deduplication dropped
+        let (mut read, mut write) = (0, 0);
+        for end in offsets.iter_mut().skip(1) {
+            let hi = (*end).clamp(read, targets.len());
+            let len = hi - read;
+            if write != read {
+                targets.copy_within(read..hi, write);
+            }
+            let row = targets.get_mut(write..write + len).unwrap_or_default();
+            let kept = into_set(row);
+            if let Some(&last) = row.get(..kept).and_then(<[Id]>::last) {
+                space = space.max(ids::to_usize(last) + 1);
+            }
+            (read, write) = (hi, write + kept);
+            *end = write;
+        }
+        match offsets.first_mut() {
+            Some(first) => *first = 0,
+            None => offsets.push(0),
+        }
+        targets.truncate(write);
+        let edges = Csr::from_raw_parts(space, offsets, targets, None);
+        let nodes = {
+            let _span = nwhy_obs::span("build.transpose");
+            edges.transpose()
+        };
+        let h = Self { edges, nodes };
+        crate::validate::debug_validate(&h, "Hypergraph::from_edge_rows");
+        h
+    }
+
     /// Assembles a hypergraph from two pre-built bi-adjacencies without
     /// checking that they are mutual transposes.
     ///
@@ -182,6 +230,24 @@ impl Hypergraph {
     }
 }
 
+/// Sorts `row` unless it is already strictly increasing and moves its
+/// distinct values to the front; returns how many there are.
+fn into_set(row: &mut [Id]) -> usize {
+    if row.is_sorted_by(|a, b| a < b) {
+        return row.len();
+    }
+    row.sort_unstable();
+    // the distinct values so far are row[..=last]
+    let mut last = 0;
+    for i in 1..row.len() {
+        if row.get(i) != row.get(last) {
+            last += 1;
+            row.swap(last, i);
+        }
+    }
+    last + 1
+}
+
 /// Log2-binned histogram: bin 0 counts zeros, bin `k ≥ 1` counts values
 /// `d` with `2^(k-1) ≤ d < 2^k`. Trailing empty bins are trimmed. The
 /// standard way to eyeball a skewed degree distribution.
@@ -229,6 +295,46 @@ mod tests {
     use super::*;
     use crate::fixtures::paper_hypergraph;
     use proptest::prelude::*;
+
+    #[test]
+    fn from_edge_rows_makes_each_row_a_set() {
+        // rows [3, 1, 3], [], [0, 2], [5, 5]
+        let h = Hypergraph::from_edge_rows(vec![0, 3, 3, 5, 7], vec![3, 1, 3, 0, 2, 5, 5]);
+        let want = Hypergraph::from_memberships(&[vec![1, 3], vec![], vec![0, 2], vec![5]]);
+        assert_eq!(h, want);
+        assert!(crate::validate::Validate::validate(&h).is_ok());
+        assert_eq!(h.num_incidences(), 5);
+        assert_eq!(h.num_hypernodes(), 6);
+        let empty = Hypergraph::from_edge_rows(vec![0], vec![]);
+        assert_eq!((empty.num_hyperedges(), empty.num_hypernodes()), (0, 0));
+    }
+
+    proptest! {
+        #[test]
+        fn prop_from_edge_rows_matches_deduped_memberships(
+            ms in proptest::collection::vec(proptest::collection::vec(0u32..12, 0..6), 0..8),
+        ) {
+            let mut offsets = vec![0];
+            let mut targets = Vec::new();
+            for row in &ms {
+                targets.extend(row);
+                offsets.push(targets.len());
+            }
+            let sets: Vec<Vec<Id>> = ms
+                .iter()
+                .map(|row| {
+                    let mut row = row.clone();
+                    row.sort_unstable();
+                    row.dedup();
+                    row
+                })
+                .collect();
+            prop_assert_eq!(
+                Hypergraph::from_edge_rows(offsets, targets),
+                Hypergraph::from_memberships(&sets)
+            );
+        }
+    }
 
     #[test]
     fn mutual_indexing_holds_on_fixture() {

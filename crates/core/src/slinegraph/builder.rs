@@ -37,12 +37,15 @@
 //! assert_eq!(strong, vec![(0, 1)]);
 //! ```
 
+use super::counting::stream_pairs_meeting;
+use super::rows::Rows;
 use super::{canonicalize, ensemble, planner, weighted, Algorithm, BuildOptions, Relabel};
 use crate::ids::{self, LocalId, Overlap, Relabeling};
 use crate::repr::{HyperAdjacency, RelabeledView};
 use crate::slinegraph::overlap::OverlapPolicy;
 use crate::Id;
 use nwgraph::{Csr, EdgeList};
+use nwhy_obs::Counter;
 use nwhy_util::partition::Strategy;
 
 /// Fluent builder for s-line graphs over any [`HyperAdjacency`]
@@ -150,10 +153,6 @@ impl<'a, A: HyperAdjacency + ?Sized> SLineBuilder<'a, A> {
         )))
     }
 
-    /// The canonical s-line edge set, in original hyperedge IDs.
-    ///
-    /// # Panics
-    /// Panics if `s == 0`.
     /// The algorithm this build will run: the planner's pick under
     /// [`SLineBuilder::auto`], the configured one otherwise. Exposed so
     /// callers (the CLI, benches) can report the decision.
@@ -166,11 +165,77 @@ impl<'a, A: HyperAdjacency + ?Sized> SLineBuilder<'a, A> {
         }
     }
 
+    /// The canonical s-line edge set, in original hyperedge IDs.
+    ///
+    /// # Panics
+    /// Panics if `s == 0`.
     #[must_use]
     pub fn edges(&self) -> Vec<(Id, Id)> {
         assert!(self.s >= 1, "s must be at least 1");
         let algorithm = self.resolved_algorithm();
         let _span = nwhy_obs::span(algorithm.span_name());
+        self.collect(algorithm)
+    }
+
+    /// Streams the canonical edge list, in original hyperedge IDs and in
+    /// order, to `sink` in runs: each run is an `O` from `init`, filled
+    /// by `emit(out, e, f)` for each of its pairs. Returns how many pairs
+    /// there are. An error from `sink` stops the build and is returned.
+    ///
+    /// The build takes one of two paths, decided here and nowhere else:
+    ///
+    /// - **streamed** — [`Algorithm::Hashmap`] over every row, or
+    ///   [`Algorithm::QueueHashmap`] over the identity queue, under
+    ///   blocked bins and no relabel. These are the builds whose counting
+    ///   bins come out in row order. The rows run in waves of
+    ///   [`Strategy::AUTO`]'s bin count, and each bin formats its pairs
+    ///   into its own run on its pool thread, so one wave's runs are in
+    ///   flight at a time. There is no pair vector and no canonicalize.
+    /// - **collected** — every other build collects [`Self::edges`],
+    ///   canonicalized, and formats it in order on the calling thread.
+    ///
+    /// # Panics
+    /// Panics if `s == 0`.
+    pub fn stream_edges<O, E>(
+        &self,
+        init: impl Fn() -> O + Sync,
+        emit: impl Fn(&mut O, Id, Id) + Sync,
+        mut sink: impl FnMut(O) -> Result<(), E>,
+    ) -> Result<usize, E>
+    where
+        O: Send,
+    {
+        assert!(self.s >= 1, "s must be at least 1");
+        let algorithm = self.resolved_algorithm();
+        let _span = nwhy_obs::span(algorithm.span_name());
+        let identity: Vec<Id>;
+        let rows = match (algorithm, self.strategy, self.relabel) {
+            (Algorithm::Hashmap, Strategy::Blocked { .. }, Relabel::None) => {
+                Some(Rows::All(self.strategy))
+            }
+            (Algorithm::QueueHashmap, Strategy::Blocked { .. }, Relabel::None) => {
+                identity = (0..ids::from_usize(self.repr.num_hyperedges())).collect();
+                nwhy_obs::add(Counter::SlineQueuePushes, identity.len() as u64);
+                Some(Rows::Queue(&identity, self.strategy))
+            }
+            _ => None,
+        };
+        if let Some(rows) = rows {
+            return stream_pairs_meeting(self.repr, rows, self.s, init, emit, sink);
+        }
+        let pairs = self.collect(algorithm);
+        for run in pairs.chunks(pairs.len().div_ceil(Strategy::AUTO.bins()).max(1)) {
+            let mut out = init();
+            for &(e, f) in run {
+                emit(&mut out, e, f);
+            }
+            sink(out)?;
+        }
+        Ok(pairs.len())
+    }
+
+    /// The canonical edge set of `algorithm`, in original IDs.
+    fn collect(&self, algorithm: Algorithm) -> Vec<(Id, Id)> {
         match self.permutation() {
             None => dispatch(self.repr, self.s, algorithm, self.strategy, self.overlap),
             Some(r) => {
@@ -324,6 +389,8 @@ mod tests {
     use crate::adjoin::AdjoinGraph;
     use crate::fixtures::{paper_hypergraph, paper_slinegraph_edges};
     use crate::repr::DualView;
+    use crate::slinegraph::counting::tests::{arb_memberships, STRATEGIES};
+    use proptest::prelude::*;
 
     #[test]
     fn builder_defaults_match_fixture() {
@@ -427,6 +494,57 @@ mod tests {
         assert!(g.is_symmetric());
         assert_eq!(g.num_vertices(), 4);
         assert_eq!(g.num_edges(), 2 * paper_slinegraph_edges(2).len());
+    }
+
+    /// `stream_edges`' runs, concatenated, and its pair count.
+    fn streamed<A: HyperAdjacency + ?Sized>(b: &SLineBuilder<'_, A>) -> (Vec<(Id, Id)>, usize) {
+        let mut runs = Vec::new();
+        let push = |run: &mut Vec<(Id, Id)>, e, f| run.push((e, f));
+        let n = b
+            .stream_edges(Vec::new, push, |run| {
+                runs.push(run);
+                Ok::<(), ()>(())
+            })
+            .unwrap();
+        (runs.concat(), n)
+    }
+
+    proptest! {
+        #[test]
+        fn prop_stream_edges_matches_edges(ms in arb_memberships(), s in 1usize..4) {
+            let h = crate::Hypergraph::from_memberships(&ms);
+            for algo in Algorithm::ALL {
+                for strategy in STRATEGIES {
+                    for relabel in [Relabel::None, Relabel::Ascending, Relabel::Descending] {
+                        let b = SLineBuilder::new(&h).s(s).algorithm(algo).strategy(strategy).relabel(relabel);
+                        let want = b.edges();
+                        prop_assert_eq!(streamed(&b), (want.clone(), want.len()), "{:?} {:?} {:?}", algo, strategy, relabel);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_failing_sink_stops_the_stream() {
+        let h = paper_hypergraph();
+        for algo in [Algorithm::Hashmap, Algorithm::Naive] {
+            let mut calls = 0;
+            let err = SLineBuilder::new(&h).s(1).algorithm(algo).stream_edges(
+                Vec::new,
+                |run: &mut Vec<(Id, Id)>, e, f| run.push((e, f)),
+                |run| {
+                    calls += 1;
+                    if run.is_empty() {
+                        Ok(())
+                    } else {
+                        Err("full")
+                    }
+                },
+            );
+            assert_eq!(err, Err("full"), "{}", algo.name());
+            assert!(calls >= 1);
+        }
     }
 
     #[test]

@@ -10,13 +10,16 @@
 //!
 //! A row's entries are emitted in `j` order, so under a blocked strategy
 //! the workers' lists concatenate into a sorted list and
-//! [`canonicalize`]'s sort is a linear pass.
+//! [`canonicalize`]'s sort is a linear pass. [`stream_pairs_meeting`]
+//! relies on the same order to hand the bins' outputs straight to a
+//! writer.
 
-use super::rows::{run_rows, Rows, Worker};
+use super::rows::{run_rows, run_waves, Rows, Worker};
 use super::stats::KernelStats;
 use super::{canonicalize, meets, HyperAdjacency};
 use crate::ids::{self, Overlap};
 use crate::Id;
+use nwhy_util::partition::Strategy;
 
 /// The dense sparse accumulator. Between rows `counts` is all zero and
 /// the two lists are empty.
@@ -25,6 +28,15 @@ struct Spa {
     counts: Vec<Overlap>,
     touched: Vec<Id>,
     kept: Vec<(Id, Overlap)>,
+}
+
+impl Spa {
+    fn new(ne: usize) -> Self {
+        Spa {
+            counts: vec![0; ne],
+            ..Spa::default()
+        }
+    }
 }
 
 impl<O> Worker<Spa, O> {
@@ -105,13 +117,60 @@ where
     F: Fn(&mut O, Id, Id, Overlap) + Sync,
 {
     let ne = h.num_hyperedges();
-    let spa = || Spa {
-        counts: vec![0; ne],
-        ..Spa::default()
+    run_rows(
+        ne,
+        rows,
+        || Spa::new(ne),
+        init,
+        |w, i, all| w.row(h, i, min_s, all, &emit),
+    )
+}
+
+/// Counts `rows` in waves of consecutive row ranges, as many as
+/// [`Strategy::AUTO`] has bins, and streams the pairs whose overlap meets
+/// `s`: `emit(out, i, j)` writes each pair into its bin's output, and
+/// `sink` takes the outputs in bin order, one wave at a time, so about
+/// 1/(4·threads) of the output is in flight. Under blocked bins over
+/// ascending rows that order is the canonical one, with no pair vector
+/// and no [`canonicalize`]. Returns how many pairs were emitted.
+pub(super) fn stream_pairs_meeting<A, O, I, F, K, E>(
+    h: &A,
+    rows: Rows<'_>,
+    s: usize,
+    init: I,
+    emit: F,
+    mut sink: K,
+) -> Result<usize, E>
+where
+    A: HyperAdjacency + ?Sized,
+    O: Send,
+    I: Fn() -> O + Sync,
+    F: Fn(&mut O, Id, Id) + Sync,
+    K: FnMut(O) -> Result<(), E>,
+{
+    let ne = h.num_hyperedges();
+    // each output carries its pair count
+    let counted = |out: &mut (O, usize), i, j, _| {
+        emit(&mut out.0, i, j);
+        out.1 += 1;
     };
-    run_rows(ne, rows, spa, init, |w, i, all| {
-        w.row(h, i, min_s, all, &emit)
-    })
+    let mut emitted = 0;
+    let stats = run_waves(
+        ne,
+        rows,
+        Strategy::AUTO.bins(),
+        || Spa::new(ne),
+        || (init(), 0),
+        |w, i, all| w.row(h, i, s, all, &counted),
+        |wave| {
+            wave.into_iter().try_for_each(|(out, n)| {
+                emitted += n;
+                sink(out)
+            })
+        },
+    )?;
+    stats.flush(emitted);
+    Ok(emitted)
 }
 
 /// Counts `rows` and returns the canonical pairs whose overlap meets `s`

@@ -9,8 +9,9 @@
 
 use super::stats::KernelStats;
 use crate::{ids, Id};
-use nwhy_util::partition::{par_map_bins, Strategy};
+use nwhy_util::partition::{blocked_ranges, par_map_bins, Strategy};
 use nwhy_util::workq::ChunkedQueue;
+use std::convert::Infallible;
 use std::sync::{Mutex, PoisonError};
 
 /// Where a kernel's rows (outer hyperedges) come from.
@@ -51,6 +52,36 @@ where
     I: Fn() -> O + Sync,
     F: Fn(&mut Worker<S, O>, Id, bool) + Sync,
 {
+    let mut outs = Vec::new();
+    let stats = run_waves(ne, rows, 1, scratch, init, row, |wave| {
+        outs.extend(wave);
+        Ok::<(), Infallible>(())
+    });
+    (outs, stats.unwrap_or_else(|never| match never {}))
+}
+
+/// [`run_rows`] in `waves` consecutive row ranges, one after another:
+/// `sink` takes each range's bin outputs, in bin order, before the next
+/// range starts, and an error from it stops the run. Blocked bins over a
+/// range keep row order, so the outputs `sink` sees come in row order
+/// overall. Cyclic bins and the stealing queue run as one wave.
+pub(super) fn run_waves<S, O, N, I, F, K, E>(
+    ne: usize,
+    rows: Rows<'_>,
+    waves: usize,
+    scratch: N,
+    init: I,
+    row: F,
+    mut sink: K,
+) -> Result<KernelStats, E>
+where
+    S: Send,
+    O: Send,
+    N: Fn() -> S + Sync,
+    I: Fn() -> O + Sync,
+    F: Fn(&mut Worker<S, O>, Id, bool) + Sync,
+    K: FnMut(Vec<O>) -> Result<(), E>,
+{
     let idle = Mutex::new(Vec::new());
     // Every update leaves the idle list valid, so a poisoned lock is
     // still safe to use.
@@ -72,25 +103,40 @@ where
             .push(w.scratch);
         (w.out, w.stats)
     };
-    let done = match rows {
-        Rows::All(strategy) => par_map_bins(ne, strategy, |bin| {
-            run_bin(&mut bin.map(ids::from_usize), true)
-        }),
-        Rows::Queue(queue, strategy) => par_map_bins(queue.len(), strategy, |bin| {
-            run_bin(&mut bin.filter_map(|slot| queue.get(slot).copied()), false)
-        }),
+    let mut stats = KernelStats::default();
+    let mut take = |done: Vec<(O, KernelStats)>| {
+        let outs = done.into_iter().map(|(out, s)| {
+            stats.merge(&s);
+            out
+        });
+        sink(outs.collect())
+    };
+    // the slots of each wave: consecutive ranges for blocked bins
+    let ranges = |n: usize, strategy: Strategy| match strategy {
+        Strategy::Blocked { .. } if waves > 1 => blocked_ranges(n, waves),
+        _ => std::iter::once(0..n).collect(),
+    };
+    match rows {
+        Rows::All(strategy) => {
+            for r in ranges(ne, strategy) {
+                take(par_map_bins(r.len(), strategy, |bin| {
+                    run_bin(&mut bin.map(|k| ids::from_usize(r.start + k)), true)
+                }))?;
+            }
+        }
+        Rows::Queue(queue, strategy) => {
+            for r in ranges(queue.len(), strategy) {
+                let slots = queue.get(r).unwrap_or_default();
+                take(par_map_bins(slots.len(), strategy, |bin| {
+                    run_bin(&mut bin.filter_map(|k| slots.get(k).copied()), false)
+                }))?;
+            }
+        }
         Rows::Stealing(q) => {
             let workers = rayon::current_num_threads().max(1);
-            q.drain_with(workers, fresh, |w, &i| row(w, i, false))
-                .into_iter()
-                .map(|w| (w.out, w.stats))
-                .collect()
+            let done = q.drain_with(workers, fresh, |w, &i| row(w, i, false));
+            take(done.into_iter().map(|w| (w.out, w.stats)).collect())?;
         }
-    };
-    let mut stats = KernelStats::default();
-    let outs = done.into_iter().map(|(out, s)| {
-        stats.merge(&s);
-        out
-    });
-    (outs.collect(), stats)
+    }
+    Ok(stats)
 }

@@ -92,14 +92,20 @@ impl SLineGraph {
     }
 
     /// s-degree of hyperedge `e`: how many hyperedges s-overlap it
-    /// (Listing 5 `s_degree`).
+    /// (Listing 5 `s_degree`); 0 if `e` is not a hyperedge.
     pub fn s_degree(&self, e: Id) -> usize {
-        self.graph.degree(e)
+        self.s_neighbors(e).len()
     }
 
-    /// The hyperedges s-adjacent to `e` (Listing 5 `s_neighbors`).
+    /// The hyperedges s-adjacent to `e` (Listing 5 `s_neighbors`); empty
+    /// if `e` is not a hyperedge.
     pub fn s_neighbors(&self, e: Id) -> &[Id] {
-        self.graph.neighbors(e)
+        let offsets = self.graph.offsets();
+        let row = e as usize;
+        match (offsets.get(row), offsets.get(row + 1)) {
+            (Some(&lo), Some(&hi)) => self.graph.targets().get(lo..hi).unwrap_or_default(),
+            _ => &[],
+        }
     }
 
     /// s-connected-component labels over hyperedges, canonicalized to the
@@ -142,6 +148,20 @@ impl SLineGraph {
         (src as usize) < n && (dest as usize) < n
     }
 
+    /// `metric(graph)` for every hyperedge under `None`; under `Some(e)`,
+    /// its value at `e` alone, or nothing if `e` is not a hyperedge.
+    fn one_or_all<T: Copy>(&self, v: Option<Id>, metric: fn(&Csr) -> Vec<T>) -> Vec<T> {
+        match v {
+            None => metric(&self.graph),
+            Some(e) if self.has_vertices(e, e) => metric(&self.graph)
+                .get(e as usize)
+                .copied()
+                .into_iter()
+                .collect(),
+            Some(_) => Vec::new(),
+        }
+    }
+
     /// s-betweenness centrality of every hyperedge (Listing 5
     /// `s_betweenness_centrality`).
     pub fn s_betweenness_centrality(&self, normalized: bool) -> Vec<f64> {
@@ -149,33 +169,23 @@ impl SLineGraph {
     }
 
     /// s-closeness centrality; pass `Some(e)` for one hyperedge or `None`
-    /// for all (Listing 5 `s_closeness_centrality(v=None)`).
+    /// for all (Listing 5 `s_closeness_centrality(v=None)`). `Some(e)` for
+    /// an `e` that is not a hyperedge gives an empty `Vec`, here and in the
+    /// two queries below.
     pub fn s_closeness_centrality(&self, v: Option<Id>) -> Vec<f64> {
-        let all = closeness_centrality(&self.graph);
-        match v {
-            Some(e) => vec![all[e as usize]],
-            None => all,
-        }
+        self.one_or_all(v, closeness_centrality)
     }
 
     /// s-harmonic-closeness centrality (Listing 5
     /// `s_harmonic_closeness_centrality`).
     pub fn s_harmonic_closeness_centrality(&self, v: Option<Id>) -> Vec<f64> {
-        let all = harmonic_closeness_centrality(&self.graph);
-        match v {
-            Some(e) => vec![all[e as usize]],
-            None => all,
-        }
+        self.one_or_all(v, harmonic_closeness_centrality)
     }
 
     /// s-eccentricity (Listing 5 `s_eccentricity`): greatest finite
     /// s-distance from each hyperedge within its s-component.
     pub fn s_eccentricity(&self, v: Option<Id>) -> Vec<u32> {
-        let all = eccentricity(&self.graph);
-        match v {
-            Some(e) => vec![all[e as usize]],
-            None => all,
-        }
+        self.one_or_all(v, eccentricity)
     }
 
     /// The s-diameter: max finite s-eccentricity.
@@ -324,6 +334,22 @@ mod tests {
         let empty = SLineGraph::new(&Hypergraph::from_memberships(&[]), 1);
         assert_eq!(empty.s_distance(0, 0), None);
         assert_eq!(empty.s_path(0, 0), None);
+    }
+
+    #[test]
+    fn out_of_range_ids_have_no_metrics_or_neighbors() {
+        let h = paper_hypergraph();
+        let empty = SLineGraph::new(&Hypergraph::from_memberships(&[]), 1);
+        for lg in [SLineGraph::new(&h, 1), empty] {
+            let n: Id = crate::ids::from_usize(lg.num_vertices());
+            for e in [n, n + 1, Id::MAX] {
+                assert!(lg.s_closeness_centrality(Some(e)).is_empty(), "{e}");
+                assert!(lg.s_harmonic_closeness_centrality(Some(e)).is_empty());
+                assert!(lg.s_eccentricity(Some(e)).is_empty());
+                assert_eq!(lg.s_degree(e), 0);
+                assert!(lg.s_neighbors(e).is_empty());
+            }
+        }
     }
 
     #[test]

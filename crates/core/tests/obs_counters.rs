@@ -349,3 +349,45 @@ fn queue_kernels_report_pushes() {
         });
     }
 }
+
+/// Every `sline.*` counter of a streamed build equals the collected
+/// build's, for the two streamed configurations.
+#[test]
+fn streamed_builds_report_the_collected_counters() {
+    let h = Hypergraph::from_memberships(&[
+        vec![0, 1, 2, 3],
+        vec![1, 2, 3],
+        vec![0, 3],
+        vec![2],
+        vec![0, 1, 2, 3, 4],
+        vec![4, 5],
+    ]);
+    let counters = [
+        Counter::SlinePairsExamined,
+        Counter::SlinePairsSkippedDegree,
+        Counter::SlineHashmapInsertions,
+        Counter::SlineQueuePushes,
+        Counter::SlineEdgesEmitted,
+    ];
+    for algo in [Algorithm::Hashmap, Algorithm::QueueHashmap] {
+        let build = SLineBuilder::new(&h).s(2).algorithm(algo);
+        let (collected, want) = isolated(|| (build.edges(), counters.map(nwhy_obs::counter_value)));
+        let (streamed, got) = isolated(|| {
+            let mut pairs = Vec::new();
+            let n = build
+                .stream_edges(
+                    Vec::new,
+                    |run: &mut Vec<(Id, Id)>, e, f| run.push((e, f)),
+                    |run| {
+                        pairs.extend(run);
+                        Ok::<(), ()>(())
+                    },
+                )
+                .unwrap();
+            assert_eq!(n, pairs.len());
+            (pairs, counters.map(nwhy_obs::counter_value))
+        });
+        assert_eq!(streamed, collected, "{}", algo.name());
+        assert_eq!(got, want, "{}", algo.name());
+    }
+}

@@ -7,6 +7,7 @@
 //! column holds the hyperedges.
 
 use crate::error::{checked_id, IoError};
+use crate::scan::{next_usize, tokens, trim_start, Lines};
 use nwhy_core::ids;
 use nwhy_core::{BiEdgeList, Hypergraph, Id};
 use nwhy_obs::Counter;
@@ -29,34 +30,20 @@ pub fn read_bipartite_tsv<R: BufRead>(
     orientation: Orientation,
 ) -> Result<Hypergraph, IoError> {
     let _span = nwhy_obs::span("io.read_tsv");
+    let mut lines = Lines::new(reader);
     let mut incidences: Vec<(Id, Id)> = Vec::new();
     let mut max_edge = 0usize;
     let mut max_node = 0usize;
-    let mut bytes = 0u64;
-    let mut parsed = 0u64;
-    for (i, line) in reader.lines().enumerate() {
-        let line = line?;
-        if nwhy_obs::enabled() {
-            bytes += line.len() as u64 + 1;
-            parsed += 1;
-        }
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('%') || t.starts_with('#') {
+    while let Some((n, line)) = lines.next_line()? {
+        let t = trim_start(line);
+        if t.is_empty() || t.starts_with(b"%") || t.starts_with(b"#") {
             continue;
         }
-        let mut toks = t.split_whitespace();
-        let a: usize = toks
-            .next()
-            .ok_or_else(|| IoError::parse(i + 1, "missing left ID"))?
-            .parse()
-            .map_err(|_| IoError::parse(i + 1, "invalid left ID"))?;
-        let b: usize = toks
-            .next()
-            .ok_or_else(|| IoError::parse(i + 1, "missing right ID"))?
-            .parse()
-            .map_err(|_| IoError::parse(i + 1, "invalid right ID"))?;
+        let mut toks = tokens(t);
+        let a = next_usize(&mut toks, n, "left ID")?;
+        let b = next_usize(&mut toks, n, "right ID")?;
         if a == 0 || b == 0 {
-            return Err(IoError::parse(i + 1, "IDs are 1-based; found 0"));
+            return Err(IoError::parse(n, "IDs are 1-based; found 0"));
         }
         let (edge, node) = match orientation {
             Orientation::NodeEdge => (b, a),
@@ -65,12 +52,12 @@ pub fn read_bipartite_tsv<R: BufRead>(
         max_edge = max_edge.max(edge);
         max_node = max_node.max(node);
         incidences.push((
-            checked_id((edge - 1) as u64, i + 1, "hyperedge ID")?,
-            checked_id((node - 1) as u64, i + 1, "hypernode ID")?,
+            checked_id((edge - 1) as u64, n, "hyperedge ID")?,
+            checked_id((node - 1) as u64, n, "hypernode ID")?,
         ));
     }
-    nwhy_obs::add(Counter::IoBytesRead, bytes);
-    nwhy_obs::add(Counter::IoLinesParsed, parsed);
+    nwhy_obs::add(Counter::IoBytesRead, lines.bytes());
+    nwhy_obs::add(Counter::IoLinesParsed, lines.count());
     nwhy_obs::add(Counter::IoIncidencesRead, incidences.len() as u64);
     let mut bel = BiEdgeList::from_incidences(max_edge, max_node, incidences);
     bel.sort_dedup();
