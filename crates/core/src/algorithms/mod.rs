@@ -16,7 +16,9 @@
 //!   (direction-optimizing BFS; Afforest / label propagation) followed by
 //!   a range-aware split of the result array.
 //!
-//! [`mod@toplex`] implements Algorithm 3 (maximal hyperedges).
+//! [`mod@toplex`] implements Algorithm 3 (maximal hyperedges) and
+//! [`mod@s_components`] the s-connected components without a stored
+//! s-line graph; both take their overlaps from the s-line counting core.
 
 pub mod adjoin_bfs;
 pub mod adjoin_cc;

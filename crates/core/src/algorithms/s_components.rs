@@ -3,93 +3,53 @@
 //!
 //! The paper frames the exact/approximate choice as a time/space
 //! trade-off (§I: "based on the time and space requirements"). For s-CC
-//! specifically there is a middle road: BFS over hyperedges where the
-//! s-adjacency test (`|e ∩ f| ≥ s`) is evaluated *on the fly* through the
-//! bipartite indirection with hashmap counting. Time matches one
-//! line-graph construction, but the `O(|L_s|)` edge list — which for
+//! there is a middle road: run the s-line construction's overlap count
+//! (the counting core behind the hashmap kernel, `e → v → f` through the
+//! bipartite indirection) and hand each pair with `|e ∩ f| ≥ s` straight
+//! to a union-find forest instead of an edge list. Afforest's concurrent
+//! `link` joins the pair's trees as the pool threads find it, and one
+//! `compress` names every hyperedge's component minimum. Time matches
+//! one line-graph construction, but the `O(|L_s|)` edge list — which for
 //! `s = 1` can be quadratic (the Fig. 9 runs materialize millions of
 //! edges) — is never stored.
 
 use crate::ids;
 use crate::repr::HyperAdjacency;
+use crate::slinegraph::counting::visit_pairs_meeting;
 use crate::Id;
-use nwhy_util::fxhash::FxHashMap;
-use nwhy_util::sync::{AtomicU32, Ordering};
-use rayon::prelude::*;
+use nwhy_util::atomics::{compress, link};
+use nwhy_util::sync::AtomicU32;
 
 /// Labels hyperedges by s-connected component (smallest member hyperedge
 /// ID per component, like `SLineGraph::s_connected_components`).
 pub fn s_connected_components_online<H: HyperAdjacency + ?Sized>(h: &H, s: usize) -> Vec<Id> {
     let _span = nwhy_obs::span("algo.s_components");
     assert!(s >= 1, "s must be at least 1");
-    let ne = h.num_hyperedges();
-    let labels: Vec<AtomicU32> = (0..ne).map(|_| AtomicU32::new(u32::MAX)).collect();
-
-    for root in 0..ids::from_usize(ne) {
-        if labels[root as usize].load(Ordering::Relaxed) != u32::MAX {
-            continue;
-        }
-        labels[root as usize].store(root, Ordering::Relaxed);
-        let mut frontier = vec![root];
-        while !frontier.is_empty() {
-            frontier = frontier
-                .par_iter()
-                .fold(
-                    || (Vec::new(), FxHashMap::<Id, u32>::default()),
-                    |(mut next, mut counts), &i| {
-                        let nbrs_i = h.edge_neighbors(i);
-                        if nbrs_i.len() < s {
-                            return (next, counts);
-                        }
-                        counts.clear();
-                        for &v in nbrs_i.iter() {
-                            for &raw in h.node_neighbors(v).iter() {
-                                let j = h.edge_id(raw);
-                                if j != i {
-                                    *counts.entry(j).or_insert(0) += 1;
-                                }
-                            }
-                        }
-                        for (&j, &c) in &counts {
-                            if c as usize >= s
-                                && labels[j as usize]
-                                    .compare_exchange(
-                                        u32::MAX,
-                                        root,
-                                        Ordering::AcqRel,
-                                        Ordering::Relaxed,
-                                    )
-                                    .is_ok()
-                            {
-                                next.push(j);
-                            }
-                        }
-                        (next, counts)
-                    },
-                )
-                .map(|(next, _)| next)
-                .reduce(Vec::new, |mut a, mut b| {
-                    a.append(&mut b);
-                    a
-                });
-        }
-    }
-    labels.into_iter().map(AtomicU32::into_inner).collect()
+    let comp: Vec<AtomicU32> = (0..ids::from_usize(h.num_hyperedges()))
+        .map(AtomicU32::new)
+        .collect();
+    visit_pairs_meeting(h, s, |i, j, _| link(i, j, &comp));
+    compress(&comp);
+    comp.into_iter().map(AtomicU32::into_inner).collect()
 }
 
 /// `true` if all hyperedges share one s-component (online variant of
 /// `is_s_connected`). Vacuously true for ≤ 1 hyperedge.
 pub fn is_s_connected_online<H: HyperAdjacency + ?Sized>(h: &H, s: usize) -> bool {
-    let labels = s_connected_components_online(h, s);
-    labels.windows(2).all(|w| w[0] == w[1])
+    // labels are component minima: one component labels everything 0
+    s_connected_components_online(h, s).iter().all(|&l| l == 0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adjoin::AdjoinGraph;
     use crate::fixtures::paper_hypergraph;
     use crate::hypergraph::Hypergraph;
+    use crate::repr::RelabeledView;
+    use crate::slinegraph::counting::tests::{arb_memberships, descending};
     use crate::smetrics::SLineGraph;
+    use nwhy_util::pool::with_threads;
     use proptest::prelude::*;
 
     #[test]
@@ -113,7 +73,7 @@ mod tests {
     #[test]
     fn runs_on_adjoin_representation() {
         let h = paper_hypergraph();
-        let a = crate::adjoin::AdjoinGraph::from_hypergraph(&h);
+        let a = AdjoinGraph::from_hypergraph(&h);
         for s in 1..=3 {
             assert_eq!(
                 s_connected_components_online(&a, s),
@@ -138,9 +98,14 @@ mod tests {
         assert!(is_s_connected_online(&h, 1));
     }
 
-    fn arb_memberships() -> impl proptest::strategy::Strategy<Value = Vec<Vec<Id>>> {
-        proptest::collection::vec(proptest::collection::btree_set(0u32..15, 0..7), 0..12)
-            .prop_map(|sets| sets.into_iter().map(|s| s.into_iter().collect()).collect())
+    /// Online labels equal the materialized s-line graph's on `h`, at
+    /// 1–3 threads (`link` races between the pool threads).
+    fn agrees_with_materialized<A: HyperAdjacency + ?Sized>(h: &A, s: usize) {
+        let want = SLineGraph::new(h, s).s_connected_components();
+        for threads in 1..=3 {
+            let got = with_threads(threads, || s_connected_components_online(h, s));
+            assert_eq!(got, want, "s={s} threads={threads}");
+        }
     }
 
     proptest! {
@@ -148,9 +113,9 @@ mod tests {
         #[test]
         fn prop_online_equals_materialized(ms in arb_memberships(), s in 1usize..4) {
             let h = Hypergraph::from_memberships(&ms);
-            let online = s_connected_components_online(&h, s);
-            let materialized = SLineGraph::new(&h, s).s_connected_components();
-            prop_assert_eq!(online, materialized);
+            agrees_with_materialized(&h, s);
+            agrees_with_materialized(&AdjoinGraph::from_hypergraph(&h), s);
+            agrees_with_materialized(&RelabeledView::from_relabeling(&h, &descending(&h)), s);
         }
     }
 }

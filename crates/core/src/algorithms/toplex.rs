@@ -10,19 +10,24 @@
 //! implementation here uses an equivalent, race-free formulation: `e` is
 //! dominated iff some hyperedge `f` contains *all* of `e`'s members
 //! (`|e ∩ f| = |e|`) and `f` is "bigger" (`|f| > |e|`, or `|f| = |e|` with
-//! `f < e` for the duplicate tie-break). Containment candidates are
-//! discovered through the bipartite indirection and counted with a
-//! hashmap, so the work per hyperedge is proportional to the incidences
-//! it can actually touch — the same cost structure as Algorithm 3's
-//! subset probes.
+//! `f < e` for the duplicate tie-break). The overlaps come from the s-line
+//! construction's counting core at `s = 1`, which walks `e → v → f`
+//! through the bipartite indirection and sees each overlapping pair once,
+//! so the work is proportional to the incidences a hyperedge can actually
+//! touch — the same cost structure as Algorithm 3's subset probes. Each
+//! pair marks its contained side in a shared bitmap; marks only ever go
+//! from clear to set, so the order the pool threads find pairs in does
+//! not matter.
 
 use crate::hypergraph::Hypergraph;
 use crate::ids;
+use crate::repr::HyperAdjacency;
+use crate::slinegraph::counting::visit_pairs_meeting;
 use crate::Id;
-use nwhy_util::fxhash::FxHashMap;
-use rayon::prelude::*;
+use nwhy_util::bitmap::AtomicBitmap;
 
-/// Returns the toplex hyperedge IDs of `h`, in increasing order.
+/// Returns the toplex hyperedge IDs of `h`, in increasing order, on any
+/// representation.
 ///
 /// Hyperedges with no members are dominated by any non-empty hyperedge
 /// (∅ ⊆ anything); an empty hyperedge is a toplex only in a hypergraph
@@ -40,39 +45,30 @@ use rayon::prelude::*;
 /// ]);
 /// assert_eq!(toplexes(&h), vec![0, 2]);
 /// ```
-pub fn toplexes(h: &Hypergraph) -> Vec<Id> {
+pub fn toplexes<A: HyperAdjacency + ?Sized>(h: &A) -> Vec<Id> {
     let _span = nwhy_obs::span("algo.toplex");
     let ne = h.num_hyperedges();
-    if ne == 0 {
-        return Vec::new();
-    }
+    let dominated = AtomicBitmap::new(ne);
+    // For i < j: i ⊆ j strictly smaller, or j ⊆ i no bigger (equal sets
+    // keep the smaller ID).
+    visit_pairs_meeting(h, 1, |i, j, n| {
+        let (di, dj) = (h.edge_degree(i), h.edge_degree(j));
+        let n = ids::to_usize(n);
+        if n == di && di < dj {
+            dominated.set(ids::to_usize(i));
+        } else if n == dj && dj <= di {
+            dominated.set(ids::to_usize(j));
+        }
+    });
     let any_nonempty = (0..ids::from_usize(ne)).any(|e| h.edge_degree(e) > 0);
-
     (0..ids::from_usize(ne))
-        .into_par_iter()
         .filter(|&e| {
-            let members = h.edge_members(e);
-            if members.is_empty() {
+            if h.edge_degree(e) == 0 {
                 // ∅ is dominated by any non-empty hyperedge; among
                 // all-empty hypergraphs keep the smallest ID.
-                return !any_nonempty && (0..e).all(|f| h.edge_degree(f) > 0);
+                return !any_nonempty && e == 0;
             }
-            let de = members.len();
-            // Count overlap with every hyperedge sharing a member.
-            let mut counts: FxHashMap<Id, usize> = FxHashMap::default();
-            for &v in members {
-                for &f in h.node_memberships(v) {
-                    if f != e {
-                        *counts.entry(f).or_insert(0) += 1;
-                    }
-                }
-            }
-            !counts.iter().any(|(&f, &overlap)| {
-                overlap == de && {
-                    let df = h.edge_degree(f);
-                    df > de || (df == de && f < e)
-                }
-            })
+            !dominated.get(ids::to_usize(e))
         })
         .collect()
 }
@@ -82,17 +78,9 @@ pub fn toplexes(h: &Hypergraph) -> Vec<Id> {
 pub fn toplexes_sequential(h: &Hypergraph) -> Vec<Id> {
     let _span = nwhy_obs::span("algo.toplex.sequential");
     let is_subset = |a: &[Id], b: &[Id]| -> bool {
-        // both sorted
-        let mut j = 0;
-        for &x in a {
-            while j < b.len() && b[j] < x {
-                j += 1;
-            }
-            if j >= b.len() || b[j] != x {
-                return false;
-            }
-        }
-        true
+        // both sorted: one merge walk over `b`
+        let mut rest = b.iter();
+        a.iter().all(|x| rest.by_ref().find(|&y| y >= x) == Some(x))
     };
     let mut maximal: Vec<Id> = Vec::new();
     for e in 0..ids::from_usize(h.num_hyperedges()) {
@@ -141,7 +129,11 @@ pub fn validate_toplexes(h: &Hypergraph, toplexes: &[Id]) -> Result<(), String> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adjoin::AdjoinGraph;
     use crate::fixtures::{nested_hypergraph, paper_hypergraph};
+    use crate::repr::RelabeledView;
+    use crate::slinegraph::counting::tests::descending;
+    use nwhy_util::pool::with_threads;
     use proptest::prelude::*;
 
     #[test]
@@ -201,12 +193,31 @@ mod tests {
             .prop_map(|sets| sets.into_iter().map(|s| s.into_iter().collect()).collect())
     }
 
+    /// `toplexes` on `h` equals the sequential oracle `want`, at 1–3
+    /// threads.
+    fn agrees_with_sequential<A: HyperAdjacency + ?Sized>(h: &A, want: &[Id]) {
+        for threads in 1..=3 {
+            let got = with_threads(threads, || toplexes(h));
+            assert_eq!(got, want, "threads={threads}");
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
         #[test]
         fn prop_parallel_equals_sequential(ms in arb_memberships()) {
             let h = Hypergraph::from_memberships(&ms);
-            prop_assert_eq!(toplexes(&h), toplexes_sequential(&h));
+            let want = toplexes_sequential(&h);
+            agrees_with_sequential(&h, &want);
+            agrees_with_sequential(&AdjoinGraph::from_hypergraph(&h), &want);
+            // the view's IDs decide its duplicate tie-breaks, so its
+            // oracle runs on the hyperedges in the view's order
+            let relabeling = descending(&h);
+            let view = RelabeledView::from_relabeling(&h, &relabeling);
+            let rows: Vec<Vec<Id>> = (0..ids::from_usize(h.num_hyperedges()))
+                .map(|e| view.edge_neighbors(e).to_vec())
+                .collect();
+            agrees_with_sequential(&view, &toplexes_sequential(&Hypergraph::from_memberships(&rows)));
         }
 
         #[test]

@@ -8,6 +8,9 @@
 //! rows come from ([`Rows`]) and in what they do with each
 //! `(j, |e_i ∩ e_j|)` (the `emit` closure of [`count_rows`]).
 //!
+//! [`visit_pairs_meeting`] hands the same pairs to a sink that keeps no
+//! edge list: s-components link them, toplexes mark the contained side.
+//!
 //! A row's entries are emitted in `j` order, so under a blocked strategy
 //! the workers' lists concatenate into a sorted list and
 //! [`canonicalize`]'s sort is a linear pass. [`stream_pairs_meeting`]
@@ -173,6 +176,30 @@ where
     Ok(emitted)
 }
 
+/// Counts every hyperedge's row once, as one wave, and calls
+/// `visit(i, j, n)` on the pool threads for each pair `i < j` whose
+/// overlap `n = |e_i ∩ e_j|` meets `s`, in no set order; then flushes the
+/// tallies with the visited pairs as the emitted edges. The overlap
+/// queries that need no edge list (s-components, toplexes) are sinks of
+/// this walk.
+pub(crate) fn visit_pairs_meeting<A, V>(h: &A, s: usize, visit: V)
+where
+    A: HyperAdjacency + ?Sized,
+    V: Fn(Id, Id, Overlap) + Sync,
+{
+    let (visited, stats) = count_rows(
+        h,
+        Rows::All(Strategy::AUTO),
+        s,
+        || 0usize,
+        |visited, i, j, n| {
+            visit(i, j, n);
+            *visited += 1;
+        },
+    );
+    stats.flush(visited.iter().sum());
+}
+
 /// Counts `rows` and returns the canonical pairs whose overlap meets `s`
 /// — the whole of the hashmap kernel and of Algorithm 1.
 pub(super) fn pairs_meeting<A: HyperAdjacency + ?Sized>(
@@ -188,7 +215,7 @@ pub(super) fn pairs_meeting<A: HyperAdjacency + ?Sized>(
 }
 
 #[cfg(test)]
-pub(super) mod tests {
+pub(crate) mod tests {
     use super::super::ensemble::ensemble;
     use super::super::hashmap::hashmap;
     use super::super::naive::naive;
@@ -209,14 +236,13 @@ pub(super) mod tests {
         Strategy::Cyclic { num_bins: 2 },
     ];
 
-    pub(in crate::slinegraph) fn arb_memberships(
-    ) -> impl proptest::strategy::Strategy<Value = Vec<Vec<Id>>> {
+    pub(crate) fn arb_memberships() -> impl proptest::strategy::Strategy<Value = Vec<Vec<Id>>> {
         proptest::collection::vec(proptest::collection::btree_set(0u32..20, 0..8), 0..12)
             .prop_map(|sets| sets.into_iter().map(|s| s.into_iter().collect()).collect())
     }
 
     /// The descending-degree relabeling of `h`'s hyperedges.
-    pub(in crate::slinegraph) fn descending(h: &Hypergraph) -> Relabeling {
+    pub(crate) fn descending(h: &Hypergraph) -> Relabeling {
         let degrees: Vec<usize> = (0..h.num_hyperedges())
             .map(|e| h.edge_degree(ids::from_usize(e)))
             .collect();

@@ -44,7 +44,7 @@
 #[deny(clippy::must_use_candidate)]
 pub mod builder;
 mod candidates;
-mod counting;
+pub(crate) mod counting;
 pub mod ensemble;
 pub mod hashmap;
 pub mod intersection;

@@ -391,3 +391,38 @@ fn streamed_builds_report_the_collected_counters() {
         assert_eq!(got, want, "{}", algo.name());
     }
 }
+
+/// The overlap queries that keep no edge list run the hashmap kernel's
+/// counting walk: online s-components at `s`, and toplexes at `s = 1`,
+/// report its insertions and examined pairs, and count each pair meeting
+/// `s` as emitted.
+#[test]
+fn overlap_sinks_report_the_hashmap_counters() {
+    use nwhy_core::algorithms::{s_connected_components_online, toplexes};
+    use nwhy_core::slinegraph::hashmap::hashmap;
+    use nwhy_util::partition::Strategy;
+    let h = paper_hypergraph();
+    let counters = [
+        Counter::SlinePairsExamined,
+        Counter::SlineHashmapInsertions,
+        Counter::SlineEdgesEmitted,
+    ];
+    for s in 1..=5 {
+        let want = isolated(|| {
+            let _ = hashmap(&h, s, Strategy::AUTO);
+            counters.map(nwhy_obs::counter_value)
+        });
+        let got = isolated(|| {
+            let _ = s_connected_components_online(&h, s);
+            counters.map(nwhy_obs::counter_value)
+        });
+        assert_eq!(got, want, "s-components s={s}");
+        if s == 1 {
+            let got = isolated(|| {
+                let _ = toplexes(&h);
+                counters.map(nwhy_obs::counter_value)
+            });
+            assert_eq!(got, want, "toplexes");
+        }
+    }
+}

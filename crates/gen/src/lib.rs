@@ -45,11 +45,9 @@ pub mod communities;
 pub mod powerlaw;
 pub mod profiles;
 pub mod rng;
-pub mod sbm;
 pub mod uniform;
 
 pub use communities::planted_communities;
 pub use powerlaw::powerlaw_hypergraph;
 pub use profiles::{DatasetProfile, TableOneRow, TABLE1};
-pub use sbm::sbm_bipartite;
 pub use uniform::uniform_random;

@@ -41,7 +41,6 @@
 
 pub mod adjoin_reader;
 pub mod binary;
-pub mod dot;
 pub mod edge_list;
 pub mod error;
 pub mod hyperedge_list;

@@ -19,8 +19,9 @@
 //!                  O ∈ adaptive | merge | gallop | bitset   (overlap path)
 //!                  R ∈ none | asc | desc    (degree relabeling)
 //! nwhy-cli check   <file> [--s S]         validate structural invariants
-//! nwhy-cli toplex  <file>
-//! nwhy-cli scomp   <file> --s S           online s-connected components
+//! nwhy-cli toplex  <file>                 maximal hyperedges (Algorithm 3)
+//! nwhy-cli scomp   <file> --s S           s-connected components, counted
+//!                                         without storing the s-line graph
 //! nwhy-cli kcore   <file> --k K --l L     (k,l)-core sizes
 //! nwhy-cli pagerank <file> [--damping D] [--top N]
 //! nwhy-cli gen     <profile> [--scale N] [--seed S] --out FILE
@@ -38,12 +39,13 @@
 //! ```
 //!
 //! Kernels that are generic over `HyperAdjacency` (s-line construction,
-//! `bfs --algo hyper|hyper-bu`, `cc --algo hyper|hyper-lp`, online
-//! s-components) run straight off the packed image; the rest materialize
-//! the pointer-based form first. The s-line and s-component walks first
-//! decode the image's node rows into memory once, because they read that
-//! side again and again (see `keep_resident`); BFS and union-find CC
-//! decode each row at most once and stay zero-copy.
+//! `bfs --algo hyper|hyper-bu`, `cc --algo hyper|hyper-lp`, `scomp`,
+//! `toplex`) run straight off the packed image; the rest materialize the
+//! pointer-based form first. The overlap-counting walks (`sline`,
+//! `scomp`, `toplex`) first decode the image's node rows into memory
+//! once, because they read that side again and again (see
+//! `keep_resident`); BFS and union-find CC decode each row at most once
+//! and stay zero-copy.
 //!
 //! Every subcommand additionally accepts the observability flags
 //! (no-ops unless built with the default `obs` feature):
@@ -270,11 +272,11 @@ macro_rules! on_input {
 }
 
 /// Decodes the node rows of a packed input into memory once, under the
-/// `build.resident` span, so the `e → v → e` walks (`sline`, `scomp`)
-/// borrow those rows instead of decoding them on every visit: they decode
-/// Σ_v d_v² ≥ nnz node IDs. No other query re-reads a side: union-find
-/// `cc` and BFS decode each row at most once and stay zero-copy. An
-/// in-memory input is left as it is.
+/// `build.resident` span, so the `e → v → e` walks (`sline`, `scomp`,
+/// `toplex`) borrow those rows instead of decoding them on every visit:
+/// they decode Σ_v d_v² ≥ nnz node IDs. No other query re-reads a side:
+/// union-find `cc` and BFS decode each row at most once and stay
+/// zero-copy. An in-memory input is left as it is.
 fn keep_resident(input: &mut Input) {
     if let Input::Packed(c) = input {
         let _span = nwhy::obs::span("build.resident");
@@ -682,12 +684,13 @@ fn cmd_toplex(args: &Args) -> CliResult {
         .positional
         .first()
         .ok_or_else(|| CliError::usage("toplex: missing <file>"))?;
-    let h = load_input(args, path)?.into_memory();
-    let t = toplexes(&h);
+    let mut input = load_input(args, path)?;
+    keep_resident(&mut input);
+    let t = on_input!(&input, g => toplexes(g));
     println!(
         "{} of {} hyperedges are toplexes",
         t.len(),
-        h.num_hyperedges()
+        input.num_hyperedges()
     );
     let preview: Vec<u32> = t.iter().copied().take(20).collect();
     println!("first toplexes: {preview:?}");
@@ -710,21 +713,16 @@ fn cmd_scomp(args: &Args) -> CliResult {
     let mut input = load_input(args, path)?;
     let ne = input.num_hyperedges();
     keep_resident(&mut input);
-    // the online kernel is generic over `HyperAdjacency`
-    let labels = on_input!(&input, g => {
+    let mut labels = on_input!(&input, g => {
         nwhy::core::algorithms::s_components::s_connected_components_online(g, s)
     });
-    let mut distinct = labels.clone();
-    distinct.sort_unstable();
-    distinct.dedup();
-    let mut sizes = std::collections::HashMap::new();
-    for &l in &labels {
-        *sizes.entry(l).or_insert(0usize) += 1;
-    }
-    let largest = sizes.values().copied().max().unwrap_or(0);
+    // sorted, each component is one run of equal labels
+    labels.sort_unstable();
+    let (components, largest) = labels
+        .chunk_by(|a, b| a == b)
+        .fold((0, 0), |(n, largest), run| (n + 1, largest.max(run.len())));
     println!(
-        "{} s-connected components at s={s} over {ne} hyperedges (largest: {largest})",
-        distinct.len(),
+        "{components} s-connected components at s={s} over {ne} hyperedges (largest: {largest})"
     );
     Ok(())
 }

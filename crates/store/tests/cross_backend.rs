@@ -1,6 +1,7 @@
 //! Cross-backend agreement: every s-line construction algorithm, BFS,
-//! and CC must produce identical results on the compressed on-disk
-//! representation and on the pointer-based in-memory bi-adjacency.
+//! CC, s-components and toplexes must produce identical results on the
+//! compressed on-disk representation and on the pointer-based in-memory
+//! bi-adjacency.
 //!
 //! This is the acceptance gate for the zero-copy storage subsystem: the
 //! kernels are generic over `HyperAdjacency`, so the only way results can
@@ -11,7 +12,8 @@
 //! packed image alike they must be incident entities of the other side.
 
 use nwhy_core::algorithms::{
-    hyper_bfs_bottom_up, hyper_bfs_top_down, hyper_cc, hyper_cc_label_propagation, HyperBfsResult,
+    hyper_bfs_bottom_up, hyper_bfs_top_down, hyper_cc, hyper_cc_label_propagation,
+    s_connected_components_online, toplexes, HyperBfsResult,
 };
 use nwhy_core::fixtures::{multi_block_hypergraph, paper_hypergraph};
 use nwhy_core::repr::HyperAdjacency;
@@ -89,6 +91,26 @@ fn all_algorithms_agree_across_backends() {
                     );
                 }
             }
+        }
+    }
+}
+
+/// The overlap sinks of the counting core read rows only through
+/// `HyperAdjacency`, so s-components and toplexes on the packed image
+/// equal the in-memory result at every residency.
+#[test]
+fn overlap_queries_agree_across_backends() {
+    for (name, h) in fixtures() {
+        let tops = toplexes(&h);
+        for (residency, c) in residencies(&h) {
+            for s in 1..=3 {
+                assert_eq!(
+                    s_connected_components_online(&c, s),
+                    s_connected_components_online(&h, s),
+                    "{name}/{residency}: s-components at s={s}"
+                );
+            }
+            assert_eq!(toplexes(&c), tops, "{name}/{residency}: toplexes");
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Integration tests for the extension surface: weighted s-line graphs,
 //! (k, ℓ)-cores, hypergraph transformations, rectangular matrix ops,
-//! DOT export, and the dynamic work queue — all running together on
-//! generated data.
+//! online s-components and the dynamic work queue — all running together
+//! on generated data.
 
 use nwhy::core::algorithms::kcore::{kl_core, validate_kl_core};
 use nwhy::core::ops::{diffusion_step, dominant_singular, incidence_checksum};
@@ -11,7 +11,7 @@ use nwhy::core::transform::{
     collapse_duplicate_edges, induced_subhypergraph, restrict_to_toplexes,
 };
 use nwhy::core::SLineBuilder;
-use nwhy::gen::profiles::profile_by_name;
+use nwhy::gen::profiles::{profile_by_name, TABLE1};
 use nwhy::session::NWHypergraph;
 use nwhy::util::partition::Strategy;
 
@@ -105,16 +105,19 @@ fn rectangular_ops_on_twins() {
 
 #[test]
 fn online_session_components_match_materialized() {
-    let h = profile_by_name("LiveJournal").unwrap().generate(100_000, 9);
-    let hg = NWHypergraph::from_hypergraph(h);
-    for s in [1usize, 2, 3] {
-        let online = hg.s_connected_components_online(s);
-        let materialized = hg.s_linegraph(s, true).s_connected_components();
-        assert_eq!(online, materialized, "s={s}");
-        assert_eq!(
-            hg.is_s_connected_online(s),
-            online.windows(2).all(|w| w[0] == w[1])
-        );
+    for profile in &TABLE1 {
+        let hg = NWHypergraph::from_hypergraph(profile.generate(100_000, 9));
+        for s in [1usize, 2, 4, 8] {
+            let online = hg.s_connected_components_online(s);
+            let materialized = hg.s_linegraph(s, true).s_connected_components();
+            assert_eq!(online, materialized, "{} s={s}", profile.name);
+            assert_eq!(
+                hg.is_s_connected_online(s),
+                online.windows(2).all(|w| w[0] == w[1]),
+                "{} s={s}",
+                profile.name
+            );
+        }
     }
 }
 
@@ -131,19 +134,6 @@ fn toplex_restriction_then_full_analysis() {
     let _ = lg.s_connected_components();
     let core = simplified.kl_core(2, 2);
     validate_kl_core(simplified.hypergraph(), 2, 2, &core).unwrap();
-}
-
-#[test]
-fn dot_export_renders_generated_hypergraphs() {
-    let h = profile_by_name("Rand1").unwrap().generate(2_000_000, 5); // tiny
-    let mut buf = Vec::new();
-    nwhy::io::dot::write_dot_bipartite(&mut buf, &h).unwrap();
-    let dot = String::from_utf8(buf).unwrap();
-    assert!(dot.contains("graph hypergraph"));
-    let triples = slinegraph_weighted_edges(&h, 1, Strategy::AUTO);
-    let mut buf = Vec::new();
-    nwhy::io::dot::write_dot_linegraph(&mut buf, h.num_hyperedges(), 1, &triples).unwrap();
-    assert!(String::from_utf8(buf).unwrap().contains("slinegraph_s1"));
 }
 
 #[test]
