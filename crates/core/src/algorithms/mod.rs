@@ -24,7 +24,6 @@ pub mod adjoin_bfs;
 pub mod adjoin_cc;
 pub mod hyper_bfs;
 pub mod hyper_cc;
-pub mod kcore;
 pub mod s_components;
 pub mod toplex;
 
@@ -36,7 +35,6 @@ pub use hyper_bfs::{hyper_bfs_bottom_up, hyper_bfs_top_down, HyperBfsResult};
 /// with its recorded baselines.
 pub use hyper_cc::hyper_cc as hyper_cc_generic;
 pub use hyper_cc::{hyper_cc, hyper_cc_label_propagation, HyperCcResult};
-pub use kcore::{kl_core, node_core_numbers, KLCore};
 pub use s_components::{is_s_connected_online, s_connected_components_online};
 pub use toplex::{toplexes, toplexes_sequential};
 

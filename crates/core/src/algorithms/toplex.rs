@@ -19,12 +19,14 @@
 //! from clear to set, so the order the pool threads find pairs in does
 //! not matter.
 
+use crate::biedgelist::BiEdgeList;
 use crate::hypergraph::Hypergraph;
 use crate::ids;
 use crate::repr::HyperAdjacency;
 use crate::slinegraph::counting::visit_pairs_meeting;
 use crate::Id;
 use nwhy_util::bitmap::AtomicBitmap;
+use rayon::prelude::*;
 
 /// Returns the toplex hyperedge IDs of `h`, in increasing order, on any
 /// representation.
@@ -71,6 +73,25 @@ pub fn toplexes<A: HyperAdjacency + ?Sized>(h: &A) -> Vec<Id> {
             !dominated.get(ids::to_usize(e))
         })
         .collect()
+}
+
+/// Restricts `h` to its toplexes — the simplification HyperNetX calls
+/// `restrict_to_edges(toplexes)`: every containment relation is
+/// preserved because non-maximal edges are subsets of kept ones. Returns
+/// the simplified hypergraph and `edge_map[new] = old`.
+pub fn restrict_to_toplexes(h: &Hypergraph) -> (Hypergraph, Vec<Id>) {
+    let tops = toplexes(h);
+    let incidences: Vec<(Id, Id)> = tops
+        .par_iter()
+        .enumerate()
+        .flat_map_iter(|(new, &old)| {
+            h.edge_members(old)
+                .iter()
+                .map(move |&v| (ids::from_usize(new), v))
+        })
+        .collect();
+    let bel = BiEdgeList::from_incidences(tops.len(), h.num_hypernodes(), incidences);
+    (Hypergraph::from_biedgelist(&bel), tops)
 }
 
 /// Direct transcription of Algorithm 3 run sequentially — the oracle for
@@ -186,6 +207,39 @@ mod tests {
         for h in [paper_hypergraph(), nested_hypergraph()] {
             assert_eq!(toplexes(&h), toplexes_sequential(&h));
         }
+    }
+
+    #[test]
+    fn restrict_to_toplexes_simplifies() {
+        let h = nested_hypergraph();
+        let (t, edge_map) = restrict_to_toplexes(&h);
+        assert_eq!(edge_map, vec![0, 3]);
+        assert_eq!(t.num_hyperedges(), 2);
+        assert_eq!(t.edge_members(0), h.edge_members(0));
+        assert_eq!(t.edge_members(1), h.edge_members(3));
+        // node coverage preserved: every incident node stays incident
+        for v in 0..ids::from_usize(h.num_hypernodes()) {
+            if h.node_degree(v) > 0 {
+                assert!(t.node_degree(v) > 0, "node {v} lost coverage");
+            }
+        }
+    }
+
+    #[test]
+    fn empty_operations() {
+        let h = Hypergraph::from_memberships(&[]);
+        assert_eq!(restrict_to_toplexes(&h).0.num_hyperedges(), 0);
+    }
+
+    #[test]
+    fn transformations_compose_with_analysis() {
+        // restriction to toplexes must not change 1-line connectivity of
+        // the surviving edges' component structure over nodes
+        let h = paper_hypergraph();
+        let (t, _) = restrict_to_toplexes(&h);
+        let before = crate::algorithms::hyper_cc::hyper_cc(&h).num_components();
+        let after = crate::algorithms::hyper_cc::hyper_cc(&t).num_components();
+        assert_eq!(before, after);
     }
 
     fn arb_memberships() -> impl proptest::strategy::Strategy<Value = Vec<Vec<Id>>> {

@@ -56,11 +56,9 @@ pub mod hypergraph;
 #[deny(clippy::must_use_candidate)]
 pub mod ids;
 pub mod matrix;
-pub mod ops;
 pub mod repr;
 pub mod slinegraph;
 pub mod smetrics;
-pub mod transform;
 pub mod validate;
 
 pub use adjoin::AdjoinGraph;

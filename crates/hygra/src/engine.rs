@@ -1,4 +1,4 @@
-//! The Ligra/Hygra processing engine: `edge_map` and `vertex_map`.
+//! The Ligra/Hygra processing engine: `edge_map`.
 //!
 //! `edge_map` applies an update function across the edges leaving a
 //! frontier on one side of the bipartite structure, producing the next
@@ -166,26 +166,6 @@ fn edge_map_dense(radj: &Csr, frontier: &mut VertexSubset, fns: &impl EdgeMapFns
     VertexSubset::from_dense(next)
 }
 
-/// Applies `f` to every member of the frontier in parallel.
-pub fn vertex_map(frontier: &mut VertexSubset, f: impl Fn(Id) + Sync + Send) {
-    frontier.as_sparse().par_iter().for_each(|&v| f(v));
-}
-
-/// Filters the frontier, keeping members where `keep` returns true.
-pub fn vertex_filter(
-    frontier: &mut VertexSubset,
-    keep: impl Fn(Id) -> bool + Sync + Send,
-) -> VertexSubset {
-    let n = frontier.space();
-    let kept: Vec<Id> = frontier
-        .as_sparse()
-        .par_iter()
-        .copied()
-        .filter(|&v| keep(v))
-        .collect();
-    VertexSubset::from_sparse(n, kept)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,24 +251,6 @@ mod tests {
             Mode::ForceSparse,
         );
         assert_eq!(next.to_vec(), vec![0, 2]);
-    }
-
-    #[test]
-    fn vertex_map_touches_all_members() {
-        let counts: Vec<AtomicU32> = (0..5).map(|_| AtomicU32::new(0)).collect();
-        let mut s = VertexSubset::from_sparse(5, vec![0, 2, 4]);
-        vertex_map(&mut s, |v| {
-            counts[v as usize].fetch_add(1, Ordering::Relaxed);
-        });
-        let got: Vec<u32> = counts.iter().map(|c| c.load(Ordering::Relaxed)).collect();
-        assert_eq!(got, vec![1, 0, 1, 0, 1]);
-    }
-
-    #[test]
-    fn vertex_filter_keeps_matching() {
-        let mut s = VertexSubset::full(6);
-        let f = vertex_filter(&mut s, |v| v % 2 == 0);
-        assert_eq!(f.to_vec(), vec![0, 2, 4]);
     }
 
     #[test]

@@ -3,14 +3,13 @@
 //! against in §IV (HygraBFS, HygraCC).
 //!
 //! Hygra extends the Ligra abstraction to hypergraphs: computation is
-//! expressed as `vertex_map`/`edge_map` operations over *vertex subsets*
+//! expressed as `edge_map` operations over *vertex subsets*
 //! (frontiers) on the bipartite representation, with automatic switching
 //! between a sparse (push) and dense (pull) traversal depending on
 //! frontier size. This crate rebuilds that engine from scratch:
 //!
 //! - [`subset::VertexSubset`] — sparse/dense frontier representation;
-//! - [`engine`] — `edge_map` with Ligra's direction heuristic and
-//!   `vertex_map`;
+//! - [`engine`] — `edge_map` with Ligra's direction heuristic;
 //! - [`bfs::hygra_bfs`] — the top-down hypergraph BFS the paper compares
 //!   against in Fig. 8;
 //! - [`cc::hygra_cc`] — the label-propagation hypergraph CC of Fig. 7.
@@ -36,10 +35,8 @@
 pub mod bfs;
 pub mod cc;
 pub mod engine;
-pub mod pagerank;
 pub mod subset;
 
 pub use bfs::{hygra_bfs, HygraBfsResult};
 pub use cc::{hygra_cc, HygraCcResult};
-pub use pagerank::hygra_pagerank;
 pub use subset::VertexSubset;

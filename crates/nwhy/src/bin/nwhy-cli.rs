@@ -22,8 +22,6 @@
 //! nwhy-cli toplex  <file>                 maximal hyperedges (Algorithm 3)
 //! nwhy-cli scomp   <file> --s S           s-connected components, counted
 //!                                         without storing the s-line graph
-//! nwhy-cli kcore   <file> --k K --l L     (k,l)-core sizes
-//! nwhy-cli pagerank <file> [--damping D] [--top N]
 //! nwhy-cli gen     <profile> [--scale N] [--seed S] --out FILE
 //! nwhy-cli pack    <in> <out>             compress into NWHYPAK1 on-disk form
 //! nwhy-cli info    <file>                 inspect a packed image (no decode)
@@ -134,9 +132,10 @@ impl std::fmt::Display for CliError {
 type CliResult<T = ()> = Result<T, CliError>;
 
 fn usage() -> ! {
+    let names: Vec<&str> = COMMANDS.iter().map(|&(name, _, _)| name).collect();
     eprintln!(
-        "usage: nwhy-cli <stats|cc|bfs|sline|check|toplex|scomp|kcore|pagerank|gen|pack|info|\
-         convert> ... (see --help / crate docs)"
+        "usage: nwhy-cli <{}> ... (see --help / crate docs)",
+        names.join("|")
     );
     std::process::exit(2);
 }
@@ -727,61 +726,6 @@ fn cmd_scomp(args: &Args) -> CliResult {
     Ok(())
 }
 
-fn cmd_kcore(args: &Args) -> CliResult {
-    let path = args
-        .positional
-        .first()
-        .ok_or_else(|| CliError::usage("kcore: missing <file>"))?;
-    let k: usize = args
-        .flag("k")
-        .ok_or_else(|| CliError::usage("kcore: missing --k"))?
-        .parse()
-        .map_err(|_| CliError::usage("kcore: --k must be an integer"))?;
-    let l: usize = args
-        .flag("l")
-        .ok_or_else(|| CliError::usage("kcore: missing --l"))?
-        .parse()
-        .map_err(|_| CliError::usage("kcore: --l must be an integer"))?;
-    let h = load_input(args, path)?.into_memory();
-    let core = nwhy::core::algorithms::kcore::kl_core(&h, k, l);
-    println!(
-        "({k},{l})-core: {} of {} hypernodes, {} of {} hyperedges survive",
-        core.num_nodes(),
-        h.num_hypernodes(),
-        core.num_edges(),
-        h.num_hyperedges()
-    );
-    Ok(())
-}
-
-fn cmd_pagerank(args: &Args) -> CliResult {
-    let path = args
-        .positional
-        .first()
-        .ok_or_else(|| CliError::usage("pagerank: missing <file>"))?;
-    let damping: f64 = parse_flag(args, "pagerank", "damping", 0.85)?;
-    let top: usize = parse_flag(args, "pagerank", "top", 10)?;
-    let h = load_input(args, path)?.into_memory();
-    let (pr, iters) = nwhy::hygra::pagerank::hygra_pagerank(
-        &h,
-        nwhy::hygra::pagerank::PageRankOptions {
-            damping,
-            ..Default::default()
-        },
-    );
-    let mut ranked: Vec<(usize, f64)> = pr.iter().copied().enumerate().collect();
-    ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
-    println!("hypergraph PageRank converged in {iters} iterations (damping {damping})");
-    println!("top {} hypernodes:", top.min(ranked.len()));
-    for &(v, score) in ranked.iter().take(top) {
-        println!(
-            "  node {v:>8}: {score:.6} (in {} hyperedges)",
-            h.node_degree(nwhy::core::ids::from_usize(v))
-        );
-    }
-    Ok(())
-}
-
 fn cmd_gen(args: &Args) -> CliResult {
     let name = args
         .positional
@@ -1057,7 +1001,7 @@ mod tests {
         assert!(matches!(conflict, Err(CliError::Usage(_))));
         let args = Args::parse(&to_vec(&["--top", "NaNbutworse"]));
         assert!(matches!(
-            parse_flag::<usize>(&args, "pagerank", "top", 10),
+            parse_flag::<usize>(&args, "sline", "top", 10),
             Err(CliError::Usage(_))
         ));
         // a malformed value never falls back to the default silently
@@ -1188,26 +1132,25 @@ mod tests {
     }
 }
 
-/// The root span label for a subcommand (`&'static str` because span
-/// names are interned for the lifetime of the process).
-fn span_name(cmd: &str) -> &'static str {
-    match cmd {
-        "stats" => "cli.stats",
-        "cc" => "cli.cc",
-        "bfs" => "cli.bfs",
-        "sline" => "cli.sline",
-        "check" => "cli.check",
-        "toplex" => "cli.toplex",
-        "scomp" => "cli.scomp",
-        "kcore" => "cli.kcore",
-        "pagerank" => "cli.pagerank",
-        "gen" => "cli.gen",
-        "pack" => "cli.pack",
-        "info" => "cli.info",
-        "convert" => "cli.convert",
-        _ => "cli",
-    }
-}
+/// A subcommand's entry point.
+type Handler = fn(&Args) -> CliResult;
+
+/// Every subcommand: its name, its root span label (`&'static str`
+/// because span names are interned for the lifetime of the process) and
+/// its handler. Drives the usage line and dispatch.
+const COMMANDS: [(&str, &str, Handler); 11] = [
+    ("stats", "cli.stats", cmd_stats),
+    ("cc", "cli.cc", cmd_cc),
+    ("bfs", "cli.bfs", cmd_bfs),
+    ("sline", "cli.sline", cmd_sline),
+    ("check", "cli.check", cmd_check),
+    ("toplex", "cli.toplex", cmd_toplex),
+    ("scomp", "cli.scomp", cmd_scomp),
+    ("gen", "cli.gen", cmd_gen),
+    ("pack", "cli.pack", cmd_pack),
+    ("info", "cli.info", cmd_info),
+    ("convert", "cli.convert", cmd_convert),
+];
 
 /// Handles the global `--metrics[=text|json|prom]` (+ `--metrics-out
 /// FILE`) and `--trace-out FILE` flags after the subcommand finished
@@ -1254,28 +1197,13 @@ fn main() -> ExitCode {
     if raw.is_empty() || raw[0] == "--help" || raw[0] == "-h" {
         usage();
     }
-    let cmd = raw[0].as_str();
+    let Some(&(_, span, handler)) = COMMANDS.iter().find(|&&(name, _, _)| name == raw[0]) else {
+        usage();
+    };
     let args = Args::parse(&raw[1..]);
     let result = {
-        let _span = nwhy::obs::span(span_name(cmd));
-        match cmd {
-            "stats" => cmd_stats(&args),
-            "cc" => cmd_cc(&args),
-            "bfs" => cmd_bfs(&args),
-            "sline" => cmd_sline(&args),
-            "check" => cmd_check(&args),
-            "toplex" => cmd_toplex(&args),
-            "scomp" => cmd_scomp(&args),
-            "kcore" => cmd_kcore(&args),
-            "pagerank" => cmd_pagerank(&args),
-            "gen" => cmd_gen(&args),
-            "pack" => cmd_pack(&args),
-            "info" => cmd_info(&args),
-            "convert" => cmd_convert(&args),
-            _ => {
-                usage();
-            }
-        }
+        let _span = nwhy::obs::span(span);
+        handler(&args)
     }
     .and_then(|()| emit_observability(&args));
     match result {

@@ -31,7 +31,6 @@ pub use nwhy_obs as obs;
 pub use nwhy_store as store;
 pub use nwhy_util as util;
 
-pub use nwhy_core::algorithms::kcore::KLCore;
 pub use nwhy_core::smetrics::WeightedSLineGraph;
 pub use nwhy_core::{
     AdjoinGraph, Algorithm, BiEdgeList, BuildOptions, Hypergraph, HypergraphStats, Id,

@@ -8,8 +8,7 @@
 //! line-graph queries live on [`nwhy_core::SLineGraph`], whose method
 //! names match Listing 5 (`s_connected_components`, `s_distance`, …).
 
-use nwhy_core::algorithms::kcore::{kl_core, KLCore};
-use nwhy_core::algorithms::toplex::toplexes;
+use nwhy_core::algorithms::toplex::{restrict_to_toplexes, toplexes};
 use nwhy_core::smetrics::WeightedSLineGraph;
 use nwhy_core::{
     AdjoinGraph, Algorithm, BiEdgeList, BuildOptions, DualView, HyperAdjacency, Hypergraph,
@@ -152,17 +151,10 @@ impl NWHypergraph {
         WeightedSLineGraph::new(&self.hypergraph, s)
     }
 
-    /// The (k, ℓ)-core: the largest sub-hypergraph where every surviving
-    /// hypernode keeps ≥ k hyperedges and every surviving hyperedge keeps
-    /// ≥ ℓ members.
-    pub fn kl_core(&self, k: usize, l: usize) -> KLCore {
-        kl_core(&self.hypergraph, k, l)
-    }
-
     /// Simplifies to the maximal hyperedges (toplex restriction);
     /// returns the simplified session and the surviving original IDs.
     pub fn restrict_to_toplexes(&self) -> (NWHypergraph, Vec<Id>) {
-        let (h, map) = nwhy_core::transform::restrict_to_toplexes(&self.hypergraph);
+        let (h, map) = restrict_to_toplexes(&self.hypergraph);
         (NWHypergraph::from_hypergraph(h), map)
     }
 
@@ -327,9 +319,6 @@ mod tests {
         // weighted line graph
         let w = hg.weighted_s_linegraph(1);
         assert_eq!(w.s_overlap(0, 3), Some(3));
-        // (k,l)-core
-        let core = hg.kl_core(1, 1);
-        assert_eq!(core.num_edges(), 4);
         // toplex restriction on a nested hypergraph shrinks it
         let nested = NWHypergraph::from_hypergraph(nwhy_core::fixtures::nested_hypergraph());
         let (simplified, kept) = nested.restrict_to_toplexes();

@@ -3,8 +3,7 @@
 //! Label-propagation connected components, Afforest, and BFS all rely on
 //! "write the smaller value, tell me whether I won" primitives. These are
 //! expressed here as CAS loops over the standard atomic integer types, plus
-//! Afforest's union-find hooking ([`link`], [`compress`]) and an
-//! [`AtomicF64`] for accumulating floating-point centrality scores.
+//! Afforest's union-find hooking ([`link`], [`compress`]).
 //!
 //! # Ordering policy
 //!
@@ -39,7 +38,7 @@
 //! Under `RUSTFLAGS="--cfg loom"` the atomic types switch to the loom
 //! model checker's instrumented versions (see [`crate::sync`]).
 
-use crate::sync::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use crate::sync::{AtomicU32, AtomicUsize, Ordering};
 use rayon::prelude::*;
 
 /// Atomically set `a = min(a, val)`.
@@ -159,66 +158,6 @@ pub fn cas_u32(a: &AtomicU32, expected: u32, desired: u32) -> bool {
         .is_ok()
 }
 
-/// An `f64` with atomic fetch-add, built on `AtomicU64` bit transmutes.
-///
-/// Used by the parallel Brandes betweenness-centrality accumulation phase,
-/// where multiple DAG predecessors add dependency contributions to the same
-/// vertex concurrently.
-#[derive(Debug, Default)]
-pub struct AtomicF64 {
-    bits: AtomicU64,
-}
-
-impl AtomicF64 {
-    /// Creates a new atomic holding `value`.
-    #[inline]
-    pub fn new(value: f64) -> Self {
-        Self {
-            bits: AtomicU64::new(value.to_bits()),
-        }
-    }
-
-    /// Loads the current value.
-    #[inline]
-    pub fn load(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
-    }
-
-    /// Stores `value`, unconditionally.
-    #[inline]
-    pub fn store(&self, value: f64) {
-        self.bits.store(value.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Atomically adds `delta` and returns the previous value.
-    #[inline]
-    pub fn fetch_add(&self, delta: f64) -> f64 {
-        let mut cur = self.bits.load(Ordering::Relaxed);
-        loop {
-            let new = (f64::from_bits(cur) + delta).to_bits();
-            match self
-                .bits
-                .compare_exchange_weak(cur, new, Ordering::AcqRel, Ordering::Relaxed)
-            {
-                Ok(prev) => return f64::from_bits(prev),
-                Err(observed) => cur = observed,
-            }
-        }
-    }
-}
-
-impl Clone for AtomicF64 {
-    fn clone(&self) -> Self {
-        Self::new(self.load())
-    }
-}
-
-impl From<f64> for AtomicF64 {
-    fn from(v: f64) -> Self {
-        Self::new(v)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,31 +235,5 @@ mod tests {
         compress(&comp);
         let labels: Vec<u32> = comp.iter().map(|c| c.load(Ordering::Relaxed)).collect();
         assert_eq!(labels, vec![0, 1, 1, 3, 3, 3, 3]);
-    }
-
-    #[test]
-    fn atomic_f64_fetch_add_accumulates() {
-        let a = AtomicF64::new(0.0);
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let a = &a;
-                s.spawn(move || {
-                    for _ in 0..1000 {
-                        a.fetch_add(0.5);
-                    }
-                });
-            }
-        });
-        assert!((a.load() - 2000.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn atomic_f64_store_load_roundtrip() {
-        let a = AtomicF64::new(1.25);
-        assert_eq!(a.load(), 1.25);
-        a.store(-3.5);
-        assert_eq!(a.load(), -3.5);
-        let b = a.clone();
-        assert_eq!(b.load(), -3.5);
     }
 }

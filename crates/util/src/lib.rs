@@ -41,7 +41,7 @@ pub mod sync;
 pub mod timer;
 pub mod workq;
 
-pub use atomics::{atomic_max_u32, atomic_min_u32, atomic_min_usize, AtomicF64};
+pub use atomics::{atomic_max_u32, atomic_min_u32, atomic_min_usize};
 pub use bitmap::AtomicBitmap;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use partition::{blocked_ranges, cyclic_indices, CyclicRange};

@@ -58,7 +58,7 @@ pub const ALLOC_MARKER: &str = "// lint: alloc";
 /// overlap-policy variants), the candidate-and-verify core they share
 /// and the hygra traversal drivers. Reachability from these defines the
 /// "hot set" the allocation rule patrols.
-pub const HOT_ROOTS: [&str; 15] = [
+pub const HOT_ROOTS: [&str; 14] = [
     "slinegraph::naive::naive",
     "slinegraph::hashmap::hashmap",
     "slinegraph::intersection::intersection",
@@ -73,7 +73,6 @@ pub const HOT_ROOTS: [&str; 15] = [
     "hygra::bfs::hygra_bfs_with_mode",
     "hygra::cc::hygra_cc",
     "hygra::engine::edge_map",
-    "hygra::engine::vertex_map",
 ];
 
 /// The atomic-op method names the ordering checker attributes an
