@@ -15,9 +15,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hygra::bfs::hygra_bfs_with_mode;
 use hygra::engine::Mode;
 use nwgraph::algorithms::bfs::{bfs_bottom_up, bfs_direction_optimizing, bfs_top_down};
-use nwhy_core::slinegraph::queue_single::{queue_hashmap, queue_hashmap_dynamic};
+use nwhy_core::slinegraph::queue_single::queue_hashmap;
 use nwhy_core::slinegraph::queue_two_phase::{candidate_pairs, queue_intersection};
-use nwhy_core::{AdjoinGraph, Algorithm, BuildOptions, Relabel, SLineBuilder};
+use nwhy_core::{AdjoinGraph, Algorithm, Relabel, SLineBuilder};
 use nwhy_gen::profiles::profile_by_name;
 use nwhy_util::partition::Strategy;
 use std::hint::black_box;
@@ -28,42 +28,14 @@ fn bench_relabel_ablation(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_relabel");
     group.sample_size(10);
     let h = profile_by_name("com-Orkut").unwrap().generate(SCALE, 42);
-    for (name, opts) in [
-        (
-            "blocked/none",
-            BuildOptions {
-                strategy: Strategy::Blocked { num_bins: 0 },
-                relabel: Relabel::None,
-            },
-        ),
-        (
-            "blocked/desc",
-            BuildOptions {
-                strategy: Strategy::Blocked { num_bins: 0 },
-                relabel: Relabel::Descending,
-            },
-        ),
-        (
-            "cyclic/none",
-            BuildOptions {
-                strategy: Strategy::Cyclic { num_bins: 0 },
-                relabel: Relabel::None,
-            },
-        ),
-        (
-            "cyclic/asc",
-            BuildOptions {
-                strategy: Strategy::Cyclic { num_bins: 0 },
-                relabel: Relabel::Ascending,
-            },
-        ),
-        (
-            "cyclic/desc",
-            BuildOptions {
-                strategy: Strategy::Cyclic { num_bins: 0 },
-                relabel: Relabel::Descending,
-            },
-        ),
+    let blocked = Strategy::Blocked { num_bins: 0 };
+    let cyclic = Strategy::Cyclic { num_bins: 0 };
+    for (name, strategy, relabel) in [
+        ("blocked/none", blocked, Relabel::None),
+        ("blocked/desc", blocked, Relabel::Descending),
+        ("cyclic/none", cyclic, Relabel::None),
+        ("cyclic/asc", cyclic, Relabel::Ascending),
+        ("cyclic/desc", cyclic, Relabel::Descending),
     ] {
         group.bench_function(name, |b| {
             b.iter(|| {
@@ -71,7 +43,8 @@ fn bench_relabel_ablation(c: &mut Criterion) {
                     SLineBuilder::new(&h)
                         .s(2)
                         .algorithm(Algorithm::Hashmap)
-                        .options(&opts)
+                        .strategy(strategy)
+                        .relabel(relabel)
                         .edges(),
                 )
             })
@@ -149,8 +122,8 @@ fn bench_hygra_modes(c: &mut Criterion) {
 }
 
 fn bench_scheduling(c: &mut Criterion) {
-    // static blocked vs static cyclic vs dynamic chunk-stealing drain of
-    // the Algorithm 1 work queue on a skewed twin
+    // blocked vs cyclic split of the Algorithm 1 work queue on a skewed
+    // twin
     let mut group = c.benchmark_group("ablation_scheduling");
     group.sample_size(10);
     let h = profile_by_name("Orkut-group").unwrap().generate(SCALE, 42);
@@ -174,9 +147,6 @@ fn bench_scheduling(c: &mut Criterion) {
                 Strategy::Cyclic { num_bins: 0 },
             ))
         })
-    });
-    group.bench_function("dynamic-chunks", |b| {
-        b.iter(|| black_box(queue_hashmap_dynamic(&h, &queue, 2)))
     });
     group.finish();
 }

@@ -10,15 +10,15 @@
 //!   the planner's acceptance claim (no more pairs/comparisons than the
 //!   best fixed kernel, within 5%);
 //! - `DenseOverlap` — a small hypernode universe with large hyperedges,
-//!   where the forced-path rows (`intersection-merge` vs
-//!   `intersection-bitset`) pin the bitset path's comparison-count win.
+//!   where the adaptive `intersection` row loads bitset rows and needs
+//!   fewer comparisons than the `naive` merge-scan row.
 //!
 //! Knobs: `NWHY_BENCH_SCALE` (twin down-scale factor, default 20 000 —
 //! larger is smaller/faster), `NWHY_TRIALS` (default 5), `NWHY_BENCH_OUT`
 //! (output directory, default `.`).
 
 use nwhy_bench::{bench_cell, env_usize, write_json, BenchRecord};
-use nwhy_core::{Algorithm, Hypergraph, OverlapPath, OverlapPolicy, SLineBuilder};
+use nwhy_core::{Algorithm, Hypergraph, SLineBuilder};
 use nwhy_gen::powerlaw::PowerlawParams;
 use nwhy_gen::profiles::profile_by_name;
 use nwhy_gen::uniform_random;
@@ -71,23 +71,6 @@ fn main() {
                 }
                 let rec = bench_cell("slinegraph", name, algo.name(), Some(s), trials, || {
                     SLineBuilder::new(&h).s(s).algorithm(algo).edges()
-                });
-                println!(
-                    "{name:>12} s={s} {:<20} {:.4}s",
-                    rec.algorithm, rec.median_seconds
-                );
-                records.push(rec);
-            }
-            // forced overlap paths through the intersection kernel, so
-            // the per-path comparison counts are directly comparable
-            for path in OverlapPath::ALL {
-                let label = format!("intersection-{}", path.name());
-                let rec = bench_cell("slinegraph", name, &label, Some(s), trials, || {
-                    SLineBuilder::new(&h)
-                        .s(s)
-                        .algorithm(Algorithm::Intersection)
-                        .overlap(OverlapPolicy::Force(path))
-                        .edges()
                 });
                 println!(
                     "{name:>12} s={s} {:<20} {:.4}s",

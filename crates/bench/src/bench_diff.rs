@@ -4,9 +4,8 @@
 //! [`crate::validate_bench_json`] for the schema) row by row and fails
 //! when any kernel counter grew by more than a threshold. Counters — not
 //! wall-clock — are the gated quantity: they are deterministic for a
-//! fixed input and thread-count independent (the one stealing-dependent
-//! counter is denylisted), so the gate never flakes on loaded CI runners
-//! the way timing gates do.
+//! fixed input and thread-count independent, so the gate never flakes on
+//! loaded CI runners the way timing gates do.
 //!
 //! Rows are matched by `(bench, dataset, algorithm, s)`. A row or
 //! counter present in the baseline but missing from the new file is a
@@ -16,13 +15,6 @@
 
 use nwhy_obs::json::{parse, Value};
 use std::fmt;
-
-/// Counters excluded from the gate because their value depends on the
-/// worker count or scheduling, not on the input:
-///
-/// - `sline.queue_steals`: how often workers steal chunks from the flat
-///   work queue varies with thread count and timing.
-const DENYLIST: &[&str] = &["sline.queue_steals"];
 
 /// Default regression threshold, in percent growth over the baseline.
 pub const DEFAULT_THRESHOLD_PCT: f64 = 15.0;
@@ -75,7 +67,7 @@ impl fmt::Display for Violation {
 pub struct Report {
     /// Gate violations; empty means the gate passes.
     pub violations: Vec<Violation>,
-    /// Counters compared (after denylisting).
+    /// Counters compared.
     pub compared: usize,
     /// Keys present only in the new file (informational).
     pub added_rows: Vec<String>,
@@ -103,9 +95,6 @@ pub fn diff(old_text: &str, new_text: &str, threshold_pct: f64) -> Result<Report
             continue;
         };
         for (name, old_v) in &old.counters {
-            if DENYLIST.contains(&name.as_str()) {
-                continue;
-            }
             let Some(new_v) = new.counter(name) else {
                 violations.push(Violation {
                     key: key.clone(),
@@ -265,15 +254,6 @@ mod tests {
         let old = doc("sline.pairs_skipped", 0);
         let new = doc("sline.pairs_skipped", 1);
         assert!(!diff(&old, &new, DEFAULT_THRESHOLD_PCT).unwrap().passed());
-    }
-
-    #[test]
-    fn denylisted_counter_is_ignored() {
-        let old = doc("sline.queue_steals", 10);
-        let new = doc("sline.queue_steals", 1000);
-        let r = diff(&old, &new, DEFAULT_THRESHOLD_PCT).unwrap();
-        assert!(r.passed(), "{:?}", r.violations);
-        assert_eq!(r.compared, 1, "only sline.edges_emitted is gated");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! A. relabel-by-degree × partitioning for s-line construction;
 //! B. queue algorithms on the adjoin ID space vs non-queue + rebuild;
-//! C. static vs dynamic work-queue scheduling (Algorithm 1);
+//! C. blocked vs cyclic work-queue scheduling (Algorithm 1);
 //! D. direction-optimizing vs pure top-down/bottom-up BFS (adjoin);
 //! E. Hygra engine modes (sparse / dense / auto);
 //! F. the §III-D per-bin imbalance measurements.
@@ -14,8 +14,8 @@
 use nwgraph::algorithms::bfs::{bfs_bottom_up, bfs_top_down};
 use nwhy_bench::{best_of, HarnessConfig};
 use nwhy_core::algorithms::adjoin_bfs;
-use nwhy_core::slinegraph::queue_single::{queue_hashmap, queue_hashmap_dynamic};
-use nwhy_core::{AdjoinGraph, Algorithm, BuildOptions, HyperedgeId, Relabel, SLineBuilder};
+use nwhy_core::slinegraph::queue_single::queue_hashmap;
+use nwhy_core::{AdjoinGraph, Algorithm, HyperedgeId, Relabel, SLineBuilder};
 use nwhy_gen::profiles::profile_by_name;
 use nwhy_util::partition::{imbalance_report, Strategy};
 
@@ -46,12 +46,12 @@ fn main() {
             ("asc", Relabel::Ascending),
             ("desc", Relabel::Descending),
         ] {
-            let opts = BuildOptions { strategy, relabel };
             let secs = best_of(cfg.trials, || {
                 SLineBuilder::new(&h)
                     .s(2)
                     .algorithm(Algorithm::Hashmap)
-                    .options(&opts)
+                    .strategy(strategy)
+                    .relabel(relabel)
                     .edges()
             });
             println!("   {sname:>8}/{rname:<5} {secs:>10.4}s");
@@ -82,10 +82,8 @@ fn main() {
     let t_cyc = best_of(cfg.trials, || {
         queue_hashmap(&h, &queue, 2, Strategy::Cyclic { num_bins: 0 })
     });
-    let t_dyn = best_of(cfg.trials, || queue_hashmap_dynamic(&h, &queue, 2));
-    println!("   static blocked: {t_static:>10.4}s");
-    println!("   static cyclic:  {t_cyc:>10.4}s");
-    println!("   dynamic chunks: {t_dyn:>10.4}s");
+    println!("   blocked: {t_static:>10.4}s");
+    println!("   cyclic:  {t_cyc:>10.4}s");
 
     // ---- D. BFS directions on the adjoin graph -------------------------
     println!("\nD. BFS direction on the adjoin graph:");

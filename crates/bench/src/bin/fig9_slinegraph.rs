@@ -14,7 +14,7 @@
 //! Output: a table per dataset + `fig9_results.json`.
 
 use nwhy_bench::{all_twins, best_of, write_json, HarnessConfig, SLineCell};
-use nwhy_core::{Algorithm, BuildOptions, Relabel, SLineBuilder};
+use nwhy_core::{Algorithm, Relabel, SLineBuilder};
 use nwhy_util::partition::Strategy;
 
 fn s_values() -> Vec<usize> {
@@ -30,7 +30,7 @@ fn s_values() -> Vec<usize> {
         .unwrap_or_else(|| vec![1, 2, 4, 8])
 }
 
-fn configs() -> Vec<(&'static str, BuildOptions)> {
+fn configs() -> Vec<(&'static str, Strategy, Relabel)> {
     let mut out = Vec::new();
     for (sname, strategy) in [
         ("blocked", Strategy::Blocked { num_bins: 0 }),
@@ -43,7 +43,8 @@ fn configs() -> Vec<(&'static str, BuildOptions)> {
         ] {
             out.push((
                 Box::leak(format!("{sname}/{rname}").into_boxed_str()) as &'static str,
-                BuildOptions { strategy, relabel },
+                strategy,
+                relabel,
             ));
         }
     }
@@ -85,12 +86,13 @@ fn main() {
             let mut best: Vec<(f64, &'static str)> = Vec::new();
             for algo in ALGORITHMS {
                 let mut fastest = (f64::INFINITY, "");
-                for (cname, opts) in &configs {
+                for &(cname, strategy, relabel) in &configs {
                     let secs = best_of(cfg.trials, || {
                         SLineBuilder::new(&h)
                             .s(s)
                             .algorithm(algo)
-                            .options(opts)
+                            .strategy(strategy)
+                            .relabel(relabel)
                             .edges()
                     });
                     if secs < fastest.0 {

@@ -61,8 +61,9 @@ fn slinegraph_counter(
 /// - on the skewed power-law input, the planner's `auto` rows examine
 ///   no more pairs and burn no more comparison work than the best fixed
 ///   kernel (within 5%);
-/// - on the dense input, the packed-word bitset path needs strictly
-///   fewer element comparisons than the merge scan.
+/// - on the dense input, the adaptive `intersection` row takes the
+///   packed-word bitset path and needs strictly fewer element
+///   comparisons than the `naive` row's merge scan of the same pairs.
 #[test]
 fn adaptive_engine_meets_acceptance_on_emitted_bench() {
     let Ok(text) = std::fs::read_to_string("BENCH_slinegraph.json") else {
@@ -109,20 +110,20 @@ fn adaptive_engine_meets_acceptance_on_emitted_bench() {
         );
     }
     for s in [1u64, 2, 4] {
-        let get = |algorithm: &str| {
-            slinegraph_counter(
-                &doc,
-                "DenseOverlap",
-                algorithm,
-                s,
-                "sline.intersection_comparisons",
-            )
-            .expect("forced-path rows must exist for DenseOverlap")
+        let get = |algorithm: &str, counter: &str| {
+            slinegraph_counter(&doc, "DenseOverlap", algorithm, s, counter)
+                .unwrap_or_else(|| panic!("DenseOverlap {algorithm} s={s} must report {counter}"))
         };
-        let (merge, bitset) = (get("intersection-merge"), get("intersection-bitset"));
+        let comparisons = "sline.intersection_comparisons";
+        let (merge, adaptive) = (get("naive", comparisons), get("intersection", comparisons));
         assert!(
-            bitset < merge,
-            "s={s}: bitset path must beat merge on dense pairs ({bitset} vs {merge})"
+            adaptive < merge,
+            "s={s}: adaptive intersection must beat the merge scan on dense pairs \
+             ({adaptive} vs {merge})"
+        );
+        assert!(
+            get("intersection", "overlap.path_bitset") > 0,
+            "s={s}: no bitset probes"
         );
     }
 }

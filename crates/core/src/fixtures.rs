@@ -61,6 +61,28 @@ pub fn nested_hypergraph() -> Hypergraph {
     ])
 }
 
+/// A skewed hypergraph on which the adaptive overlap engine takes every
+/// path under the intersection kernel at `s = 1`
+/// (`BITSET_ROW_MIN_DEGREE = 32`, `GALLOP_RATIO = 8`):
+///
+/// - `e0` = {0..64}: 64 members ⇒ its row bitset loads, so all 4 of its
+///   candidate pairs (e1..e4 each share a node) take the bitset path;
+/// - `e1` = {0..16}: 16 members, not loaded. Candidates e2 (len 2,
+///   ratio 8) and e3 (len 2, ratio 8) gallop; e4 (len 3, ratio 5)
+///   merges;
+/// - `e3` = {1,2} vs e4 = {1,2,3}: ratio 1 ⇒ merge.
+///
+/// Totals: 4 bitset + 2 gallop + 2 merge = 8 pairs examined.
+pub fn skewed_overlap_hypergraph() -> Hypergraph {
+    Hypergraph::from_memberships(&[
+        (0..64).collect::<Vec<Id>>(),
+        (0..16).collect(),
+        vec![0, 64],
+        vec![1, 2],
+        vec![1, 2, 3],
+    ])
+}
+
 /// A hypergraph with more than 300 rows in both directions, so it spans
 /// several 64-row blocks of a packed image's sampled index: 321
 /// hyperedges over 350 hypernodes, every 10th hyperedge empty and no

@@ -66,7 +66,7 @@ pub use biedgelist::BiEdgeList;
 pub use hypergraph::{Hypergraph, HypergraphStats};
 pub use ids::{AdjoinId, HyperedgeId, HypernodeId, LocalId, Overlap, Relabeling};
 pub use repr::{DualView, HyperAdjacency, RelabeledView};
-pub use slinegraph::{Algorithm, BuildOptions, OverlapPath, OverlapPolicy, Relabel, SLineBuilder};
+pub use slinegraph::{Algorithm, Relabel, SLineBuilder};
 pub use smetrics::SLineGraph;
 pub use validate::{InvariantViolation, SLineOutput, Validate};
 

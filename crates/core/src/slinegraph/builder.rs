@@ -39,10 +39,9 @@
 
 use super::counting::stream_pairs_meeting;
 use super::rows::Rows;
-use super::{canonicalize, ensemble, planner, weighted, Algorithm, BuildOptions, Relabel};
+use super::{canonicalize, ensemble, planner, weighted, Algorithm, Relabel};
 use crate::ids::{self, LocalId, Overlap, Relabeling};
 use crate::repr::{HyperAdjacency, RelabeledView};
-use crate::slinegraph::overlap::OverlapPolicy;
 use crate::Id;
 use nwgraph::{Csr, EdgeList};
 use nwhy_obs::Counter;
@@ -50,7 +49,7 @@ use nwhy_util::partition::Strategy;
 
 /// Fluent builder for s-line graphs over any [`HyperAdjacency`]
 /// representation. Defaults: `s = 1`, [`Algorithm::Hashmap`],
-/// [`Strategy::AUTO`], [`Relabel::None`], [`OverlapPolicy::Adaptive`].
+/// [`Strategy::AUTO`], [`Relabel::None`].
 #[derive(Debug, Clone, Copy)]
 pub struct SLineBuilder<'a, A: HyperAdjacency + ?Sized> {
     repr: &'a A,
@@ -60,7 +59,6 @@ pub struct SLineBuilder<'a, A: HyperAdjacency + ?Sized> {
     auto: bool,
     strategy: Strategy,
     relabel: Relabel,
-    overlap: OverlapPolicy,
 }
 
 impl<'a, A: HyperAdjacency + ?Sized> SLineBuilder<'a, A> {
@@ -74,7 +72,6 @@ impl<'a, A: HyperAdjacency + ?Sized> SLineBuilder<'a, A> {
             auto: false,
             strategy: Strategy::AUTO,
             relabel: Relabel::None,
-            overlap: OverlapPolicy::default(),
         }
     }
 
@@ -105,15 +102,6 @@ impl<'a, A: HyperAdjacency + ?Sized> SLineBuilder<'a, A> {
         self
     }
 
-    /// Per-pair overlap path policy for the intersection-based kernels
-    /// (adaptive by default; `Force(..)` pins one path for ablations).
-    /// Counting kernels ignore it.
-    #[must_use]
-    pub fn overlap(mut self, policy: OverlapPolicy) -> Self {
-        self.overlap = policy;
-        self
-    }
-
     /// Work-partitioning strategy for the parallel loops.
     #[must_use]
     pub fn strategy(mut self, strategy: Strategy) -> Self {
@@ -128,13 +116,6 @@ impl<'a, A: HyperAdjacency + ?Sized> SLineBuilder<'a, A> {
     pub fn relabel(mut self, relabel: Relabel) -> Self {
         self.relabel = relabel;
         self
-    }
-
-    /// Applies both knobs of a [`BuildOptions`] at once (compatibility
-    /// with the pre-builder option struct).
-    #[must_use]
-    pub fn options(self, opts: &BuildOptions) -> Self {
-        self.strategy(opts.strategy).relabel(opts.relabel)
     }
 
     /// The degree [`Relabeling`] for the configured direction; `None`
@@ -237,10 +218,10 @@ impl<'a, A: HyperAdjacency + ?Sized> SLineBuilder<'a, A> {
     /// The canonical edge set of `algorithm`, in original IDs.
     fn collect(&self, algorithm: Algorithm) -> Vec<(Id, Id)> {
         match self.permutation() {
-            None => dispatch(self.repr, self.s, algorithm, self.strategy, self.overlap),
+            None => dispatch(self.repr, self.s, algorithm, self.strategy),
             Some(r) => {
                 let view = RelabeledView::from_relabeling(self.repr, &r);
-                let pairs = dispatch(&view, self.s, algorithm, self.strategy, self.overlap);
+                let pairs = dispatch(&view, self.s, algorithm, self.strategy);
                 canonicalize(
                     pairs
                         .into_iter()
@@ -365,12 +346,11 @@ pub(crate) fn dispatch<A: HyperAdjacency + ?Sized>(
     s: usize,
     algo: Algorithm,
     strategy: Strategy,
-    overlap: OverlapPolicy,
 ) -> Vec<(Id, Id)> {
     use super::{hashmap, intersection, naive, queue_single, queue_two_phase};
     match algo {
         Algorithm::Naive => naive::naive(h, s, strategy),
-        Algorithm::Intersection => intersection::intersection_with(h, s, strategy, overlap),
+        Algorithm::Intersection => intersection::intersection(h, s, strategy),
         Algorithm::Hashmap => hashmap::hashmap(h, s, strategy),
         Algorithm::QueueHashmap => {
             let queue: Vec<Id> = (0..ids::from_usize(h.num_hyperedges())).collect();
@@ -378,7 +358,7 @@ pub(crate) fn dispatch<A: HyperAdjacency + ?Sized>(
         }
         Algorithm::QueueIntersection => {
             let queue: Vec<Id> = (0..ids::from_usize(h.num_hyperedges())).collect();
-            queue_two_phase::queue_intersection_with(h, &queue, s, strategy, overlap)
+            queue_two_phase::queue_intersection(h, &queue, s, strategy)
         }
     }
 }

@@ -9,7 +9,7 @@
 //! for both: it keeps the last outer row decoded and loaded into its
 //! overlap engine, so a run of pairs sharing `i` loads row `i` once.
 
-use super::overlap::{OverlapEngine, OverlapPolicy};
+use super::overlap::OverlapEngine;
 use super::rows::{run_rows, Rows};
 use super::stats::KernelStats;
 use super::HyperAdjacency;
@@ -82,12 +82,12 @@ pub(super) struct Verifier<'h, H: HyperAdjacency + ?Sized> {
 }
 
 impl<'h, H: HyperAdjacency + ?Sized> Verifier<'h, H> {
-    pub fn new(h: &'h H, s: usize, policy: OverlapPolicy) -> Self {
+    pub fn new(h: &'h H, s: usize) -> Self {
         let universe = h.num_hyperedges() + h.num_hypernodes();
         Self {
             h,
             s,
-            engine: OverlapEngine::new(policy, universe),
+            engine: OverlapEngine::new(universe),
             row: None,
         }
     }
@@ -115,10 +115,9 @@ impl<'h, H: HyperAdjacency + ?Sized> Verifier<'h, H> {
 #[cfg(test)]
 mod tests {
     use super::super::counting::tests::{arb_memberships, descending, queue_cases, STRATEGIES};
-    use super::super::intersection::intersection_with;
+    use super::super::intersection::intersection;
     use super::super::naive::naive;
-    use super::super::overlap::OverlapPath;
-    use super::super::queue_two_phase::queue_intersection_with;
+    use super::super::queue_two_phase::queue_intersection;
     use super::*;
     use crate::adjoin::AdjoinGraph;
     use crate::hypergraph::Hypergraph;
@@ -127,19 +126,15 @@ mod tests {
     use proptest::proptest;
 
     /// Both candidate entry points against `naive` on one
-    /// representation, under every strategy and overlap policy.
+    /// representation, under every strategy.
     fn agrees_with_naive<A: HyperAdjacency + ?Sized>(h: &A, s: usize, seed: u32) {
         let want = naive(h, s, Strategy::AUTO);
-        let forced = OverlapPath::ALL.map(OverlapPolicy::Force);
         for strategy in STRATEGIES {
-            for policy in std::iter::once(OverlapPolicy::Adaptive).chain(forced) {
-                let name = policy.name();
-                let got = intersection_with(h, s, strategy, policy);
-                assert_eq!(got, want, "intersection {strategy:?} {name}");
-                for (queue_name, queue, want) in queue_cases(h, &want, seed) {
-                    let got = queue_intersection_with(h, &queue, s, strategy, policy);
-                    assert_eq!(got, want, "alg2 {queue_name} {strategy:?} {name}");
-                }
+            let got = intersection(h, s, strategy);
+            assert_eq!(got, want, "intersection {strategy:?}");
+            for (queue_name, queue, want) in queue_cases(h, &want, seed) {
+                let got = queue_intersection(h, &queue, s, strategy);
+                assert_eq!(got, want, "alg2 {queue_name} {strategy:?}");
             }
         }
     }

@@ -219,7 +219,7 @@ pub(crate) mod tests {
     use super::super::ensemble::ensemble;
     use super::super::hashmap::hashmap;
     use super::super::naive::naive;
-    use super::super::queue_single::{queue_hashmap, queue_hashmap_dynamic};
+    use super::super::queue_single::queue_hashmap;
     use super::super::weighted::slinegraph_weighted_edges;
     use super::*;
     use crate::adjoin::AdjoinGraph;
@@ -311,10 +311,6 @@ pub(crate) mod tests {
             for (e, f, n) in triples {
                 assert_eq!(n, overlap(h, e, f), "weight of ({e},{f})");
             }
-        }
-        for (name, queue, want) in &queues {
-            let got = queue_hashmap_dynamic(h, queue, s);
-            assert_eq!(&got, want, "dynamic {name}");
         }
     }
 

@@ -12,17 +12,15 @@
 //!    stamp array, so a pair sharing many hypernodes is intersected once);
 //! 3. short-circuit the per-pair test at `s`.
 //!
-//! The per-pair test itself goes through [`super::overlap`]: the default
-//! [`OverlapPolicy::Adaptive`] loads dense expanded rows into a packed
-//! bitset and routes skewed pairs to a galloping search, falling back to
-//! the merge scan for similar-length rows; `Force(..)` pins one path for
-//! ablation benches and agreement tests.
+//! The per-pair test itself goes through [`super::overlap`]: its adaptive
+//! engine loads dense expanded rows into a packed bitset and routes
+//! skewed pairs to a galloping search, falling back to the merge scan
+//! for similar-length rows.
 //!
 //! The walk and the check are the shared `slinegraph::candidates` core;
 //! this kernel checks each candidate as soon as the walk finds it.
 
 use super::candidates::{candidate_rows, Verifier};
-use super::overlap::OverlapPolicy;
 use super::rows::Rows;
 use super::{canonicalize, HyperAdjacency};
 use crate::{ids, Id};
@@ -50,22 +48,12 @@ fn pair_capacity_hint<A: HyperAdjacency + ?Sized>(h: &A, workers: usize) -> usiz
     (ne * per_row / workers.max(1)).clamp(16, 1 << 14)
 }
 
-/// Heuristic intersection construction with the default adaptive overlap
-/// policy; returns canonical pairs.
+/// Heuristic intersection construction, checking pairs with the adaptive
+/// overlap engine; returns canonical pairs.
 pub fn intersection<A: HyperAdjacency + ?Sized>(
     h: &A,
     s: usize,
     strategy: Strategy,
-) -> Vec<(Id, Id)> {
-    intersection_with(h, s, strategy, OverlapPolicy::default())
-}
-
-/// Heuristic intersection construction with an explicit overlap policy.
-pub fn intersection_with<A: HyperAdjacency + ?Sized>(
-    h: &A,
-    s: usize,
-    strategy: Strategy,
-    policy: OverlapPolicy,
 ) -> Vec<(Id, Id)> {
     let capacity = pair_capacity_hint(h, strategy.bins().max(1));
     let (outs, stats) = candidate_rows(
@@ -73,7 +61,7 @@ pub fn intersection_with<A: HyperAdjacency + ?Sized>(
         Rows::All(strategy),
         s,
         true,
-        || (Vec::with_capacity(capacity), Verifier::new(h, s, policy)),
+        || (Vec::with_capacity(capacity), Verifier::new(h, s)),
         |(pairs, verifier): &mut (Vec<(Id, Id)>, _), stats, i, j| {
             if verifier.check(i, j, stats) {
                 pairs.push((i, j));
@@ -87,7 +75,6 @@ pub fn intersection_with<A: HyperAdjacency + ?Sized>(
 
 #[cfg(test)]
 mod tests {
-    use super::super::overlap::OverlapPath;
     use super::*;
     use crate::fixtures::{paper_hypergraph, paper_slinegraph_edges};
     use crate::hypergraph::Hypergraph;
@@ -132,21 +119,6 @@ mod tests {
             vec![3, 4, 0],
         ]);
         agrees_with_naive(&h, 2, Strategy::Cyclic { num_bins: 2 });
-    }
-
-    #[test]
-    fn every_overlap_policy_matches_fixture() {
-        let h = paper_hypergraph();
-        for path in OverlapPath::ALL {
-            for s in 1..=4 {
-                assert_eq!(
-                    intersection_with(&h, s, Strategy::AUTO, OverlapPolicy::Force(path)),
-                    paper_slinegraph_edges(s),
-                    "{} s={s}",
-                    path.name()
-                );
-            }
-        }
     }
 
     #[test]

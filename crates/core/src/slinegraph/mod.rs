@@ -15,10 +15,10 @@
 //! | [`queue_two_phase`] | **Algorithm 2**: pair queue + set intersection | this paper |
 //! | [`weighted`] | overlap counting, keeping `\|e ∩ f\|` as edge weight | Fig. 5 / s-walk framework |
 //!
-//! The four counting kernels ([`hashmap`], [`queue_single`]'s two
-//! variants, [`ensemble`], [`weighted`]) are thin wrappers over one
-//! private counting core: a dense per-worker overlap accumulator that
-//! takes its rows from a static range, queue slots, or a stealing queue.
+//! The four counting kernels ([`hashmap`], [`queue_single`],
+//! [`ensemble`], [`weighted`]) are thin wrappers over one private
+//! counting core: a dense per-worker overlap accumulator that takes its
+//! rows from a static range or from queue slots.
 //!
 //! The two intersection kernels ([`intersection`], [`queue_two_phase`])
 //! are thin wrappers over one private candidate-and-verify core: a
@@ -58,10 +58,8 @@ pub(crate) mod stats;
 pub mod weighted;
 
 use crate::Id;
-use nwhy_util::partition::Strategy;
 
 pub use builder::SLineBuilder;
-pub use overlap::{OverlapPath, OverlapPolicy};
 // The trait lives in `crate::repr` since the representation-generic
 // refactor; re-exported here for source compatibility.
 pub use crate::repr::HyperAdjacency;
@@ -129,24 +127,6 @@ pub enum Relabel {
     Descending,
 }
 
-/// Construction tuning knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct BuildOptions {
-    /// Work-partitioning strategy for the parallel loops.
-    pub strategy: Strategy,
-    /// Degree relabeling of hyperedge IDs.
-    pub relabel: Relabel,
-}
-
-impl Default for BuildOptions {
-    fn default() -> Self {
-        Self {
-            strategy: Strategy::AUTO,
-            relabel: Relabel::None,
-        }
-    }
-}
-
 /// Canonicalizes an undirected pair list: orders each pair `(min, max)`,
 /// sorts, and deduplicates. All algorithms funnel through this so their
 /// outputs are directly comparable. The sort is a linear pass when the
@@ -174,10 +154,10 @@ pub(crate) fn meets(n: crate::ids::Overlap, s: usize) -> bool {
 
 #[cfg(test)]
 mod tests {
-    use super::Strategy; // disambiguate from proptest's Strategy trait
     use super::*;
     use crate::fixtures::{paper_hypergraph, paper_slinegraph_edges};
     use crate::hypergraph::Hypergraph;
+    use nwhy_util::partition::Strategy; // disambiguate from proptest's Strategy trait
     use proptest::prelude::*;
     use proptest::strategy::Strategy as _;
 
@@ -296,22 +276,13 @@ mod tests {
 
         #[test]
         fn prop_overlap_paths_and_planner_agree(ms in arb_memberships(), s in 1usize..5) {
-            // the forced gallop/bitset paths, the adaptive rule, and the
-            // planner's auto choice must all be invisible in the results
-            // (the kernels themselves are pinned in `candidates::tests`)
+            // the adaptive overlap rule and the planner's auto choice must
+            // both be invisible in the results (the primitives themselves
+            // are pinned in `overlap::tests`)
             let h = Hypergraph::from_memberships(&ms);
             let reference = build(&h, s, Algorithm::Naive);
-            for policy in [OverlapPolicy::Adaptive,
-                           OverlapPolicy::Force(OverlapPath::Merge),
-                           OverlapPolicy::Force(OverlapPath::Gallop),
-                           OverlapPolicy::Force(OverlapPath::Bitset)] {
-                let via_builder = SLineBuilder::new(&h)
-                    .s(s)
-                    .algorithm(Algorithm::Intersection)
-                    .overlap(policy)
-                    .edges();
-                prop_assert_eq!(&via_builder, &reference, "builder {}", policy.name());
-            }
+            let adaptive = build(&h, s, Algorithm::Intersection);
+            prop_assert_eq!(&adaptive, &reference, "intersection");
             let auto = SLineBuilder::new(&h).s(s).auto().edges();
             prop_assert_eq!(&auto, &reference, "auto");
         }

@@ -27,19 +27,19 @@ use crate::{ids, Id};
 use nwhy_util::bitmap::WordBitset;
 
 /// Load the row bitset when the expanded hyperedge has at least this
-/// many members (adaptive mode). Below this, building + clearing the
-/// bitset costs more than the merge scans it replaces.
+/// many members. Below this, building + clearing the bitset costs more
+/// than the merge scans it replaces.
 pub const BITSET_ROW_MIN_DEGREE: usize = 32;
 
 /// Route a pair to galloping when `max(len) / min(len)` is at least this
-/// (adaptive mode, row bitset not loaded). At 8× the `log`-factor search
-/// beats scanning the long row linearly.
+/// (row bitset not loaded). At 8× the `log`-factor search beats scanning
+/// the long row linearly.
 pub const GALLOP_RATIO: usize = 8;
 
 /// Which pair-overlap primitive decided a candidate pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OverlapPath {
-    /// Short-circuiting sorted merge scan (the pre-engine default).
+    /// Short-circuiting sorted merge scan.
     Merge,
     /// Galloping (exponential + binary search) intersection.
     Gallop,
@@ -47,60 +47,11 @@ pub enum OverlapPath {
     Bitset,
 }
 
-impl OverlapPath {
-    /// Every path, for sweeps and forced-path benches.
-    pub const ALL: [OverlapPath; 3] =
-        [OverlapPath::Merge, OverlapPath::Gallop, OverlapPath::Bitset];
-
-    /// Short display name used in benchmark tables and the CLI.
-    pub fn name(&self) -> &'static str {
-        match self {
-            OverlapPath::Merge => "merge",
-            OverlapPath::Gallop => "gallop",
-            OverlapPath::Bitset => "bitset",
-        }
-    }
-}
-
-/// How the engine picks a path per pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OverlapPolicy {
-    /// Degree-ratio/density rule, per pair (the default).
-    #[default]
-    Adaptive,
-    /// Every pair takes the given path (benchmark ablations and the
-    /// agreement proptests).
-    Force(OverlapPath),
-}
-
-impl OverlapPolicy {
-    /// Parses a CLI/bench spelling: `adaptive`, `merge`, `gallop`,
-    /// `bitset`.
-    pub fn parse(name: &str) -> Option<OverlapPolicy> {
-        match name {
-            "adaptive" => Some(OverlapPolicy::Adaptive),
-            "merge" => Some(OverlapPolicy::Force(OverlapPath::Merge)),
-            "gallop" => Some(OverlapPolicy::Force(OverlapPath::Gallop)),
-            "bitset" => Some(OverlapPolicy::Force(OverlapPath::Bitset)),
-            _ => None,
-        }
-    }
-
-    /// Display name (inverse of [`OverlapPolicy::parse`]).
-    pub fn name(&self) -> &'static str {
-        match self {
-            OverlapPolicy::Adaptive => "adaptive",
-            OverlapPolicy::Force(p) => p.name(),
-        }
-    }
-}
-
 /// Worker-local overlap engine: owns the row bitset and applies the
 /// per-pair path rule. One engine lives inside each candidate verifier
 /// (`super::candidates::Verifier`).
 #[derive(Debug)]
 pub(crate) struct OverlapEngine {
-    policy: OverlapPolicy,
     /// Upper bound on the node handles a row can contain (representation-
     /// defined: `num_hyperedges() + num_hypernodes()` covers the shifted
     /// adjoin handle space too).
@@ -112,32 +63,23 @@ pub(crate) struct OverlapEngine {
 impl OverlapEngine {
     /// A fresh engine. The bitset allocates lazily, on the first loaded
     /// row, so merge/gallop-only runs never pay for it.
-    pub fn new(policy: OverlapPolicy, universe_bits: usize) -> Self {
+    pub fn new(universe_bits: usize) -> Self {
         Self {
-            policy,
             universe_bits,
             bits: WordBitset::new(),
             row_loaded: false,
         }
     }
 
-    /// Whether a row of `len` members gets its bitset loaded under this
-    /// policy. Length-only, so the decision (and with it every per-pair
-    /// path choice) is independent of worker count and visit order.
-    #[inline]
-    fn wants_row(&self, len: usize) -> bool {
-        match self.policy {
-            OverlapPolicy::Adaptive => len >= BITSET_ROW_MIN_DEGREE,
-            OverlapPolicy::Force(p) => p == OverlapPath::Bitset,
-        }
-    }
-
     /// Starts expanding row `e_i`: loads its members into the bitset when
-    /// the policy calls for it. Pair with [`OverlapEngine::end_row`].
+    /// it has at least [`BITSET_ROW_MIN_DEGREE`] of them. Length-only, so
+    /// the decision (and with it every per-pair path choice) is
+    /// independent of worker count and visit order. Pair with
+    /// [`OverlapEngine::end_row`].
     #[inline]
     // lint: obs: per-row probe inside a kernel span; tallies flush via KernelStats
     pub fn begin_row(&mut self, nbrs_i: &[Id]) {
-        self.row_loaded = self.wants_row(nbrs_i.len());
+        self.row_loaded = nbrs_i.len() >= BITSET_ROW_MIN_DEGREE;
         if self.row_loaded {
             self.bits.ensure_bits(self.universe_bits);
             for &v in nbrs_i {
@@ -157,29 +99,23 @@ impl OverlapEngine {
         }
     }
 
-    /// The per-pair path rule (policy + degree ratio + row density).
+    /// The per-pair path rule (row density, then degree ratio).
     #[inline]
     fn choose(&self, len_i: usize, len_j: usize) -> OverlapPath {
-        match self.policy {
-            OverlapPolicy::Force(p) => p,
-            OverlapPolicy::Adaptive => {
-                if self.row_loaded {
-                    // probing a loaded row costs O(words(len_j)) — beats
-                    // both scans whenever the build cost is already sunk
-                    OverlapPath::Bitset
-                } else {
-                    let (lo, hi) = if len_i <= len_j {
-                        (len_i, len_j)
-                    } else {
-                        (len_j, len_i)
-                    };
-                    if hi / lo.max(1) >= GALLOP_RATIO {
-                        OverlapPath::Gallop
-                    } else {
-                        OverlapPath::Merge
-                    }
-                }
-            }
+        if self.row_loaded {
+            // probing a loaded row costs O(words(len_j)) — beats both
+            // scans whenever the build cost is already sunk
+            return OverlapPath::Bitset;
+        }
+        let (lo, hi) = if len_i <= len_j {
+            (len_i, len_j)
+        } else {
+            (len_j, len_i)
+        };
+        if hi / lo.max(1) >= GALLOP_RATIO {
+            OverlapPath::Gallop
+        } else {
+            OverlapPath::Merge
         }
     }
 
@@ -322,6 +258,7 @@ pub(super) fn bitset_overlap_at_least(
 mod tests {
     use super::*;
     use nwgraph::algorithms::intersection::sorted_intersection_at_least;
+    use proptest::prelude::*;
 
     fn gallop(a: &[Id], b: &[Id], s: usize) -> bool {
         let mut cmp = 0u64;
@@ -417,7 +354,7 @@ mod tests {
     #[test]
     fn engine_adaptive_routes_by_shape() {
         let mut stats = KernelStats::default();
-        let mut eng = OverlapEngine::new(OverlapPolicy::Adaptive, 4096);
+        let mut eng = OverlapEngine::new(4096);
         // dense row → loaded → bitset
         let dense: Vec<Id> = (0..ids::from_usize(BITSET_ROW_MIN_DEGREE)).collect();
         eng.begin_row(&dense);
@@ -432,30 +369,24 @@ mod tests {
         eng.end_row(&small);
     }
 
-    #[test]
-    fn engine_forced_paths_agree_on_results() {
-        let a: Vec<Id> = (0..40).collect();
-        let b: Vec<Id> = (20..60).collect();
-        for policy in [
-            OverlapPolicy::Adaptive,
-            OverlapPolicy::Force(OverlapPath::Merge),
-            OverlapPolicy::Force(OverlapPath::Gallop),
-            OverlapPolicy::Force(OverlapPath::Bitset),
-        ] {
-            let mut stats = KernelStats::default();
-            let mut eng = OverlapEngine::new(policy, 64);
-            eng.begin_row(&a);
-            assert!(eng.overlaps(&a, &b, 20, &mut stats), "{}", policy.name());
-            assert!(!eng.overlaps(&a, &b, 21, &mut stats), "{}", policy.name());
-            eng.end_row(&a);
-        }
+    /// Two sorted rows of up to 200 members from a shared universe of
+    /// 200–4000 ids: long enough to load a bitset row and to skew a pair
+    /// past [`GALLOP_RATIO`], sparse enough that overlaps fall on both
+    /// sides of small `s`.
+    fn arb_rows() -> impl Strategy<Value = (Vec<Id>, Vec<Id>)> {
+        let row = |u: u32| {
+            proptest::collection::btree_set(0..u, 0..200).prop_map(|r| r.into_iter().collect())
+        };
+        (200u32..4000).prop_flat_map(move |u| (row(u), row(u)))
     }
 
-    #[test]
-    fn policy_parse_round_trips() {
-        for name in ["adaptive", "merge", "gallop", "bitset"] {
-            assert_eq!(OverlapPolicy::parse(name).unwrap().name(), name);
+    proptest! {
+        #[test]
+        fn prop_primitives_match_merge_oracle_on_long_rows(rows in arb_rows(), s in 1usize..=6) {
+            let (a, b) = rows;
+            let want = sorted_intersection_at_least(&a, &b, s);
+            prop_assert_eq!(gallop(&a, &b, s), want, "gallop s={}", s);
+            prop_assert_eq!(bitset(&a, &b, s), want, "bitset s={}", s);
         }
-        assert!(OverlapPolicy::parse("simd").is_none());
     }
 }

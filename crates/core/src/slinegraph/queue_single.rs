@@ -10,11 +10,12 @@
 //! with hypernodes), and degree-relabeled ID spaces — the cases §III-C.3
 //! says the non-queue algorithms cannot handle directly.
 //!
-//! Both variants here are the shared counting core of
-//! `slinegraph::counting` with the queue as its work source: statically
-//! split queue slots, or chunks stolen from a shared cursor. Enqueuing is
-//! linear in the number of hyperedges, so the asymptotic complexity
-//! matches the non-queue hashmap algorithm.
+//! It is the shared counting core of `slinegraph::counting` with the
+//! queue's slots as its work source, split by a blocked or cyclic
+//! strategy; the pool hands those bins to workers as they claim them, so
+//! a worker that drew cheap hyperedges keeps pulling work instead of
+//! idling. Enqueuing is linear in the number of hyperedges, so the
+//! asymptotic complexity matches the non-queue hashmap algorithm.
 
 use super::counting::pairs_meeting;
 use super::rows::Rows;
@@ -22,7 +23,6 @@ use super::HyperAdjacency;
 use crate::Id;
 use nwhy_obs::Counter;
 use nwhy_util::partition::Strategy;
-use nwhy_util::workq::ChunkedQueue;
 
 /// Algorithm 1. `queue` holds the hyperedge IDs to process (any order,
 /// any ID space the representation defines); returns canonical pairs.
@@ -36,26 +36,6 @@ pub fn queue_hashmap<H: HyperAdjacency + ?Sized>(
 ) -> Vec<(Id, Id)> {
     nwhy_obs::add(Counter::SlineQueuePushes, queue.len() as u64);
     pairs_meeting(h, Rows::Queue(queue, strategy), s)
-}
-
-/// Algorithm 1 with *dynamic* self-scheduling: instead of a static
-/// blocked/cyclic split of the queue, workers repeatedly steal fixed-size
-/// chunks from a shared atomic cursor ([`ChunkedQueue`]). Finishing the
-/// skew story: a worker that drew only cheap hyperedges keeps pulling
-/// work instead of idling.
-pub fn queue_hashmap_dynamic<H: HyperAdjacency + ?Sized>(
-    h: &H,
-    queue: &[Id],
-    s: usize,
-) -> Vec<(Id, Id)> {
-    let q = ChunkedQueue::with_auto_chunk(queue, rayon::current_num_threads().max(1));
-    nwhy_obs::add(Counter::SlineQueuePushes, queue.len() as u64);
-    // A full drain claims exactly ceil(len / chunk) chunks.
-    nwhy_obs::add(
-        Counter::SlineQueueSteals,
-        queue.len().div_ceil(q.chunk_size()) as u64,
-    );
-    pairs_meeting(h, Rows::Stealing(&q), s)
 }
 
 #[cfg(test)]
@@ -118,25 +98,6 @@ mod tests {
     fn empty_queue_gives_empty_graph() {
         let h = paper_hypergraph();
         assert!(queue_hashmap(&h, &[], 1, Strategy::AUTO).is_empty());
-    }
-
-    #[test]
-    fn dynamic_variant_matches_static() {
-        let h = paper_hypergraph();
-        let queue: Vec<Id> = (0..4).collect();
-        for s in 1..=4 {
-            assert_eq!(
-                queue_hashmap_dynamic(&h, &queue, s),
-                queue_hashmap(&h, &queue, s, Strategy::AUTO),
-                "s={s}"
-            );
-        }
-        // and on the adjoin representation
-        let a = AdjoinGraph::from_hypergraph(&h);
-        assert_eq!(
-            queue_hashmap_dynamic(&a, &queue, 2),
-            paper_slinegraph_edges(2)
-        );
     }
 
     #[test]

@@ -20,7 +20,6 @@
 //! emitted as a duplicate edge).
 
 use super::candidates::{candidate_rows, Verifier};
-use super::overlap::OverlapPolicy;
 use super::rows::Rows;
 use super::stats::KernelStats;
 use super::{canonicalize, HyperAdjacency};
@@ -28,24 +27,13 @@ use crate::Id;
 use nwhy_util::partition::Strategy;
 use rayon::prelude::*;
 
-/// Algorithm 2 with the default adaptive overlap policy. `queue` holds
-/// the hyperedge IDs to process; returns canonical pairs.
+/// Algorithm 2, checking pairs with the adaptive overlap engine. `queue`
+/// holds the hyperedge IDs to process; returns canonical pairs.
 pub fn queue_intersection<H: HyperAdjacency + ?Sized>(
     h: &H,
     queue: &[Id],
     s: usize,
     strategy: Strategy,
-) -> Vec<(Id, Id)> {
-    queue_intersection_with(h, queue, s, strategy, OverlapPolicy::default())
-}
-
-/// Algorithm 2 with an explicit overlap policy.
-pub fn queue_intersection_with<H: HyperAdjacency + ?Sized>(
-    h: &H,
-    queue: &[Id],
-    s: usize,
-    strategy: Strategy,
-    policy: OverlapPolicy,
 ) -> Vec<(Id, Id)> {
     // ---- Phase 1: build the pair queue (Alg. 2 lines 1–6). ----
     let (pair_queue, mut stats) = phase1(h, queue, s, strategy);
@@ -57,13 +45,7 @@ pub fn queue_intersection_with<H: HyperAdjacency + ?Sized>(
     //
     // Phase 1 emits each row's pairs contiguously, so each fold chain's
     // verifier loads row `i` once per run of pairs sharing it.
-    let chain = || {
-        (
-            Vec::new(),
-            Verifier::new(h, s, policy),
-            KernelStats::default(),
-        )
-    };
+    let chain = || (Vec::new(), Verifier::new(h, s), KernelStats::default());
     let chains: Vec<_> = pair_queue
         .par_iter()
         .fold(chain, |(mut acc, mut verifier, mut stats), &(i, j)| {

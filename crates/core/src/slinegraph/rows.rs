@@ -1,16 +1,15 @@
 //! The row runner behind the naive kernel and the counting and candidate
 //! cores.
 //!
-//! A kernel's outer loop visits rows (outer hyperedges) from one of three
+//! A kernel's outer loop visits rows (outer hyperedges) from one of two
 //! work sources ([`Rows`]). Each worker owns a reusable scratch buffer, an
-//! output and its [`KernelStats`]; a static bin borrows its scratch from
+//! output and its [`KernelStats`]; a bin borrows its scratch from
 //! an idle list and returns it when done, so the `n_e`-slot buffers
 //! number the running threads, not the bins.
 
 use super::stats::KernelStats;
 use crate::{ids, Id};
 use nwhy_util::partition::{blocked_ranges, par_map_bins, Strategy};
-use nwhy_util::workq::ChunkedQueue;
 use std::convert::Infallible;
 use std::sync::{Mutex, PoisonError};
 
@@ -22,8 +21,6 @@ pub(super) enum Rows<'q> {
     All(Strategy),
     /// The hyperedges in a queue, its slots split by a static strategy.
     Queue(&'q [Id], Strategy),
-    /// The hyperedges in a queue, drained by chunk stealing.
-    Stealing(&'q ChunkedQueue<'q, Id>),
 }
 
 /// One worker's scratch, output and tallies.
@@ -35,9 +32,8 @@ pub(super) struct Worker<S, O> {
 
 /// Runs `row(worker, i, all)` for every row `rows` yields over a
 /// hypergraph of `ne` hyperedges; `all` is true for [`Rows::All`].
-/// Returns each worker's output (in bin order for the static sources)
-/// and the merged tallies, which the caller flushes once it knows how
-/// many edges it emitted.
+/// Returns each worker's output (in bin order) and the merged tallies,
+/// which the caller flushes once it knows how many edges it emitted.
 pub(super) fn run_rows<S, O, N, I, F>(
     ne: usize,
     rows: Rows<'_>,
@@ -64,7 +60,7 @@ where
 /// `sink` takes each range's bin outputs, in bin order, before the next
 /// range starts, and an error from it stops the run. Blocked bins over a
 /// range keep row order, so the outputs `sink` sees come in row order
-/// overall. Cyclic bins and the stealing queue run as one wave.
+/// overall. Cyclic bins run as one wave.
 pub(super) fn run_waves<S, O, N, I, F, K, E>(
     ne: usize,
     rows: Rows<'_>,
@@ -131,11 +127,6 @@ where
                     run_bin(&mut bin.filter_map(|k| slots.get(k).copied()), false)
                 }))?;
             }
-        }
-        Rows::Stealing(q) => {
-            let workers = rayon::current_num_threads().max(1);
-            let done = q.drain_with(workers, fresh, |w, &i| row(w, i, false));
-            take(done.into_iter().map(|w| (w.out, w.stats)).collect())?;
         }
     }
     Ok(stats)

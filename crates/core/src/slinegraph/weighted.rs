@@ -52,17 +52,6 @@ pub(crate) fn weighted_csr_from_triples(
     nwgraph::Csr::from_edge_list(&el)
 }
 
-/// Builds the symmetric weighted CSR over hyperedge IDs, with edge weight
-/// `1 / |e ∩ f|` — stronger overlaps are "shorter".
-pub fn slinegraph_weighted_csr<A: HyperAdjacency + ?Sized>(
-    h: &A,
-    s: usize,
-    strategy: Strategy,
-) -> nwgraph::Csr {
-    let triples = slinegraph_weighted_edges(h, s, strategy);
-    weighted_csr_from_triples(h.num_hyperedges(), &triples)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,7 +83,8 @@ mod tests {
     #[test]
     fn weighted_csr_inverts_overlap() {
         let h = paper_hypergraph();
-        let g = slinegraph_weighted_csr(&h, 1, Strategy::AUTO);
+        let triples = slinegraph_weighted_edges(&h, 1, Strategy::AUTO);
+        let g = weighted_csr_from_triples(h.num_hyperedges(), &triples);
         assert!(g.is_weighted());
         // edge {0,3} has overlap 3 → weight 1/3
         let w = g

@@ -8,7 +8,7 @@
 //! framework as exposed by HyperNetX/NWHy.
 
 use crate::repr::HyperAdjacency;
-use crate::slinegraph::{Algorithm, BuildOptions, SLineBuilder};
+use crate::slinegraph::SLineBuilder;
 use crate::Id;
 use nwgraph::algorithms::betweenness::betweenness_centrality;
 use nwgraph::algorithms::bfs::{bfs_direction_optimizing, path_from_parents};
@@ -44,27 +44,14 @@ pub struct SLineGraph {
 }
 
 impl SLineGraph {
-    /// Constructs the s-line graph of `h` (hashmap algorithm, default
-    /// options) from any representation implementing [`HyperAdjacency`].
-    /// Equivalent to Listing 5's `hg.s_linegraph(s=s)`.
+    /// Constructs the s-line graph of `h` (the builder's defaults: hashmap
+    /// algorithm, auto strategy, no relabel) from any representation
+    /// implementing [`HyperAdjacency`]. Equivalent to Listing 5's
+    /// `hg.s_linegraph(s=s)`.
     pub fn new<A: HyperAdjacency + ?Sized>(h: &A, s: usize) -> Self {
-        Self::with_algorithm(h, s, Algorithm::Hashmap, &BuildOptions::default())
-    }
-
-    /// Constructs with an explicit algorithm and options.
-    pub fn with_algorithm<A: HyperAdjacency + ?Sized>(
-        h: &A,
-        s: usize,
-        algo: Algorithm,
-        opts: &BuildOptions,
-    ) -> Self {
         Self {
             s,
-            graph: SLineBuilder::new(h)
-                .s(s)
-                .algorithm(algo)
-                .options(opts)
-                .csr(),
+            graph: SLineBuilder::new(h).s(s).csr(),
         }
     }
 
@@ -258,6 +245,7 @@ mod tests {
     use super::*;
     use crate::fixtures::paper_hypergraph;
     use crate::hypergraph::Hypergraph;
+    use crate::slinegraph::Algorithm;
 
     // Fixture line graphs (see fixtures.rs):
     //   s=1: {01, 03, 12, 13, 23}   s=2: {03, 12, 13, 23}   s=3: {03, 12}
@@ -401,7 +389,7 @@ mod tests {
         let h = paper_hypergraph();
         let reference = SLineGraph::new(&h, 2).s_connected_components();
         for algo in Algorithm::ALL {
-            let lg = SLineGraph::with_algorithm(&h, 2, algo, &BuildOptions::default());
+            let lg = SLineGraph::from_csr(2, SLineBuilder::new(&h).s(2).algorithm(algo).csr());
             assert_eq!(lg.s_connected_components(), reference, "{}", algo.name());
         }
     }

@@ -4,8 +4,8 @@
 //! pairs eliminated by the degree filter) against hand-counted values.
 #![cfg(feature = "obs")]
 
-use nwhy_core::fixtures::paper_hypergraph;
-use nwhy_core::{Algorithm, Hypergraph, Id, OverlapPath, OverlapPolicy, SLineBuilder};
+use nwhy_core::fixtures::{paper_hypergraph, skewed_overlap_hypergraph};
+use nwhy_core::{Algorithm, Hypergraph, Id, SLineBuilder};
 use nwhy_obs::Counter;
 use std::sync::Mutex;
 
@@ -96,13 +96,10 @@ fn counting_entry_points_share_counter_semantics() {
     let auto = Strategy::AUTO;
     // (name, counts degree skips, run at s → edge count)
     type Kernel<'a> = (&'a str, bool, &'a dyn Fn(usize) -> usize);
-    let kernels: [Kernel; 5] = [
+    let kernels: [Kernel; 4] = [
         ("hashmap", true, &|s| hashmap::hashmap(&h, s, auto).len()),
         ("queue", false, &|s| {
             queue_single::queue_hashmap(&h, &queue, s, auto).len()
-        }),
-        ("dynamic", false, &|s| {
-            queue_single::queue_hashmap_dynamic(&h, &queue, s).len()
         }),
         ("ensemble", true, &|s| {
             ensemble::ensemble(&h, &[s], auto)[0].len()
@@ -233,28 +230,13 @@ fn intersection_reports_comparisons() {
     });
 }
 
-/// A constructed skewed input where every overlap path fires a known
-/// number of times under the adaptive rule (BITSET_ROW_MIN_DEGREE = 32,
-/// GALLOP_RATIO = 8), pinning the `overlap.path_*` counter semantics:
-///
-/// - `e0` = {0..64}: 64 members ⇒ its row bitset loads, so all 4 of its
-///   candidate pairs (e1..e4 each share a node) take the bitset path;
-/// - `e1` = {0..16}: 16 members, not loaded. Candidates e2 (len 2,
-///   ratio 8) and e3 (len 2, ratio 8) gallop; e4 (len 3, ratio 5)
-///   merges;
-/// - `e3` = {1,2} vs e4 = {1,2,3}: ratio 1 ⇒ merge.
-///
-/// Totals: 4 bitset + 2 gallop + 2 merge = 8 pairs examined.
+/// Every overlap path fires a known number of times on the skewed
+/// fixture (see [`skewed_overlap_hypergraph`]), pinning the
+/// `overlap.path_*` counter semantics.
 #[test]
 fn adaptive_paths_hit_exact_counts_on_skewed_fixture() {
     isolated(|| {
-        let h = Hypergraph::from_memberships(&[
-            (0..64).collect::<Vec<Id>>(),
-            (0..16).collect(),
-            vec![0, 64],
-            vec![1, 2],
-            vec![1, 2, 3],
-        ]);
+        let h = skewed_overlap_hypergraph();
         let edges = SLineBuilder::new(&h)
             .s(1)
             .algorithm(Algorithm::Intersection)
@@ -265,36 +247,6 @@ fn adaptive_paths_hit_exact_counts_on_skewed_fixture() {
         assert_eq!(nwhy_obs::counter_value(Counter::OverlapPathGallop), 2);
         assert_eq!(nwhy_obs::counter_value(Counter::OverlapPathMerge), 2);
     });
-}
-
-/// Forcing one path routes every examined pair through it — and the
-/// other two path counters stay at zero.
-#[test]
-fn forced_paths_route_every_pair() {
-    let h = paper_hypergraph();
-    for (path, counter) in [
-        (OverlapPath::Merge, Counter::OverlapPathMerge),
-        (OverlapPath::Gallop, Counter::OverlapPathGallop),
-        (OverlapPath::Bitset, Counter::OverlapPathBitset),
-    ] {
-        isolated(|| {
-            let _ = SLineBuilder::new(&h)
-                .s(1)
-                .algorithm(Algorithm::Intersection)
-                .overlap(OverlapPolicy::Force(path))
-                .edges();
-            assert_eq!(
-                nwhy_obs::counter_value(counter),
-                5,
-                "{} must take all 5 pairs",
-                path.name()
-            );
-            let total = nwhy_obs::counter_value(Counter::OverlapPathMerge)
-                + nwhy_obs::counter_value(Counter::OverlapPathGallop)
-                + nwhy_obs::counter_value(Counter::OverlapPathBitset);
-            assert_eq!(total, 5, "{}: other paths must stay silent", path.name());
-        });
-    }
 }
 
 /// `auto()` records exactly one planner decision per build, and the

@@ -11,12 +11,10 @@
 //!                      paper's label-propagation HyperCC)
 //! nwhy-cli bfs     <file> --source E [--algo A]
 //!                  A ∈ hyper | hyper-bu | adjoin | hygra    (default adjoin)
-//! nwhy-cli sline   <file> --s S [--kernel K] [--overlap O] [--relabel R]
-//!                  [--out FILE]
+//! nwhy-cli sline   <file> --s S [--kernel K] [--relabel R] [--out FILE]
 //!                  K ∈ auto | naive | intersection | hashmap | queue1 |
 //!                      queue2   (default hashmap; `auto` asks the
 //!                      planner; `--algo` is accepted as an alias)
-//!                  O ∈ adaptive | merge | gallop | bitset   (overlap path)
 //!                  R ∈ none | asc | desc    (degree relabeling)
 //! nwhy-cli check   <file> [--s S]         validate structural invariants
 //! nwhy-cli toplex  <file>                 maximal hyperedges (Algorithm 3)
@@ -58,7 +56,8 @@
 //!
 //! `--mmap`, `--no-mmap` and `--metrics` are switches: they never take
 //! the next token as a value (`--metrics` takes its mode only as
-//! `--metrics=MODE`).
+//! `--metrics=MODE`). Any flag a subcommand does not read is a usage
+//! error (exit 2).
 //!
 //! Formats are inferred from extensions: `.mtx`/`.mm` Matrix Market,
 //! `.tsv` KONECT bipartite (node edge), `.hgr`/`.txt` hyperedge list,
@@ -71,9 +70,7 @@ use nwhy::core::algorithms::{
     adjoin_bfs, adjoin_cc_afforest, adjoin_cc_label_propagation, hyper_bfs_bottom_up,
     hyper_bfs_top_down, hyper_cc, hyper_cc_label_propagation, toplexes,
 };
-use nwhy::core::{
-    AdjoinGraph, Algorithm, HyperedgeId, Hypergraph, OverlapPolicy, Relabel, SLineBuilder,
-};
+use nwhy::core::{AdjoinGraph, Algorithm, HyperedgeId, Hypergraph, Relabel, SLineBuilder};
 use nwhy::store::{Backend, CompressedHypergraph, Side};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
@@ -132,7 +129,7 @@ impl std::fmt::Display for CliError {
 type CliResult<T = ()> = Result<T, CliError>;
 
 fn usage() -> ! {
-    let names: Vec<&str> = COMMANDS.iter().map(|&(name, _, _)| name).collect();
+    let names: Vec<&str> = COMMANDS.iter().map(|&(name, ..)| name).collect();
     eprintln!(
         "usage: nwhy-cli <{}> ... (see --help / crate docs)",
         names.join("|")
@@ -344,6 +341,26 @@ fn parse_flag<T: std::str::FromStr>(args: &Args, cmd: &str, key: &str, default: 
     }
 }
 
+/// Parses `--s`, `None` when absent. A malformed value or 0 is a usage
+/// error prefixed with `cmd`.
+fn s_flag(args: &Args, cmd: &str) -> CliResult<Option<usize>> {
+    let Some(raw) = args.flag("s") else {
+        return Ok(None);
+    };
+    match raw.parse::<usize>() {
+        Ok(0) => Err(CliError::usage(format!("{cmd}: --s must be >= 1"))),
+        Ok(s) => Ok(Some(s)),
+        Err(_) => Err(CliError::usage(format!(
+            "{cmd}: --s must be a positive integer"
+        ))),
+    }
+}
+
+/// [`s_flag`] for the subcommands where `--s` is required.
+fn required_s(args: &Args, cmd: &str) -> CliResult<usize> {
+    s_flag(args, cmd)?.ok_or_else(|| CliError::usage(format!("{cmd}: missing --s")))
+}
+
 fn cmd_stats(args: &Args) -> CliResult {
     let path = args
         .positional
@@ -381,17 +398,7 @@ fn cmd_stats(args: &Args) -> CliResult {
         }
         match run {
             "bfs" => {
-                let reached = match &input {
-                    Input::Memory(h) => {
-                        let r = nwhy::hygra::bfs::hygra_bfs_with_mode(
-                            h,
-                            0,
-                            nwhy::hygra::engine::Mode::Auto,
-                        );
-                        count_finite(&r.edge_levels)
-                    }
-                    Input::Packed(c) => hyper_bfs_top_down(c, 0).edges_reached(),
-                };
+                let reached = on_input!(&input, g => hyper_bfs_top_down(g, 0)).edges_reached();
                 println!("ran bfs from hyperedge 0: reached {reached} hyperedges");
             }
             "cc" => {
@@ -399,10 +406,7 @@ fn cmd_stats(args: &Args) -> CliResult {
                 println!("ran cc: {n} components");
             }
             "sline" => {
-                let s: usize = parse_flag(args, "stats", "s", 2)?;
-                if s == 0 {
-                    return Err(CliError::usage("stats: --s must be >= 1"));
-                }
+                let s = s_flag(args, "stats")?.unwrap_or(2);
                 keep_resident(&mut input);
                 let pairs = on_input!(&input, g => SLineBuilder::new(g).s(s).edges());
                 println!("ran sline (s={s}): {} line-graph edges", pairs.len());
@@ -513,14 +517,7 @@ fn cmd_sline(args: &Args) -> CliResult {
         .positional
         .first()
         .ok_or_else(|| CliError::usage("sline: missing <file>"))?;
-    let s: usize = args
-        .flag("s")
-        .ok_or_else(|| CliError::usage("sline: missing --s"))?
-        .parse()
-        .map_err(|_| CliError::usage("sline: --s must be a positive integer"))?;
-    if s == 0 {
-        return Err(CliError::usage("sline: --s must be >= 1"));
-    }
+    let s = required_s(args, "sline")?;
     // `--kernel` supersedes `--algo` (kept as an alias); `auto` hands
     // the choice to the planner
     let kernel = args
@@ -535,11 +532,6 @@ fn cmd_sline(args: &Args) -> CliResult {
         "queue1" => Some(Algorithm::QueueHashmap),
         "queue2" => Some(Algorithm::QueueIntersection),
         other => return Err(CliError::usage(format!("sline: unknown --kernel {other}"))),
-    };
-    let overlap = match args.flag("overlap") {
-        None => OverlapPolicy::default(),
-        Some(name) => OverlapPolicy::parse(name)
-            .ok_or_else(|| CliError::usage(format!("sline: unknown --overlap {name}")))?,
     };
     let relabel = match args.flag("relabel").unwrap_or("none") {
         "none" => Relabel::None,
@@ -564,11 +556,10 @@ fn cmd_sline(args: &Args) -> CliResult {
         h: &A,
         s: usize,
         algo: Option<Algorithm>,
-        overlap: OverlapPolicy,
         relabel: Relabel,
         out: Option<(&str, File)>,
     ) -> CliResult<(Algorithm, usize)> {
-        let builder = SLineBuilder::new(h).s(s).overlap(overlap).relabel(relabel);
+        let builder = SLineBuilder::new(h).s(s).relabel(relabel);
         // resolve `auto` once so the planner decision is both printed
         // and counted exactly one time
         let builder = match algo {
@@ -588,7 +579,7 @@ fn cmd_sline(args: &Args) -> CliResult {
         };
         Ok((builder.resolved_algorithm(), pairs))
     }
-    let (resolved, pairs) = on_input!(&input, g => build(g, s, algo, overlap, relabel, out))?;
+    let (resolved, pairs) = on_input!(&input, g => build(g, s, algo, relabel, out))?;
     let secs = t.elapsed().as_secs_f64();
     if algo.is_none() {
         println!("auto: planner chose the {} kernel", resolved.name());
@@ -622,6 +613,7 @@ fn cmd_check(args: &Args) -> CliResult {
         .positional
         .first()
         .ok_or_else(|| CliError::usage("check: missing <file>"))?;
+    let s = s_flag(args, "check")?;
     let input = load_input(args, path)?;
     let mut failures = 0usize;
     let mut report = |name: &str, result: Result<(), nwhy::InvariantViolation>| match result {
@@ -650,13 +642,7 @@ fn cmd_check(args: &Args) -> CliResult {
     report("dual view", DualView::new(&h).validate());
     let a = nwhy::AdjoinGraph::from_hypergraph(&h);
     report("adjoin graph (bipartite, symmetric)", a.validate());
-    if let Some(raw) = args.flag("s") {
-        let s: usize = raw
-            .parse()
-            .map_err(|_| CliError::usage("check: --s must be a positive integer"))?;
-        if s == 0 {
-            return Err(CliError::usage("check: --s must be >= 1"));
-        }
+    if let Some(s) = s {
         let g = SLineBuilder::new(&h).s(s).weighted_csr();
         report(
             &format!("{s}-line CSR (symmetry, loops, weights)"),
@@ -701,14 +687,7 @@ fn cmd_scomp(args: &Args) -> CliResult {
         .positional
         .first()
         .ok_or_else(|| CliError::usage("scomp: missing <file>"))?;
-    let s: usize = args
-        .flag("s")
-        .ok_or_else(|| CliError::usage("scomp: missing --s"))?
-        .parse()
-        .map_err(|_| CliError::usage("scomp: --s must be a positive integer"))?;
-    if s == 0 {
-        return Err(CliError::usage("scomp: --s must be >= 1"));
-    }
+    let s = required_s(args, "scomp")?;
     let mut input = load_input(args, path)?;
     let ne = input.num_hyperedges();
     keep_resident(&mut input);
@@ -1019,6 +998,61 @@ mod tests {
             cmd_stats(&Args::parse(&[])),
             Err(CliError::Usage(_))
         ));
+        // a malformed or zero --s is a usage error in every command that
+        // reads it, prefixed with that command's name
+        let h = nwhy::core::fixtures::paper_hypergraph();
+        let hgr = std::env::temp_dir().join(format!("nwhy_cli_sx_{}.hgr", std::process::id()));
+        let path = hgr.to_str().unwrap();
+        save(path, &h).unwrap();
+        for (name, cmd, extra) in [
+            (
+                "stats",
+                cmd_stats as fn(&Args) -> CliResult,
+                &["--run", "sline"][..],
+            ),
+            ("sline", cmd_sline, &[]),
+            ("scomp", cmd_scomp, &[]),
+            ("check", cmd_check, &[]),
+        ] {
+            for bad in ["x", "0"] {
+                let mut argv = vec![path, "--s", bad];
+                argv.extend_from_slice(extra);
+                match cmd(&Args::parse(&to_vec(&argv))) {
+                    Err(CliError::Usage(m)) => assert!(m.starts_with(name), "{argv:?}: {m}"),
+                    other => panic!("{name} {argv:?}: {other:?}"),
+                }
+            }
+        }
+        let _ = std::fs::remove_file(&hgr);
+    }
+
+    #[test]
+    fn unread_flags_are_usage_errors() {
+        let &(_, _, sline, _) = COMMANDS
+            .iter()
+            .find(|&&(name, ..)| name == "sline")
+            .unwrap();
+        for (argv, flag) in [
+            (&["--s", "2", "--kernal", "intersection"][..], "--kernal"),
+            (&["--s", "2", "--overlap", "bitset"], "--overlap"),
+        ] {
+            match check_flags("sline", sline, &Args::parse(&to_vec(argv))) {
+                Err(CliError::Usage(m)) => assert!(m.ends_with(flag), "{m}"),
+                other => panic!("{argv:?}: {other:?}"),
+            }
+        }
+        // every command accepts its own flags and the global ones
+        for (name, _, flags, _) in COMMANDS {
+            let argv: Vec<String> = flags
+                .iter()
+                .chain(&GLOBAL_FLAGS)
+                .map(|f| format!("--{f}=v"))
+                .collect();
+            assert!(
+                check_flags(name, flags, &Args::parse(&argv)).is_ok(),
+                "{name}"
+            );
+        }
     }
 
     #[test]
@@ -1136,21 +1170,44 @@ mod tests {
 type Handler = fn(&Args) -> CliResult;
 
 /// Every subcommand: its name, its root span label (`&'static str`
-/// because span names are interned for the lifetime of the process) and
-/// its handler. Drives the usage line and dispatch.
-const COMMANDS: [(&str, &str, Handler); 11] = [
-    ("stats", "cli.stats", cmd_stats),
-    ("cc", "cli.cc", cmd_cc),
-    ("bfs", "cli.bfs", cmd_bfs),
-    ("sline", "cli.sline", cmd_sline),
-    ("check", "cli.check", cmd_check),
-    ("toplex", "cli.toplex", cmd_toplex),
-    ("scomp", "cli.scomp", cmd_scomp),
-    ("gen", "cli.gen", cmd_gen),
-    ("pack", "cli.pack", cmd_pack),
-    ("info", "cli.info", cmd_info),
-    ("convert", "cli.convert", cmd_convert),
+/// because span names are interned for the lifetime of the process), the
+/// flags its handler reads beyond [`GLOBAL_FLAGS`], and its handler.
+/// Drives the usage line, flag checking and dispatch.
+type Command = (&'static str, &'static str, &'static [&'static str], Handler);
+
+const COMMANDS: [Command; 11] = [
+    ("stats", "cli.stats", &["run", "s"], cmd_stats),
+    ("cc", "cli.cc", &["algo"], cmd_cc),
+    ("bfs", "cli.bfs", &["source", "algo"], cmd_bfs),
+    (
+        "sline",
+        "cli.sline",
+        &["s", "kernel", "algo", "relabel", "out"],
+        cmd_sline,
+    ),
+    ("check", "cli.check", &["s"], cmd_check),
+    ("toplex", "cli.toplex", &[], cmd_toplex),
+    ("scomp", "cli.scomp", &["s"], cmd_scomp),
+    ("gen", "cli.gen", &["scale", "seed", "out"], cmd_gen),
+    ("pack", "cli.pack", &[], cmd_pack),
+    ("info", "cli.info", &[], cmd_info),
+    ("convert", "cli.convert", &[], cmd_convert),
 ];
+
+/// Flags every subcommand accepts: the observability flags (read by
+/// [`emit_observability`]) and the packed-backend switches.
+const GLOBAL_FLAGS: [&str; 5] = ["metrics", "metrics-out", "trace-out", "mmap", "no-mmap"];
+
+/// Rejects the first flag that neither `flags` nor [`GLOBAL_FLAGS`]
+/// names, so a misspelt or removed flag is a usage error, not silently
+/// ignored.
+fn check_flags(cmd: &str, flags: &[&str], args: &Args) -> CliResult {
+    let known = |k: &str| flags.contains(&k) || GLOBAL_FLAGS.contains(&k);
+    match args.flags.iter().find(|(k, _)| !known(k)) {
+        Some((k, _)) => Err(CliError::usage(format!("{cmd}: unknown flag --{k}"))),
+        None => Ok(()),
+    }
+}
 
 /// Handles the global `--metrics[=text|json|prom]` (+ `--metrics-out
 /// FILE`) and `--trace-out FILE` flags after the subcommand finished
@@ -1197,15 +1254,17 @@ fn main() -> ExitCode {
     if raw.is_empty() || raw[0] == "--help" || raw[0] == "-h" {
         usage();
     }
-    let Some(&(_, span, handler)) = COMMANDS.iter().find(|&&(name, _, _)| name == raw[0]) else {
+    let Some(&(name, span, flags, handler)) = COMMANDS.iter().find(|&&(name, ..)| name == raw[0])
+    else {
         usage();
     };
     let args = Args::parse(&raw[1..]);
-    let result = {
-        let _span = nwhy::obs::span(span);
-        handler(&args)
-    }
-    .and_then(|()| emit_observability(&args));
+    let result = check_flags(name, flags, &args)
+        .and_then(|()| {
+            let _span = nwhy::obs::span(span);
+            handler(&args)
+        })
+        .and_then(|()| emit_observability(&args));
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

@@ -33,7 +33,7 @@ pub use nwhy_util as util;
 
 pub use nwhy_core::smetrics::WeightedSLineGraph;
 pub use nwhy_core::{
-    AdjoinGraph, Algorithm, BiEdgeList, BuildOptions, Hypergraph, HypergraphStats, Id,
-    InvariantViolation, Relabel, SLineGraph, SLineOutput, Validate,
+    AdjoinGraph, Algorithm, BiEdgeList, Hypergraph, HypergraphStats, Id, InvariantViolation,
+    Relabel, SLineGraph, SLineOutput, Validate,
 };
 pub use session::NWHypergraph;

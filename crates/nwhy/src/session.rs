@@ -11,8 +11,8 @@
 use nwhy_core::algorithms::toplex::{restrict_to_toplexes, toplexes};
 use nwhy_core::smetrics::WeightedSLineGraph;
 use nwhy_core::{
-    AdjoinGraph, Algorithm, BiEdgeList, BuildOptions, DualView, HyperAdjacency, Hypergraph,
-    HypergraphStats, Id, SLineBuilder, SLineGraph,
+    AdjoinGraph, BiEdgeList, DualView, HyperAdjacency, Hypergraph, HypergraphStats, Id,
+    SLineBuilder, SLineGraph,
 };
 
 /// A hypergraph session object mirroring the paper's Python
@@ -98,22 +98,6 @@ impl NWHypergraph {
             SLineGraph::new(&self.hypergraph, s)
         } else {
             SLineGraph::new(&DualView::new(&self.hypergraph), s)
-        }
-    }
-
-    /// Like [`NWHypergraph::s_linegraph`] with an explicit construction
-    /// algorithm and options.
-    pub fn s_linegraph_with(
-        &self,
-        s: usize,
-        edges: bool,
-        algo: Algorithm,
-        opts: &BuildOptions,
-    ) -> SLineGraph {
-        if edges {
-            SLineGraph::with_algorithm(&self.hypergraph, s, algo, opts)
-        } else {
-            SLineGraph::with_algorithm(&DualView::new(&self.hypergraph), s, algo, opts)
         }
     }
 

@@ -27,11 +27,6 @@ pub enum Counter {
     /// Hyperedge or pair IDs enqueued into a work queue (Algorithms 1–2
     /// phase-1 output included).
     SlineQueuePushes,
-    /// Chunks claimed from the dynamic [`ChunkedQueue`] by the
-    /// self-scheduling queue variant.
-    ///
-    /// [`ChunkedQueue`]: https://docs.rs/nwhy-util
-    SlineQueueSteals,
     /// s-line edges emitted (pre-canonicalization survivor count).
     SlineEdgesEmitted,
     /// Candidate pairs routed to the short-circuiting merge scan by the
@@ -74,13 +69,12 @@ pub enum Counter {
 impl Counter {
     /// Every counter, in declaration order (the snapshot iteration
     /// order).
-    pub const ALL: [Counter; 22] = [
+    pub const ALL: [Counter; 21] = [
         Counter::SlinePairsExamined,
         Counter::SlinePairsSkippedDegree,
         Counter::SlineHashmapInsertions,
         Counter::SlineIntersectionComparisons,
         Counter::SlineQueuePushes,
-        Counter::SlineQueueSteals,
         Counter::SlineEdgesEmitted,
         Counter::OverlapPathMerge,
         Counter::OverlapPathGallop,
@@ -107,7 +101,6 @@ impl Counter {
             Counter::SlineHashmapInsertions => "sline.hashmap_insertions",
             Counter::SlineIntersectionComparisons => "sline.intersection_comparisons",
             Counter::SlineQueuePushes => "sline.queue_pushes",
-            Counter::SlineQueueSteals => "sline.queue_steals",
             Counter::SlineEdgesEmitted => "sline.edges_emitted",
             Counter::OverlapPathMerge => "overlap.path_merge",
             Counter::OverlapPathGallop => "overlap.path_gallop",

@@ -119,11 +119,6 @@ impl WindowedHist {
         self.sub_width
     }
 
-    /// Ticks covered by the whole trailing window.
-    pub fn window_width(&self) -> u64 {
-        self.sub_width.saturating_mul(SUB_WINDOWS as u64)
-    }
-
     #[inline]
     fn slot_of(&self, epoch: u64) -> &SubWindow {
         // lint: slot index is epoch modulo the fixed sub-window count

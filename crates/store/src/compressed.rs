@@ -492,12 +492,6 @@ impl CompressedHypergraph {
         scan(&self.edges, &self.bytes, f);
     }
 
-    /// Streams every hypernode row front to back, as
-    /// [`CompressedHypergraph::scan_edges`].
-    pub fn scan_nodes(&self, f: impl FnMut(Id, &[Id])) {
-        scan(&self.nodes, &self.bytes, f);
-    }
-
     /// Fully decompresses back into an in-memory [`Hypergraph`]
     /// (including weights when present) — the exact inverse of
     /// [`crate::pack_hypergraph`].

@@ -15,9 +15,9 @@ use nwhy_core::algorithms::{
     hyper_bfs_bottom_up, hyper_bfs_top_down, hyper_cc, hyper_cc_label_propagation,
     s_connected_components_online, toplexes, HyperBfsResult,
 };
-use nwhy_core::fixtures::{multi_block_hypergraph, paper_hypergraph};
+use nwhy_core::fixtures::{multi_block_hypergraph, paper_hypergraph, skewed_overlap_hypergraph};
 use nwhy_core::repr::HyperAdjacency;
-use nwhy_core::{AdjoinGraph, Algorithm, Hypergraph, OverlapPath, OverlapPolicy, SLineBuilder};
+use nwhy_core::{AdjoinGraph, Algorithm, Hypergraph, SLineBuilder};
 use nwhy_gen::powerlaw::PowerlawParams;
 use nwhy_gen::{powerlaw_hypergraph, uniform_random};
 use nwhy_store::{pack_hypergraph, Backend, CompressedHypergraph, Side};
@@ -48,6 +48,8 @@ fn fixtures() -> Vec<(&'static str, Hypergraph)> {
         // > 300 rows each way with empty rows: row lookups cross the
         // 64-row blocks of the sampled index
         ("multi-block", multi_block_hypergraph()),
+        // every overlap path (bitset, gallop, merge) fires at s = 1
+        ("skewed", skewed_overlap_hypergraph()),
     ]
 }
 
@@ -116,9 +118,10 @@ fn overlap_queries_agree_across_backends() {
 }
 
 /// The adaptive overlap engine's per-pair path choice depends only on
-/// row *lengths*, never on how the rows are stored — so every forced
-/// path and the planner's `auto` must agree with the naive reference on
-/// the packed image and on a memory-mapped file, at every s.
+/// row *lengths*, never on how the rows are stored — so the intersection
+/// kernel (which takes every path on the skewed fixture) and the
+/// planner's `auto` must agree with the naive reference on the packed
+/// image and on a memory-mapped file, at every s.
 #[test]
 fn overlap_paths_and_planner_agree_across_backends() {
     for (name, h) in fixtures() {
@@ -135,27 +138,15 @@ fn overlap_paths_and_planner_agree_across_backends() {
                 .algorithm(Algorithm::Naive)
                 .s(s)
                 .edges();
-            for policy in [
-                OverlapPolicy::Adaptive,
-                OverlapPolicy::Force(OverlapPath::Merge),
-                OverlapPolicy::Force(OverlapPath::Gallop),
-                OverlapPolicy::Force(OverlapPath::Bitset),
-            ] {
-                for (backend, c) in [("packed", &packed), ("mapped", &mapped)] {
-                    let got = SLineBuilder::new(c)
-                        .algorithm(Algorithm::Intersection)
-                        .overlap(policy)
-                        .s(s)
-                        .edges();
-                    assert_eq!(
-                        got,
-                        reference,
-                        "{name}/{backend}: {} disagrees at s={s}",
-                        policy.name()
-                    );
-                }
-            }
             for (backend, c) in [("packed", &packed), ("mapped", &mapped)] {
+                let got = SLineBuilder::new(c)
+                    .algorithm(Algorithm::Intersection)
+                    .s(s)
+                    .edges();
+                assert_eq!(
+                    got, reference,
+                    "{name}/{backend}: intersection disagrees at s={s}"
+                );
                 let auto = SLineBuilder::new(c).auto().s(s).edges();
                 assert_eq!(auto, reference, "{name}/{backend}: auto disagrees at s={s}");
             }

@@ -7,9 +7,8 @@
 //!
 //! # Ordering policy
 //!
-//! Every CAS loop in this module uses the same ordering triple, and the
-//! rest of the crate ([`crate::bitmap`], [`crate::workq`]) aligns with
-//! it:
+//! Every CAS loop in this module uses the same ordering triple, and
+//! [`crate::bitmap`] aligns with it:
 //!
 //! - **`Relaxed` initial load.** The first read only seeds the CAS
 //!   loop; a stale value costs at most one extra CAS iteration and can
@@ -38,7 +37,7 @@
 //! Under `RUSTFLAGS="--cfg loom"` the atomic types switch to the loom
 //! model checker's instrumented versions (see [`crate::sync`]).
 
-use crate::sync::{AtomicU32, AtomicUsize, Ordering};
+use crate::sync::{AtomicU32, Ordering};
 use rayon::prelude::*;
 
 /// Atomically set `a = min(a, val)`.
@@ -118,32 +117,6 @@ pub fn compress(comp: &[AtomicU32]) {
     });
 }
 
-/// Atomically set `a = max(a, val)`. Returns `true` if the value was raised.
-#[inline]
-pub fn atomic_max_u32(a: &AtomicU32, val: u32) -> bool {
-    let mut cur = a.load(Ordering::Relaxed);
-    while val > cur {
-        match a.compare_exchange_weak(cur, val, Ordering::AcqRel, Ordering::Relaxed) {
-            Ok(_) => return true,
-            Err(observed) => cur = observed,
-        }
-    }
-    false
-}
-
-/// Atomically set `a = min(a, val)` for `usize` values.
-#[inline]
-pub fn atomic_min_usize(a: &AtomicUsize, val: usize) -> bool {
-    let mut cur = a.load(Ordering::Relaxed);
-    while val < cur {
-        match a.compare_exchange_weak(cur, val, Ordering::AcqRel, Ordering::Relaxed) {
-            Ok(_) => return true,
-            Err(observed) => cur = observed,
-        }
-    }
-    false
-}
-
 /// A single CAS attempt replacing `expected` with `desired`.
 ///
 /// This mirrors the `compare_and_swap` idiom used in BFS parent claiming:
@@ -184,22 +157,6 @@ mod tests {
         let a = AtomicU32::new(7);
         assert!(!atomic_min_u32(&a, 7));
         assert_eq!(a.load(Ordering::Relaxed), 7);
-    }
-
-    #[test]
-    fn max_raises_value() {
-        let a = AtomicU32::new(1);
-        assert!(atomic_max_u32(&a, 9));
-        assert_eq!(a.load(Ordering::Relaxed), 9);
-        assert!(!atomic_max_u32(&a, 4));
-    }
-
-    #[test]
-    fn min_usize_behaves_like_u32_variant() {
-        let a = AtomicUsize::new(100);
-        assert!(atomic_min_usize(&a, 1));
-        assert!(!atomic_min_usize(&a, 50));
-        assert_eq!(a.load(Ordering::Relaxed), 1);
     }
 
     #[test]

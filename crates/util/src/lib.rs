@@ -4,8 +4,8 @@
 //! `nwhy-core`. It plays the role that oneTBB plus a handful of in-house
 //! helpers play in the original C++ NWHy framework:
 //!
-//! - [`atomics`] — compare-and-swap min/max helpers and an atomic `f64`,
-//!   used by label-propagation and Afforest connected components.
+//! - [`atomics`] — compare-and-swap helpers and Afforest's union-find
+//!   hooking, used by label-propagation and Afforest connected components.
 //! - [`bitmap`] — a concurrent bitmap used as the dense frontier in
 //!   direction-optimizing BFS.
 //! - [`fxhash`] — a fast, non-cryptographic hasher (FxHash-style) used for
@@ -21,8 +21,6 @@
 //! - [`sync`] — the `cfg(loom)` switch point: the concurrency primitives
 //!   import their atomic types from here so the loom model checker can
 //!   replace them under `RUSTFLAGS="--cfg loom"` (see `tests/loom.rs`).
-//! - [`workq`] — a chunked self-scheduling work queue (guided-dynamic
-//!   style) for the queue-based s-line-graph algorithms.
 //!
 //! The whole workspace forbids `unsafe`; the lock-free pieces here are
 //! checked by loom models (`tests/loom.rs`), Miri, and a nightly
@@ -39,13 +37,11 @@ pub mod pool;
 pub mod prefix;
 pub mod sync;
 pub mod timer;
-pub mod workq;
 
-pub use atomics::{atomic_max_u32, atomic_min_u32, atomic_min_usize};
+pub use atomics::atomic_min_u32;
 pub use bitmap::AtomicBitmap;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use partition::{blocked_ranges, cyclic_indices, CyclicRange};
+pub use partition::{blocked_ranges, CyclicRange};
 pub use pool::with_threads;
 pub use prefix::{exclusive_prefix_sum, exclusive_prefix_sum_in_place};
 pub use timer::{median, Stats, Timer};
-pub use workq::ChunkedQueue;

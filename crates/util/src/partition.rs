@@ -110,11 +110,6 @@ impl Iterator for CyclicRange {
 
 impl ExactSizeIterator for CyclicRange {}
 
-/// Returns an iterator over all `num_bins` cyclic bins of `0..n`.
-pub fn cyclic_indices(n: usize, num_bins: usize) -> impl Iterator<Item = CyclicRange> {
-    (0..num_bins.max(1)).map(move |bin| CyclicRange::new(bin, num_bins.max(1), n))
-}
-
 /// Runs `f(i)` for every `i in 0..n` in parallel under `strategy`.
 ///
 /// This is the Rust analog of Listing 4's `tbb::parallel_for` calls: blocked
@@ -175,8 +170,8 @@ impl Iterator for Bin {
 /// Runs `f` once per bin of `0..n` under `strategy`, each bin as one
 /// rayon task, and returns the results in bin order. Callers that need
 /// per-task setup and teardown (a scratch buffer borrowed for the bin's
-/// duration) build on this; plain per-index loops use
-/// [`par_for_each_index_with`].
+/// duration, the per-thread edge lists `L_t(H)` of Algorithms 1–2) build
+/// on this; plain per-index loops use [`par_for_each_index`].
 pub fn par_map_bins<A, F>(n: usize, strategy: Strategy, f: F) -> Vec<A>
 where
     A: Send,
@@ -193,24 +188,6 @@ where
             .map(|bin| f(Bin::Cyclic(CyclicRange::new(bin, bins, n))))
             .collect(),
     }
-}
-
-/// Like [`par_for_each_index`], but hands each task a per-bin accumulator
-/// created by `init`, and returns all accumulators. This is the pattern
-/// Algorithms 1–2 use for per-thread edge lists `L_t(H)`.
-pub fn par_for_each_index_with<A, I, F>(n: usize, strategy: Strategy, init: I, f: F) -> Vec<A>
-where
-    A: Send,
-    I: Fn() -> A + Sync,
-    F: Fn(&mut A, usize) + Sync,
-{
-    par_map_bins(n, strategy, |bin| {
-        let mut acc = init();
-        for i in bin {
-            f(&mut acc, i);
-        }
-        acc
-    })
 }
 
 /// Per-bin workload report for a partitioning strategy over items whose
@@ -292,8 +269,8 @@ mod tests {
         let n = 23;
         let bins = 4;
         let mut seen = vec![0u32; n];
-        for r in cyclic_indices(n, bins) {
-            for i in r {
+        for b in 0..bins {
+            for i in CyclicRange::new(b, bins, n) {
                 seen[i] += 1;
             }
         }
@@ -371,7 +348,7 @@ mod tests {
             Strategy::Blocked { num_bins: 3 },
             Strategy::Cyclic { num_bins: 3 },
         ] {
-            let accs = par_for_each_index_with(100, strategy, Vec::new, |acc, i| acc.push(i));
+            let accs = par_map_bins(100, strategy, |bin| bin.collect::<Vec<usize>>());
             let mut all: Vec<usize> = accs.into_iter().flatten().collect();
             all.sort_unstable();
             assert_eq!(all, (0..100).collect::<Vec<_>>());
@@ -408,8 +385,8 @@ mod tests {
             #[test]
             fn prop_cyclic_bins_partition(n in 0usize..500, bins in 1usize..20) {
                 let mut seen = vec![0u32; n];
-                for r in cyclic_indices(n, bins) {
-                    for i in r {
+                for b in 0..bins {
+                    for i in CyclicRange::new(b, bins, n) {
                         seen[i] += 1;
                     }
                 }
@@ -442,8 +419,7 @@ mod tests {
                     Strategy::Blocked { num_bins: bins },
                     Strategy::Cyclic { num_bins: bins },
                 ] {
-                    let accs =
-                        par_for_each_index_with(n, strategy, Vec::new, |acc, i| acc.push(i));
+                    let accs = par_map_bins(n, strategy, |bin| bin.collect::<Vec<usize>>());
                     let mut all: Vec<usize> = accs.into_iter().flatten().collect();
                     all.sort_unstable();
                     prop_assert_eq!(all, (0..n).collect::<Vec<_>>());

@@ -1,7 +1,7 @@
 //! `cfg(loom)`-switched atomic types for the concurrency primitives.
 //!
-//! The lock-free kernels ([`crate::atomics`], [`crate::bitmap`],
-//! [`crate::workq`]) import their atomic types from here instead of
+//! The lock-free kernels ([`crate::atomics`], [`crate::bitmap`]) import
+//! their atomic types from here instead of
 //! `std::sync::atomic`. Under a normal build these are exactly the std
 //! types (zero cost); under `RUSTFLAGS="--cfg loom"` they swap to the
 //! loom model checker's instrumented atomics, whose every operation is

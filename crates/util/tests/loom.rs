@@ -21,7 +21,6 @@
 use nwhy_util::atomics::{atomic_min_u32, cas_u32, link};
 use nwhy_util::bitmap::AtomicBitmap;
 use nwhy_util::sync::{AtomicU32, AtomicUsize, Ordering};
-use nwhy_util::workq::ChunkedQueue;
 
 /// Two threads race `atomic_min_u32` with different values: the final
 /// value must be the minimum of both, and at least the thread carrying
@@ -180,47 +179,5 @@ fn loom_bitmap_set_publishes_prior_write() {
         });
         writer.join().unwrap();
         reader.join().unwrap();
-    });
-}
-
-/// Two threads race two steal attempts each on a two-item queue with
-/// chunk 1: four attempts are enough to drain it under any schedule, so
-/// every item must be handed out exactly once, and the cursor must stay
-/// bounded afterwards (the regression the fast-path/CAS-cap fix
-/// addresses). Stolen values come back through `join` rather than a
-/// shared atomic to keep the schedule space small.
-#[test]
-fn loom_chunked_queue_steal_exactly_once() {
-    loom::model(|| {
-        static ITEMS: [u32; 2] = [10, 20];
-        let q: &'static ChunkedQueue<'static, u32> =
-            Box::leak(Box::new(ChunkedQueue::new(&ITEMS, 1)));
-
-        let handles: Vec<_> = (0..2)
-            .map(|_| {
-                loom::thread::spawn(move || {
-                    let mut got = Vec::new();
-                    for _ in 0..2 {
-                        if let Some(chunk) = q.steal() {
-                            got.extend_from_slice(chunk);
-                        }
-                    }
-                    got
-                })
-            })
-            .collect();
-        let mut all: Vec<u32> = handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap())
-            .collect();
-        all.sort_unstable();
-
-        assert_eq!(all, vec![10, 20], "each item handed out exactly once");
-        assert!(q.steal().is_none(), "drained queue must stay drained");
-        // With the fast-path + CAS-cap fix the cursor always lands on
-        // exactly `len` (at most one overshoot per drain, and its cap
-        // CAS cannot lose here). The old unconditional fetch_add ends
-        // at ≥ len + 1 in every schedule, so this catches the bug.
-        assert_eq!(q.cursor(), ITEMS.len(), "cursor escaped bound");
     });
 }

@@ -10,13 +10,13 @@
 //! 2. times the hashmap s-line construction under each (strategy ×
 //!    relabel) configuration — the Fig. 9 configuration sweep, shown
 //!    explicitly rather than best-of;
-//! 3. demonstrates the dynamic chunk-stealing work queue as the
-//!    finest-grained alternative.
+//! 3. drains the Algorithm 1 work queue under a blocked and a cyclic
+//!    split of its slots.
 //!
 //! Run with: `cargo run --release -p nwhy --example partitioning`
 
-use nwhy::core::slinegraph::queue_single::{queue_hashmap, queue_hashmap_dynamic};
-use nwhy::core::{BuildOptions, Relabel, SLineBuilder};
+use nwhy::core::slinegraph::queue_single::queue_hashmap;
+use nwhy::core::{Relabel, SLineBuilder};
 use nwhy::gen::profiles::profile_by_name;
 use nwhy::util::partition::{imbalance_report, Strategy};
 use nwhy::util::timer::time;
@@ -65,8 +65,13 @@ fn main() {
             ("ascending", Relabel::Ascending),
             ("descending", Relabel::Descending),
         ] {
-            let opts = BuildOptions { strategy, relabel };
-            let (edges, secs) = time(|| SLineBuilder::new(&h).s(2).options(&opts).edges());
+            let (edges, secs) = time(|| {
+                SLineBuilder::new(&h)
+                    .s(2)
+                    .strategy(strategy)
+                    .relabel(relabel)
+                    .edges()
+            });
             println!(
                 "  {:<22} {:>9.4}s   ({} line edges)",
                 format!("{name}/{rname}"),
@@ -76,13 +81,13 @@ fn main() {
         }
     }
 
-    // --- 3. dynamic self-scheduling ---------------------------------------
+    // --- 3. the Algorithm 1 work queue -------------------------------------
     let queue: Vec<u32> = (0..nwhy::core::ids::from_usize(stats.num_hyperedges)).collect();
-    let (a, t_static) = time(|| queue_hashmap(&h, &queue, 2, Strategy::Blocked { num_bins: 0 }));
-    let (b, t_dynamic) = time(|| queue_hashmap_dynamic(&h, &queue, 2));
+    let (a, t_blocked) = time(|| queue_hashmap(&h, &queue, 2, Strategy::Blocked { num_bins: 0 }));
+    let (b, t_cyclic) = time(|| queue_hashmap(&h, &queue, 2, Strategy::Cyclic { num_bins: 0 }));
     assert_eq!(a, b);
     println!("\nAlgorithm 1 work-queue drain:");
-    println!("  static blocked split: {t_static:.4}s");
-    println!("  dynamic chunk steal:  {t_dynamic:.4}s");
+    println!("  blocked split: {t_blocked:.4}s");
+    println!("  cyclic split:  {t_cyclic:.4}s");
     println!("\n(identical edge sets from every configuration — verified)");
 }

@@ -14,9 +14,7 @@ use nwhy::core::repr::{DualView, HyperAdjacency, RelabeledView};
 use nwhy::core::slinegraph::queue_single::queue_hashmap;
 use nwhy::core::slinegraph::queue_two_phase::queue_intersection;
 use nwhy::core::Relabeling;
-use nwhy::core::{
-    AdjoinGraph, Algorithm, BuildOptions, HyperedgeId, Hypergraph, Relabel, SLineBuilder,
-};
+use nwhy::core::{AdjoinGraph, Algorithm, HyperedgeId, Hypergraph, Relabel, SLineBuilder};
 use nwhy::gen::profiles::TABLE1;
 use nwhy::util::partition::Strategy;
 
@@ -138,7 +136,6 @@ fn relabel_and_strategy_do_not_change_results() {
                 Strategy::Blocked { num_bins: 8 },
                 Strategy::Cyclic { num_bins: 8 },
             ] {
-                let opts = BuildOptions { strategy, relabel };
                 for algo in [
                     Algorithm::Hashmap,
                     Algorithm::QueueHashmap,
@@ -148,7 +145,8 @@ fn relabel_and_strategy_do_not_change_results() {
                     let got = SLineBuilder::new(&h)
                         .s(2)
                         .algorithm(algo)
-                        .options(&opts)
+                        .strategy(strategy)
+                        .relabel(relabel)
                         .edges();
                     assert_eq!(
                         got,

@@ -1,9 +1,8 @@
 //! Integration tests for the extension surface: weighted s-line graphs,
-//! toplex restriction, online s-components and the dynamic work queue —
-//! all running together on generated data.
+//! toplex restriction and online s-components — all running together on
+//! generated data.
 
 use nwhy::core::algorithms::toplex::restrict_to_toplexes;
-use nwhy::core::slinegraph::queue_single::{queue_hashmap, queue_hashmap_dynamic};
 use nwhy::core::slinegraph::weighted::slinegraph_weighted_edges;
 use nwhy::core::SLineBuilder;
 use nwhy::gen::profiles::{profile_by_name, TABLE1};
@@ -20,21 +19,6 @@ fn weighted_linegraph_agrees_with_unweighted_on_twins() {
         for (&(a, b), &(wa, wb, o)) in unweighted.iter().zip(&weighted) {
             assert_eq!((a, b), (wa, wb));
             assert!(o as usize >= s);
-        }
-    }
-}
-
-#[test]
-fn dynamic_queue_matches_static_on_twins() {
-    for name in ["Orkut-group", "Rand1"] {
-        let h = profile_by_name(name).unwrap().generate(100_000, 5);
-        let queue: Vec<u32> = (0..nwhy::core::ids::from_usize(h.num_hyperedges())).collect();
-        for s in [1usize, 2] {
-            assert_eq!(
-                queue_hashmap_dynamic(&h, &queue, s),
-                queue_hashmap(&h, &queue, s, Strategy::AUTO),
-                "{name} s={s}"
-            );
         }
     }
 }

@@ -54,19 +54,16 @@ pub const ORDERING_POLICY_FILE: &str = "xtask/ordering_policy.txt";
 /// The namespaced audit marker for `alloc-in-hot-loop` escapes.
 pub const ALLOC_MARKER: &str = "// lint: alloc";
 
-/// The hot-loop roots: the s-line kernels (plus their queue/dynamic/
-/// overlap-policy variants), the candidate-and-verify core they share
-/// and the hygra traversal drivers. Reachability from these defines the
+/// The hot-loop roots: the s-line kernels (plus their queue variants),
+/// the candidate-and-verify core they share and the hygra traversal
+/// drivers. Reachability from these defines the
 /// "hot set" the allocation rule patrols.
-pub const HOT_ROOTS: [&str; 14] = [
+pub const HOT_ROOTS: [&str; 11] = [
     "slinegraph::naive::naive",
     "slinegraph::hashmap::hashmap",
     "slinegraph::intersection::intersection",
-    "slinegraph::intersection::intersection_with",
     "slinegraph::queue_single::queue_hashmap",
-    "slinegraph::queue_single::queue_hashmap_dynamic",
     "slinegraph::queue_two_phase::queue_intersection",
-    "slinegraph::queue_two_phase::queue_intersection_with",
     "slinegraph::candidates::candidate_rows",
     "slinegraph::ensemble::ensemble",
     "hygra::bfs::hygra_bfs",
