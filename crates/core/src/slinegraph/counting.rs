@@ -10,10 +10,11 @@
 //!
 //! [`visit_pairs_meeting`] hands the same pairs to a sink that keeps no
 //! edge list: s-components link them, toplexes mark the contained side.
+//! Those sinks need no order, so their rows skip the sort.
 //!
-//! A row's entries are emitted in `j` order, so under a blocked strategy
-//! the workers' lists concatenate into a sorted list and
-//! [`canonicalize`]'s sort is a linear pass. [`stream_pairs_meeting`]
+//! Every other caller gets a row's entries in `j` order, so under a
+//! blocked strategy the workers' lists concatenate into a sorted list
+//! and [`canonicalize`]'s sort is a linear pass. [`stream_pairs_meeting`]
 //! relies on the same order to hand the bins' outputs straight to a
 //! writer.
 
@@ -44,9 +45,10 @@ impl Spa {
 
 impl<O> Worker<Spa, O> {
     /// Counts row `i` (skipped when `deg(e_i) < min_s`), resets the
-    /// touched slots, and emits the entries meeting `min_s` in `j` order.
+    /// touched slots, and emits the entries meeting `min_s`: in `j`
+    /// order when `ordered`, else in the order they were first touched.
     #[inline]
-    fn row<A, F>(&mut self, h: &A, i: Id, min_s: usize, count_skips: bool, emit: &F)
+    fn row<A, F>(&mut self, h: &A, i: Id, min_s: usize, count_skips: bool, ordered: bool, emit: &F)
     where
         A: HyperAdjacency + ?Sized,
         F: Fn(&mut O, Id, Id, Overlap),
@@ -94,7 +96,9 @@ impl<O> Worker<Spa, O> {
             }
         }
         touched.clear();
-        kept.sort_unstable();
+        if ordered {
+            kept.sort_unstable();
+        }
         for &(j, n) in kept.iter() {
             emit(&mut self.out, i, j, n);
         }
@@ -125,7 +129,7 @@ where
         rows,
         || Spa::new(ne),
         init,
-        |w, i, all| w.row(h, i, min_s, all, &emit),
+        |w, i, all| w.row(h, i, min_s, all, true, &emit),
     )
 }
 
@@ -164,7 +168,7 @@ where
         Strategy::AUTO.bins(),
         || Spa::new(ne),
         || (init(), 0),
-        |w, i, all| w.row(h, i, s, all, &counted),
+        |w, i, all| w.row(h, i, s, all, true, &counted),
         |wave| {
             wave.into_iter().try_for_each(|(out, n)| {
                 emitted += n;
@@ -187,15 +191,18 @@ where
     A: HyperAdjacency + ?Sized,
     V: Fn(Id, Id, Overlap) + Sync,
 {
-    let (visited, stats) = count_rows(
-        h,
+    let ne = h.num_hyperedges();
+    let visited_pair = |visited: &mut usize, i, j, n| {
+        visit(i, j, n);
+        *visited += 1;
+    };
+    // the sinks need no order, so a row's pairs skip the sort
+    let (visited, stats) = run_rows(
+        ne,
         Rows::All(Strategy::AUTO),
-        s,
+        || Spa::new(ne),
         || 0usize,
-        |visited, i, j, n| {
-            visit(i, j, n);
-            *visited += 1;
-        },
+        |w, i, all| w.row(h, i, s, all, false, &visited_pair),
     );
     stats.flush(visited.iter().sum());
 }

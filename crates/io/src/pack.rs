@@ -26,15 +26,14 @@ fn store_err(e: StoreError) -> IoError {
     }
 }
 
-/// Packs `h` into the NWHYPAK1 format at `path` (overwriting), returning
-/// the number of bytes written.
+/// Packs `h` into the NWHYPAK1 format at `path` (overwriting), section
+/// by section, returning the file's size in bytes.
 pub fn write_packed_file(path: &Path, h: &Hypergraph) -> Result<u64, IoError> {
     let _span = nwhy_obs::span("io.write_packed");
-    let bytes = nwhy_store::pack_hypergraph(h);
     let mut w = BufWriter::new(File::create(path)?);
-    w.write_all(&bytes)?;
+    nwhy_store::write_packed(&mut w, h).map_err(store_err)?;
     w.flush()?;
-    Ok(bytes.len() as u64)
+    Ok(w.get_ref().metadata()?.len())
 }
 
 /// Opens an NWHYPAK1 file through the requested backend without

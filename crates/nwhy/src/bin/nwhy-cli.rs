@@ -366,6 +366,11 @@ fn cmd_stats(args: &Args) -> CliResult {
         .positional
         .first()
         .ok_or_else(|| CliError::usage("stats: missing <file>"))?;
+    let run = args.flag("run");
+    let s_line = s_flag(args, "stats")?;
+    if s_line.is_some() && run != Some("sline") {
+        return Err(CliError::usage("stats: --s needs --run sline"));
+    }
     let mut input = load_input(args, path)?;
     let s = match &input {
         Input::Memory(h) => h.stats(),
@@ -390,7 +395,7 @@ fn cmd_stats(args: &Args) -> CliResult {
     println!("avg edge size:   {:.3}", s.avg_edge_degree);
     println!("max node degree: {}", s.max_node_degree);
     println!("max edge size:   {}", s.max_edge_degree);
-    if let Some(run) = args.flag("run") {
+    if let Some(run) = run {
         if input.num_hyperedges() == 0 {
             return Err(CliError::invariant(
                 "stats: --run needs a non-empty hypergraph",
@@ -406,7 +411,7 @@ fn cmd_stats(args: &Args) -> CliResult {
                 println!("ran cc: {n} components");
             }
             "sline" => {
-                let s = s_flag(args, "stats")?.unwrap_or(2);
+                let s = s_line.unwrap_or(2);
                 keep_resident(&mut input);
                 let pairs = on_input!(&input, g => SLineBuilder::new(g).s(s).edges());
                 println!("ran sline (s={s}): {} line-graph edges", pairs.len());
@@ -1021,6 +1026,18 @@ mod tests {
                     Err(CliError::Usage(m)) => assert!(m.starts_with(name), "{argv:?}: {m}"),
                     other => panic!("{name} {argv:?}: {other:?}"),
                 }
+            }
+        }
+        // `stats` reads --s only for --run sline: a well-formed --s with
+        // any other run, or with none, is a usage error too
+        for argv in [
+            &[path, "--s", "2"][..],
+            &[path, "--run", "cc", "--s", "2"],
+            &[path, "--run", "cc", "--s", "0"],
+        ] {
+            match cmd_stats(&Args::parse(&to_vec(argv))) {
+                Err(CliError::Usage(m)) => assert!(m.starts_with("stats"), "{argv:?}: {m}"),
+                other => panic!("stats {argv:?}: {other:?}"),
             }
         }
         let _ = std::fs::remove_file(&hgr);

@@ -3,30 +3,37 @@
 //! the workspace runs on the packed form unchanged.
 //!
 //! The image stays in its [`Storage`] (mmap or owned buffer). Opening it
-//! makes one sequential, fully checked O(bytes) walk over both packed
+//! makes one fully checked O(bytes) walk over every row of both packed
 //! CSRs: every varint must decode in bounds, every gap sum must stay in
 //! the target ID space, every sampled index entry must agree with the
-//! walk, and the row lengths must sum to `nnz`. The walk records each
-//! row's start in an in-memory row-offset table (8 bytes per row), so
-//! random row access is one table lookup plus decoding that row into a
-//! small owned `Vec<Id>`. Degree queries read only the row's length
-//! varint. An image that opens is codec-valid by construction, so no
-//! query after open can fail: a corrupt image is a typed error at open,
-//! never a panic inside a kernel.
+//! walk, and the row lengths must sum to `nnz`. The walk runs on the
+//! pool in blocks of whole sample groups, each starting at its stored
+//! sampled offset; a merge in block order checks that each block starts
+//! where the one before it ended, so the outcome does not depend on the
+//! thread count (see `walk_rows`). The walk records each row's start
+//! in an in-memory row-offset table (8 bytes per row), so random row
+//! access is one table lookup plus decoding that row into a small owned
+//! `Vec<Id>`. Degree queries read only the row's length varint. An image
+//! that opens is codec-valid by construction, so no query after open can
+//! fail: a corrupt image is a typed error at open, never a panic inside
+//! a kernel.
 //!
 //! A query that reads one [`Side`] over and over can decode it once
 //! with [`CompressedHypergraph::materialize`]: the side's rows become a
 //! resident CSR (offsets and targets, no weights; 4·nnz + 8·(rows + 1)
-//! bytes), borrowed straight out of memory from then on, while the
-//! other side keeps decoding per row from the image.
+//! bytes), decoded on the pool straight into its final arrays and
+//! borrowed from memory from then on, while the other side keeps
+//! decoding per row from the image.
 
-use crate::format::{Header, HEADER_LEN, SAMPLE_EVERY};
+use crate::format::{sample_blocks, Header, HEADER_LEN, SAMPLE_EVERY};
 use crate::storage::{Backend, Storage};
 use crate::varint;
 use crate::StoreError;
 use nwgraph::Csr;
 use nwhy_core::validate::{InvariantViolation, Validate};
 use nwhy_core::{ids, HyperAdjacency, Hypergraph, Id};
+use nwhy_util::exclusive_prefix_sum_in_place;
+use rayon::prelude::*;
 use std::borrow::Cow;
 use std::ops::Range;
 use std::path::Path;
@@ -49,41 +56,6 @@ struct PackedCsr {
 }
 
 impl PackedCsr {
-    /// Locates the sections of one CSR and runs the open walk over them.
-    fn open(
-        bytes: &[u8],
-        rows: usize,
-        num_targets: usize,
-        nnz: usize,
-        index: Range<usize>,
-        payload: Range<usize>,
-        weights: Option<Range<usize>>,
-    ) -> Result<PackedCsr, StoreError> {
-        if index.len() != rows.div_ceil(SAMPLE_EVERY) * 8 {
-            return Err(StoreError::Corrupt {
-                what: "index section length != 8 × ceil(rows / 64)",
-                offset: index.start,
-            });
-        }
-        let (Some(index_bytes), Some(payload_bytes)) =
-            (bytes.get(index.clone()), bytes.get(payload.clone()))
-        else {
-            return Err(StoreError::Truncated {
-                what: "section payload",
-                offset: bytes.len(),
-            });
-        };
-        let starts = walk_rows(index_bytes, payload_bytes, rows, num_targets, nnz)?;
-        Ok(PackedCsr {
-            num_targets,
-            index,
-            payload,
-            weights,
-            starts,
-            resident: None,
-        })
-    }
-
     fn rows(&self) -> usize {
         self.starts.len().saturating_sub(1)
     }
@@ -127,69 +99,220 @@ impl PackedCsr {
         }
     }
 
-    /// Decodes every row front to back into CSR offsets and targets.
-    fn decode(&self, bytes: &[u8], nnz: usize) -> (Vec<usize>, Vec<Id>) {
-        let mut offsets = Vec::with_capacity(self.rows() + 1);
-        offsets.push(0usize);
-        let mut targets: Vec<Id> = Vec::with_capacity(nnz);
-        scan(self, bytes, |_, row| {
-            targets.extend_from_slice(row);
-            offsets.push(targets.len());
+    /// Decodes every row into CSR offsets and targets on the pool: the
+    /// row lengths block by block, one prefix sum, then each block
+    /// decodes straight into its own slice of `targets`.
+    fn decode(&self, bytes: &[u8]) -> (Vec<usize>, Vec<Id>) {
+        let cut = sample_blocks(self.rows());
+        // `offsets[r]` holds row `r`'s length, then (after the scan) its start
+        let mut offsets = vec![0usize; self.rows() + 1];
+        let mut tasks = Vec::with_capacity(cut.len());
+        let mut rest = offsets.as_mut_slice();
+        for rows in &cut {
+            let (lens, tail) = rest.split_at_mut(rows.len());
+            rest = tail;
+            tasks.push((rows.clone(), lens));
+        }
+        tasks.into_par_iter().for_each(|(rows, lens)| {
+            for (r, len) in rows.zip(lens) {
+                *len = row_len(self.row(bytes, r));
+            }
+        });
+        let nnz = exclusive_prefix_sum_in_place(&mut offsets);
+
+        let mut targets: Vec<Id> = vec![0; nnz];
+        let mut tasks = Vec::with_capacity(cut.len());
+        let mut rest = targets.as_mut_slice();
+        for rows in cut {
+            let members = match offsets.get(rows.start..=rows.end) {
+                Some(&[start, .., end]) => end - start,
+                _ => 0,
+            };
+            let (out, tail) = rest.split_at_mut(members);
+            rest = tail;
+            tasks.push((rows, out));
+        }
+        tasks.into_par_iter().for_each(|(rows, out)| {
+            let (mut row, mut at) = (Vec::new(), 0);
+            for r in rows {
+                decode_row(self.row(bytes, r), &mut row);
+                if let Some(dst) = out.get_mut(at..at + row.len()) {
+                    dst.copy_from_slice(&row);
+                }
+                at += row.len();
+            }
         });
         (offsets, targets)
     }
 }
 
-/// The open walk over one packed CSR: decodes every row with full
-/// checks, cross-checks each sampled index entry, rejects trailing
-/// bytes, and requires the row lengths to sum to `nnz`. Returns the
-/// row-offset table (`rows + 1` payload-relative offsets).
-// lint: obs: per-row validation loop inside the (instrumented) open
-// path; nwhy-store carries no nwhy-obs dependency, callers instrument
-// opens via the `io.open_packed` span in nwhy-io
-fn walk_rows(
-    index: &[u8],
-    payload: &[u8],
+/// One packed CSR's index and payload bytes, sized against its header
+/// counts, as the open walk reads them.
+struct Layout<'a> {
+    index: &'a [u8],
+    payload: &'a [u8],
     rows: usize,
     num_targets: usize,
-    nnz: usize,
-) -> Result<Vec<usize>, StoreError> {
-    // Every row costs at least its length byte, so a header claiming
-    // more rows than payload bytes cannot reserve an outsized table.
-    let mut starts = Vec::with_capacity(rows.min(payload.len()) + 1);
-    let mut samples = index.chunks_exact(8);
-    let mut pos = 0usize;
-    let mut total = 0usize;
-    for r in 0..rows {
-        if r % SAMPLE_EVERY == 0 {
-            let stored = samples
-                .next()
-                .and_then(|s| <[u8; 8]>::try_from(s).ok())
-                .map(u64::from_le_bytes);
-            if stored != Some(pos as u64) {
-                return Err(StoreError::Corrupt {
-                    what: "sampled index disagrees with payload walk",
-                    offset: (r / SAMPLE_EVERY) * 8,
-                });
-            }
+}
+
+impl<'a> Layout<'a> {
+    /// Checks the index section's length and borrows both sections.
+    fn new(
+        bytes: &'a [u8],
+        rows: usize,
+        num_targets: usize,
+        index: &Range<usize>,
+        payload: &Range<usize>,
+    ) -> Result<Layout<'a>, StoreError> {
+        if index.len() != rows.div_ceil(SAMPLE_EVERY) * 8 {
+            return Err(StoreError::Corrupt {
+                what: "index section length != 8 × ceil(rows / 64)",
+                offset: index.start,
+            });
         }
-        starts.push(pos);
-        total += check_row(payload, &mut pos, nnz - total, num_targets)?;
+        let (Some(index), Some(payload)) = (bytes.get(index.clone()), bytes.get(payload.clone()))
+        else {
+            return Err(StoreError::Truncated {
+                what: "section payload",
+                offset: bytes.len(),
+            });
+        };
+        Ok(Layout {
+            index,
+            payload,
+            rows,
+            num_targets,
+        })
     }
-    if pos != payload.len() {
-        return Err(StoreError::Corrupt {
-            what: "trailing bytes after last row",
-            offset: pos,
-        });
+
+    /// The stored payload offset of the first row of sample group `g`.
+    fn sample(&self, g: usize) -> Option<usize> {
+        let entry = self.index.get(g * 8..g * 8 + 8)?;
+        let stored = u64::from_le_bytes(entry.try_into().ok()?);
+        usize::try_from(stored).ok()
     }
-    if total != nnz {
-        return Err(StoreError::Corrupt {
-            what: "row lengths do not sum to nnz",
-            offset: pos,
-        });
+
+    /// Walks rows `rows` from payload offset `pos` with the full per-row
+    /// checks ([`check_row`]), writing each row's start into `starts`
+    /// and checking every sample after the block's first against the
+    /// walk. The rows may claim at most `budget` incidences. Returns the
+    /// offset the block ends at and its rows' total length.
+    // lint: obs: per-row validation loop inside the (instrumented) open
+    // path; nwhy-store carries no nwhy-obs dependency, callers instrument
+    // opens via the `io.open_packed` span in nwhy-io
+    fn walk_block(
+        &self,
+        rows: Range<usize>,
+        mut pos: usize,
+        budget: usize,
+        starts: &mut [usize],
+    ) -> Result<(usize, usize), StoreError> {
+        let first = rows.start;
+        let mut total = 0usize;
+        for (r, start) in rows.zip(starts) {
+            if r % SAMPLE_EVERY == 0 && r > first && self.sample(r / SAMPLE_EVERY) != Some(pos) {
+                return Err(index_disagrees(r));
+            }
+            *start = pos;
+            total += check_row(self.payload, &mut pos, budget - total, self.num_targets)?;
+        }
+        Ok((pos, total))
     }
-    starts.push(pos);
-    Ok(starts)
+}
+
+/// The error for a sampled index entry (that of row `r`) the walk
+/// disagrees with.
+fn index_disagrees(r: usize) -> StoreError {
+    StoreError::Corrupt {
+        what: "sampled index disagrees with payload walk",
+        offset: (r / SAMPLE_EVERY) * 8,
+    }
+}
+
+/// The open walk over packed CSRs: decodes every row with full checks,
+/// cross-checks every sampled index entry, rejects trailing bytes, and
+/// requires each side's row lengths to sum to `nnz`. Returns each side's
+/// row-offset table (`rows + 1` payload-relative offsets).
+///
+/// Each side is cut into blocks of whole sample groups
+/// ([`sample_blocks`]), and the blocks of all sides run in one pool
+/// batch: a block starts at its stored sampled offset, once that offset
+/// lies within the payload, and fills its own chunk of the table. Then,
+/// side by side and in block order, each block must start where the one
+/// before it ended (the first at 0), else the index disagrees with the
+/// walk. A block that failed, or whose rows claim more incidences than
+/// are left, is walked again from that proven start with the exact
+/// budget, which meets the error a front-to-back walk meets first. So
+/// the outcome — the tables, or the error of the lowest failing block —
+/// does not depend on the thread count.
+// lint: obs: block merge of the (instrumented) open path; nwhy-store
+// carries no nwhy-obs dependency, callers carry the `io.open_packed` span
+fn walk_rows(sides: &[Layout<'_>], nnz: usize) -> Result<Vec<Vec<usize>>, StoreError> {
+    // Every row costs at least its length byte, so a walk cannot pass
+    // row `payload.len()`: walking no further keeps a header that claims
+    // too many rows from reserving an outsized table.
+    let mut tables: Vec<Vec<usize>> = sides
+        .iter()
+        .map(|side| vec![0; side.rows.min(side.payload.len() + 1) + 1])
+        .collect();
+    let cuts: Vec<Vec<Range<usize>>> = tables
+        .iter()
+        .map(|table| sample_blocks(table.len() - 1))
+        .collect();
+    let mut tasks = Vec::new();
+    for ((side, table), cut) in sides.iter().zip(&mut tables).zip(&cuts) {
+        let mut rest = table.as_mut_slice();
+        for rows in cut {
+            let (chunk, tail) = rest.split_at_mut(rows.len());
+            rest = tail;
+            tasks.push((side, rows.clone(), chunk));
+        }
+    }
+    let walked: Vec<Result<(usize, usize), StoreError>> = tasks
+        .into_par_iter()
+        .map(
+            |(side, rows, chunk)| match side.sample(rows.start / SAMPLE_EVERY) {
+                Some(pos) if pos <= side.payload.len() => side.walk_block(rows, pos, nnz, chunk),
+                _ => Err(index_disagrees(rows.start)),
+            },
+        )
+        .collect();
+
+    let mut walked = walked.into_iter();
+    for ((side, table), cut) in sides.iter().zip(&mut tables).zip(&cuts) {
+        let (mut pos, mut total) = (0usize, 0usize);
+        for (rows, result) in cut.iter().zip(walked.by_ref()) {
+            if side.sample(rows.start / SAMPLE_EVERY) != Some(pos) {
+                return Err(index_disagrees(rows.start));
+            }
+            let budget = nnz - total;
+            let (end, len) = match result {
+                Ok((end, len)) if len <= budget => (end, len),
+                _ => {
+                    let chunk = table.get_mut(rows.clone()).unwrap_or_default();
+                    side.walk_block(rows.clone(), pos, budget, chunk)?
+                }
+            };
+            pos = end;
+            total += len;
+        }
+        if pos != side.payload.len() {
+            return Err(StoreError::Corrupt {
+                what: "trailing bytes after last row",
+                offset: pos,
+            });
+        }
+        if total != nnz {
+            return Err(StoreError::Corrupt {
+                what: "row lengths do not sum to nnz",
+                offset: pos,
+            });
+        }
+        if let Some(last) = table.last_mut() {
+            *last = pos;
+        }
+    }
+    Ok(tables)
 }
 
 /// Checks one `varint(len) + gaps` row at `payload[*pos..]`, advancing
@@ -318,7 +441,7 @@ impl CompressedHypergraph {
 
     /// Parses the header, checks the section bounds against the image
     /// size, and makes the validating open walk over both packed CSRs
-    /// (see the module docs). Any codec violation is an error here.
+    /// (see `walk_rows`). Any codec violation is an error here.
     // lint: obs: nwhy-store deliberately has no nwhy-obs dependency (it is the
     // zero-copy leaf crate under the unsafe-island lint wall); callers
     // instrument opens via the `io.open_packed` span in nwhy-io
@@ -371,24 +494,24 @@ impl CompressedHypergraph {
             }
         }
 
-        let edges = PackedCsr::open(
-            &bytes,
-            n_e,
-            n_v,
+        let mut tables = walk_rows(
+            &[
+                Layout::new(&bytes, n_e, n_v, &edge_index, &edge_payload)?,
+                Layout::new(&bytes, n_v, n_e, &node_index, &node_payload)?,
+            ],
             nnz,
-            edge_index,
-            edge_payload,
-            weighted.then_some(edge_weights),
-        )?;
-        let nodes = PackedCsr::open(
-            &bytes,
-            n_v,
-            n_e,
-            nnz,
-            node_index,
-            node_payload,
-            weighted.then_some(node_weights),
-        )?;
+        )?
+        .into_iter();
+        let mut packed = |num_targets, index, payload, weights: Range<usize>| PackedCsr {
+            num_targets,
+            index,
+            payload,
+            weights: weighted.then_some(weights),
+            starts: tables.next().unwrap_or_default(),
+            resident: None,
+        };
+        let edges = packed(n_v, edge_index, edge_payload, edge_weights);
+        let nodes = packed(n_e, node_index, node_payload, node_weights);
 
         Ok(CompressedHypergraph {
             bytes,
@@ -449,7 +572,7 @@ impl CompressedHypergraph {
             Side::Nodes => &mut self.nodes,
         };
         if packed.resident.is_none() {
-            let (offsets, targets) = packed.decode(&self.bytes, self.nnz);
+            let (offsets, targets) = packed.decode(&self.bytes);
             packed.resident = Some(Box::new(Csr::from_raw_parts(
                 packed.num_targets,
                 offsets,
@@ -488,8 +611,14 @@ impl CompressedHypergraph {
 
     /// Streams every hyperedge row front to back, reusing one decode
     /// buffer. The visitor gets `(hyperedge, members)`.
-    pub fn scan_edges(&self, f: impl FnMut(Id, &[Id])) {
-        scan(&self.edges, &self.bytes, f);
+    // lint: obs: row loop under the scan visitors, whose callers carry
+    // the spans; nwhy-store has no nwhy-obs dependency
+    pub fn scan_edges(&self, mut f: impl FnMut(Id, &[Id])) {
+        let mut row = Vec::new();
+        for e in 0..self.edges.rows() {
+            decode_row(self.edges.row(&self.bytes, e), &mut row);
+            f(ids::from_usize(e), &row);
+        }
     }
 
     /// Fully decompresses back into an in-memory [`Hypergraph`]
@@ -501,7 +630,7 @@ impl CompressedHypergraph {
 
     /// Decodes one packed CSR, weights included, into a [`Csr`].
     fn unpack_csr(&self, packed: &PackedCsr) -> Csr {
-        let (offsets, targets) = packed.decode(&self.bytes, self.nnz);
+        let (offsets, targets) = packed.decode(&self.bytes);
         let weights = packed.weights.as_ref().map(|range| {
             let ws = self.bytes.get(range.clone()).unwrap_or_default();
             ws.chunks_exact(8)
@@ -509,17 +638,6 @@ impl CompressedHypergraph {
                 .collect()
         });
         Csr::from_raw_parts(packed.num_targets, offsets, targets, weights)
-    }
-}
-
-/// Shared sequential-scan driver for the two packed CSRs.
-// lint: obs: row loop under `to_hypergraph` and the scan visitors,
-// whose callers carry the spans; nwhy-store has no nwhy-obs dependency
-fn scan(packed: &PackedCsr, bytes: &[u8], mut f: impl FnMut(Id, &[Id])) {
-    let mut row = Vec::new();
-    for r in 0..packed.rows() {
-        decode_row(packed.row(bytes, r), &mut row);
-        f(ids::from_usize(r), &row);
     }
 }
 
@@ -790,9 +908,16 @@ mod tests {
             vec![5, big, big],
             None,
         );
-        let (index, payload) = crate::format::pack_csr(&csr);
-        assert_eq!(index.len(), 8); // ceil(3/64) = 1 sample
-        let starts = walk_rows(&index, &payload, 3, u32::MAX as usize, 3).unwrap();
+        let (payload, samples) = crate::format::encode_block(&csr, 0..3);
+        assert_eq!(samples, [0]); // ceil(3/64) = 1 sample
+        let index = samples[0].to_le_bytes();
+        let side = |num_targets| Layout {
+            index: &index,
+            payload: &payload,
+            rows: 3,
+            num_targets,
+        };
+        let starts = walk_rows(&[side(u32::MAX as usize)], 3).unwrap().remove(0);
         assert_eq!(starts.len(), 4);
         assert_eq!(starts[3], payload.len());
         let mut out = Vec::new();
@@ -802,7 +927,7 @@ mod tests {
             assert_eq!(&out[..], csr.neighbors(r), "row {r}");
         }
         // one past the last ID is out of target bounds
-        assert!(walk_rows(&index, &payload, 3, big as usize, 3).is_err());
+        assert!(walk_rows(&[side(big as usize)], 3).is_err());
     }
 
     #[test]

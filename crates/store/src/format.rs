@@ -24,17 +24,23 @@
 //! from its predecessor (non-negative, because neighbor slices are
 //! sorted; `0` encodes a duplicate incidence). The index is a sampled
 //! offset table: one u64 payload byte offset for every
-//! [`SAMPLE_EVERY`]-th row. Readers use it only to cross-check the
-//! validating walk that opens an image; random row access goes through
-//! the full in-memory row-offset table that walk builds (see
-//! [`crate::compressed`]). Weights sections, when flagged, are plain
-//! `f64` little-endian arrays in row-major incidence order (`nnz`
-//! entries each).
+//! [`SAMPLE_EVERY`]-th row. The validating walk that opens an image
+//! starts its parallel blocks at these entries and checks each against
+//! the walk of the block before it; random row access goes through the
+//! full in-memory row-offset table that walk builds (see
+//! [`crate::compressed`]). The packer encodes the same blocks on the
+//! pool and writes the sections straight to its writer. Weights
+//! sections, when flagged, are plain `f64` little-endian arrays in
+//! row-major incidence order (`nnz` entries each).
 
 use crate::varint;
 use crate::StoreError;
-use nwhy_core::Hypergraph;
-use std::io::Write;
+use nwgraph::Csr;
+use nwhy_core::{ids, Hypergraph};
+use nwhy_util::blocked_ranges;
+use rayon::prelude::*;
+use std::io::{self, Write};
+use std::ops::Range;
 
 /// File magic: format name and major revision in one token.
 pub const MAGIC: [u8; 8] = *b"NWHYPAK1";
@@ -154,20 +160,37 @@ fn read_u64(bytes: &[u8], pos: usize) -> u64 {
         .map_or(0, u64::from_le_bytes)
 }
 
-/// Gap-encodes one CSR into `(index, payload)` byte sections: the
-/// payload is the concatenated varint rows, the index a sampled
-/// row-start offset table (offsets relative to this CSR's payload
-/// start).
+/// Splits `rows` into blocks of whole [`SAMPLE_EVERY`]-row sample groups
+/// for the pool: one block on a one-thread pool, else two per thread.
+/// The open walk, the resident decode and the packer all cut a side this
+/// way, and none of their outcomes depends on the cut.
+pub(crate) fn sample_blocks(rows: usize) -> Vec<Range<usize>> {
+    let threads = rayon::current_num_threads();
+    let blocks = if threads > 1 { 2 * threads } else { 1 };
+    blocked_ranges(rows.div_ceil(SAMPLE_EVERY), blocks)
+        .into_iter()
+        .map(|groups| groups.start * SAMPLE_EVERY..rows.min(groups.end * SAMPLE_EVERY))
+        .collect()
+}
+
+/// Gap-encodes rows `rows` of `csr`, a block of whole sample groups:
+/// the block's payload bytes and, for each sampled row in it, that
+/// row's offset from the block's start.
 // lint: obs: crate-internal packer covered by the `io.write_packed`
 // span in nwhy-io; nwhy-store carries no nwhy-obs dependency
-pub(crate) fn pack_csr(csr: &nwgraph::Csr) -> (Vec<u8>, Vec<u8>) {
-    let mut index = Vec::new();
-    let mut payload = Vec::new();
-    for u in 0..csr.num_vertices() {
+pub(crate) fn encode_block(csr: &Csr, rows: Range<usize>) -> (Vec<u8>, Vec<u64>) {
+    let mut samples = Vec::with_capacity(rows.len().div_ceil(SAMPLE_EVERY));
+    // every row costs at least its length byte and a byte per member
+    let incidences = match csr.offsets().get(rows.start..=rows.end) {
+        Some([first, .., last]) => last - first,
+        _ => 0,
+    };
+    let mut payload = Vec::with_capacity(rows.len() + incidences);
+    for u in rows {
         if u % SAMPLE_EVERY == 0 {
-            index.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+            samples.push(payload.len() as u64);
         }
-        let nbrs = csr.neighbors(nwhy_core::ids::from_usize(u));
+        let nbrs = csr.neighbors(ids::from_usize(u));
         varint::encode(nbrs.len() as u64, &mut payload);
         let mut prev: u64 = 0;
         for (i, &v) in nbrs.iter().enumerate() {
@@ -177,66 +200,133 @@ pub(crate) fn pack_csr(csr: &nwgraph::Csr) -> (Vec<u8>, Vec<u8>) {
             prev = v;
         }
     }
-    (index, payload)
+    (payload, samples)
 }
 
-/// Serializes the weights of one CSR (must be weighted) as `f64` LE.
-fn pack_weights(ws: &[f64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(ws.len() * 8);
-    for w in ws {
-        out.extend_from_slice(&w.to_le_bytes());
+/// One CSR's encoded sections: the sampled index, and the payload as
+/// the blocks that encoded it, in row order.
+struct EncodedCsr {
+    index: Vec<u8>,
+    payload: Vec<Vec<u8>>,
+}
+
+/// Gap-encodes both CSRs, the blocks of both in one pool batch, then
+/// shifts each block's samples by the payload bytes before it.
+fn encode_csrs(csrs: [&Csr; 2]) -> [EncodedCsr; 2] {
+    let cuts = csrs.map(|csr| sample_blocks(csr.num_vertices()));
+    let tasks: Vec<(&Csr, Range<usize>)> = csrs
+        .iter()
+        .zip(&cuts)
+        .flat_map(|(&csr, cut)| cut.iter().map(move |rows| (csr, rows.clone())))
+        .collect();
+    let encoded: Vec<(Vec<u8>, Vec<u64>)> = tasks
+        .into_par_iter()
+        .map(|(csr, rows)| encode_block(csr, rows))
+        .collect();
+    let mut encoded = encoded.into_iter();
+    cuts.map(|cut| {
+        let mut index = Vec::new();
+        let mut payload = Vec::with_capacity(cut.len());
+        let mut base = 0u64;
+        for (bytes, samples) in encoded.by_ref().take(cut.len()) {
+            for sample in samples {
+                index.extend_from_slice(&(base + sample).to_le_bytes());
+            }
+            base += bytes.len() as u64;
+            payload.push(bytes);
+        }
+        EncodedCsr { index, payload }
+    })
+}
+
+/// A hypergraph encoded for writing: the header and the six sections,
+/// each held once, in the blocks that encoded it.
+struct Image<'h> {
+    header: Header,
+    csrs: [EncodedCsr; 2],
+    weights: [Option<&'h [f64]>; 2],
+}
+
+impl<'h> Image<'h> {
+    /// Encodes both bi-adjacency CSRs of `h` (the transpose is *not*
+    /// recomputed at open time — mutual indexing is part of the format,
+    /// so opening is pure decoding); the weights are written straight
+    /// from `h`.
+    fn encode(h: &'h Hypergraph) -> Image<'h> {
+        let csrs = encode_csrs([h.edges(), h.nodes()]);
+        let weights = [h.edges().weights(), h.nodes().weights()];
+        let ([edges, nodes], [edge_weights, node_weights]) = (&csrs, weights);
+        let payload_len = |csr: &EncodedCsr| csr.payload.iter().map(Vec::len).sum::<usize>() as u64;
+        let weights_len = |ws: Option<&[f64]>| ws.map_or(0, |ws| 8 * ws.len() as u64);
+        let header = Header {
+            flags: if h.is_weighted() { FLAG_WEIGHTS } else { 0 },
+            n_e: h.num_hyperedges() as u64,
+            n_v: h.num_hypernodes() as u64,
+            nnz: h.num_incidences() as u64,
+            section_lens: [
+                edges.index.len() as u64,
+                payload_len(edges),
+                nodes.index.len() as u64,
+                payload_len(nodes),
+                weights_len(edge_weights),
+                weights_len(node_weights),
+            ],
+        };
+        Image {
+            header,
+            csrs,
+            weights,
+        }
     }
-    out
+
+    /// The image's size in bytes.
+    fn len(&self) -> usize {
+        let sections = self.header.section_lens.iter();
+        HEADER_LEN
+            + sections
+                .map(|&len| usize::try_from(len).unwrap_or_default())
+                .sum::<usize>()
+    }
+
+    /// Writes the header, then each section in file order, straight to
+    /// `w`: the image is never assembled in one buffer.
+    fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
+        w.write_all(&self.header.to_bytes())?;
+        for csr in &self.csrs {
+            w.write_all(&csr.index)?;
+            for block in &csr.payload {
+                w.write_all(block)?;
+            }
+        }
+        let mut buf = Vec::new();
+        for ws in self.weights.iter().flatten() {
+            // `f64` little-endian, a thousand at a time
+            for chunk in ws.chunks(1024) {
+                buf.clear();
+                for x in chunk {
+                    buf.extend_from_slice(&x.to_le_bytes());
+                }
+                w.write_all(&buf)?;
+            }
+        }
+        Ok(())
+    }
 }
 
-/// Packs a hypergraph into a complete in-memory `NWHYPAK1` image.
-///
-/// Both bi-adjacency CSRs are encoded (the transpose is *not* recomputed
-/// at open time — mutual indexing is part of the format, so opening is
-/// pure decoding). Weights round-trip when present on both CSRs.
+/// Packs a hypergraph into a complete in-memory `NWHYPAK1` image: the
+/// bytes [`write_packed`] writes. Weights round-trip when present on
+/// both CSRs.
 pub fn pack_hypergraph(h: &Hypergraph) -> Vec<u8> {
-    let (edge_index, edge_payload) = pack_csr(h.edges());
-    let (node_index, node_payload) = pack_csr(h.nodes());
-    let weighted = h.is_weighted();
-    let edge_weights = h.edges().weights().map(pack_weights).unwrap_or_default();
-    let node_weights = h.nodes().weights().map(pack_weights).unwrap_or_default();
-
-    let header = Header {
-        flags: if weighted { FLAG_WEIGHTS } else { 0 },
-        n_e: h.num_hyperedges() as u64,
-        n_v: h.num_hypernodes() as u64,
-        nnz: h.num_incidences() as u64,
-        section_lens: [
-            edge_index.len() as u64,
-            edge_payload.len() as u64,
-            node_index.len() as u64,
-            node_payload.len() as u64,
-            edge_weights.len() as u64,
-            node_weights.len() as u64,
-        ],
-    };
-
-    let total = HEADER_LEN
-        + edge_index.len()
-        + edge_payload.len()
-        + node_index.len()
-        + node_payload.len()
-        + edge_weights.len()
-        + node_weights.len();
-    let mut out = Vec::with_capacity(total);
-    out.extend_from_slice(&header.to_bytes());
-    out.extend_from_slice(&edge_index);
-    out.extend_from_slice(&edge_payload);
-    out.extend_from_slice(&node_index);
-    out.extend_from_slice(&node_payload);
-    out.extend_from_slice(&edge_weights);
-    out.extend_from_slice(&node_weights);
+    let image = Image::encode(h);
+    let mut out = Vec::with_capacity(image.len());
+    // lint: writing into a `Vec` cannot fail
+    image.write_to(&mut out).unwrap_or_default();
     out
 }
 
-/// Packs `h` and writes the image to `w`.
+/// Packs `h` and writes the image to `w`, section by section.
 pub fn write_packed<W: Write>(w: &mut W, h: &Hypergraph) -> Result<(), StoreError> {
-    w.write_all(&pack_hypergraph(h))?;
+    Image::encode(h).write_to(w)?;
     Ok(())
 }
 

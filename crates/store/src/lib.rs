@@ -8,8 +8,9 @@
 //! [`CompressedHypergraph`], which implements
 //! [`nwhy_core::HyperAdjacency`] so every s-line kernel, BFS/CC, and
 //! s-metric runs on the packed form unchanged. Opening an image validates
-//! all of it in one walk that also builds a row-offset table, so a
-//! corrupt file is an error at open and every later query is infallible.
+//! all of it in one walk, run on the pool in blocks split at the sampled
+//! index, that also builds a row-offset table, so a corrupt file is an
+//! error at open and every later query is infallible.
 //! A query that re-reads one side can decode it into memory once
 //! ([`CompressedHypergraph::materialize`]) and borrow its rows from then on.
 //!
