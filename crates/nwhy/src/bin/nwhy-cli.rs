@@ -128,6 +128,33 @@ impl std::fmt::Display for CliError {
 
 type CliResult<T = ()> = Result<T, CliError>;
 
+/// Writes to the locked stdout. A failed write (a full disk, a closed
+/// pipe) is [`CliError::Io`], where `print!` would panic.
+fn write_stdout(args: std::fmt::Arguments) -> CliResult {
+    std::io::stdout()
+        .lock()
+        .write_fmt(args)
+        .map_err(stdout_failed)
+}
+
+fn stdout_failed(e: std::io::Error) -> CliError {
+    CliError::io(format!("stdout: {e}"))
+}
+
+/// `print!` through [`write_stdout`], returning its error with `?`.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))?
+    };
+}
+
+/// `println!` through [`write_stdout`], returning its error with `?`.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))?
+    };
+}
+
 fn usage() -> ! {
     let names: Vec<&str> = COMMANDS.iter().map(|&(name, ..)| name).collect();
     eprintln!(
@@ -376,9 +403,9 @@ fn cmd_stats(args: &Args) -> CliResult {
         Input::Memory(h) => h.stats(),
         Input::Packed(c) => packed_stats(c),
     };
-    println!("file:            {path}");
+    outln!("file:            {path}");
     if let Input::Packed(c) = &input {
-        println!(
+        outln!(
             "backend:         packed NWHYPAK1 via {} ({:.3} bytes/incidence)",
             if c.is_mapped() {
                 "mmap"
@@ -388,13 +415,13 @@ fn cmd_stats(args: &Args) -> CliResult {
             c.stats().bytes_per_incidence()
         );
     }
-    println!("hypernodes |V|:  {}", s.num_hypernodes);
-    println!("hyperedges |E|:  {}", s.num_hyperedges);
-    println!("incidences:      {}", s.num_incidences);
-    println!("avg node degree: {:.3}", s.avg_node_degree);
-    println!("avg edge size:   {:.3}", s.avg_edge_degree);
-    println!("max node degree: {}", s.max_node_degree);
-    println!("max edge size:   {}", s.max_edge_degree);
+    outln!("hypernodes |V|:  {}", s.num_hypernodes);
+    outln!("hyperedges |E|:  {}", s.num_hyperedges);
+    outln!("incidences:      {}", s.num_incidences);
+    outln!("avg node degree: {:.3}", s.avg_node_degree);
+    outln!("avg edge size:   {:.3}", s.avg_edge_degree);
+    outln!("max node degree: {}", s.max_node_degree);
+    outln!("max edge size:   {}", s.max_edge_degree);
     if let Some(run) = run {
         if input.num_hyperedges() == 0 {
             return Err(CliError::invariant(
@@ -404,17 +431,17 @@ fn cmd_stats(args: &Args) -> CliResult {
         match run {
             "bfs" => {
                 let reached = on_input!(&input, g => hyper_bfs_top_down(g, 0)).edges_reached();
-                println!("ran bfs from hyperedge 0: reached {reached} hyperedges");
+                outln!("ran bfs from hyperedge 0: reached {reached} hyperedges");
             }
             "cc" => {
                 let n = on_input!(&input, g => hyper_cc(g)).num_components();
-                println!("ran cc: {n} components");
+                outln!("ran cc: {n} components");
             }
             "sline" => {
                 let s = s_line.unwrap_or(2);
                 keep_resident(&mut input);
                 let pairs = on_input!(&input, g => SLineBuilder::new(g).s(s).edges());
-                println!("ran sline (s={s}): {} line-graph edges", pairs.len());
+                outln!("ran sline (s={s}): {} line-graph edges", pairs.len());
             }
             other => {
                 return Err(CliError::usage(format!(
@@ -424,9 +451,9 @@ fn cmd_stats(args: &Args) -> CliResult {
         }
         let snap = nwhy::obs::snapshot();
         if snap.is_empty() {
-            println!("(no counters recorded — build with the default `obs` feature)");
+            outln!("(no counters recorded — build with the default `obs` feature)");
         } else {
-            print!("{}", snap.to_text());
+            out!("{}", snap.to_text());
         }
     }
     Ok(())
@@ -452,7 +479,7 @@ fn cmd_cc(args: &Args) -> CliResult {
         "hygra" => nwhy::hygra::hygra_cc(&input.into_memory()).num_components(),
         other => return Err(CliError::usage(format!("cc: unknown --algo {other}"))),
     };
-    println!("{algo}: {n} connected components");
+    outln!("{algo}: {n} connected components");
     Ok(())
 }
 
@@ -497,7 +524,7 @@ fn cmd_bfs(args: &Args) -> CliResult {
     let edges_reached = count_finite(&edge_levels);
     let nodes_reached = count_finite(&node_levels);
     let max_level = max_finite(&edge_levels);
-    println!(
+    outln!(
         "{algo}: from hyperedge {source} reached {edges_reached} hyperedges and \
          {nodes_reached} hypernodes (max hyperedge level {max_level})"
     );
@@ -587,7 +614,7 @@ fn cmd_sline(args: &Args) -> CliResult {
     let (resolved, pairs) = on_input!(&input, g => build(g, s, algo, relabel, out))?;
     let secs = t.elapsed().as_secs_f64();
     if algo.is_none() {
-        println!("auto: planner chose the {} kernel", resolved.name());
+        outln!("auto: planner chose the {} kernel", resolved.name());
     }
     // with `--out` the build streams into the file, so the time is both
     let timed = if args.flag("out").is_some() {
@@ -595,13 +622,13 @@ fn cmd_sline(args: &Args) -> CliResult {
     } else {
         "s"
     };
-    println!(
+    outln!(
         "{}: {}-line graph has {pairs} edges over {ne} hyperedges ({secs:.4}{timed})",
         resolved.name(),
         s,
     );
     if let Some(out) = args.flag("out") {
-        println!("wrote edge list to {out}");
+        outln!("wrote edge list to {out}");
     }
     Ok(())
 }
@@ -621,32 +648,35 @@ fn cmd_check(args: &Args) -> CliResult {
     let s = s_flag(args, "check")?;
     let input = load_input(args, path)?;
     let mut failures = 0usize;
-    let mut report = |name: &str, result: Result<(), nwhy::InvariantViolation>| match result {
-        Ok(()) => println!("  ok   {name}"),
-        Err(e) => {
-            failures += 1;
-            println!("  FAIL {name}: {e}");
+    let mut report = |name: &str, result: Result<(), nwhy::InvariantViolation>| -> CliResult {
+        match result {
+            Ok(()) => outln!("  ok   {name}"),
+            Err(e) => {
+                failures += 1;
+                outln!("  FAIL {name}: {e}");
+            }
         }
+        Ok(())
     };
 
-    println!("checking {path}");
+    outln!("checking {path}");
     let h = match input {
         Input::Memory(h) => h,
         Input::Packed(c) => {
             report(
                 "packed NWHYPAK1 image (codec, index, transpose)",
                 c.validate(),
-            );
+            )?;
             c.to_hypergraph()
         }
     };
     report(
         "bi-adjacency (mutual indexing, CSR invariants)",
         h.validate(),
-    );
-    report("dual view", DualView::new(&h).validate());
+    )?;
+    report("dual view", DualView::new(&h).validate())?;
     let a = nwhy::AdjoinGraph::from_hypergraph(&h);
-    report("adjoin graph (bipartite, symmetric)", a.validate());
+    report("adjoin graph (bipartite, symmetric)", a.validate())?;
     if let Some(s) = s {
         let g = SLineBuilder::new(&h).s(s).weighted_csr();
         report(
@@ -657,10 +687,10 @@ fn cmd_check(args: &Args) -> CliResult {
                 s,
             }
             .validate(),
-        );
+        )?;
     }
     if failures == 0 {
-        println!("all invariants hold");
+        outln!("all invariants hold");
         Ok(())
     } else {
         Err(CliError::invariant(format!(
@@ -677,13 +707,13 @@ fn cmd_toplex(args: &Args) -> CliResult {
     let mut input = load_input(args, path)?;
     keep_resident(&mut input);
     let t = on_input!(&input, g => toplexes(g));
-    println!(
+    outln!(
         "{} of {} hyperedges are toplexes",
         t.len(),
         input.num_hyperedges()
     );
     let preview: Vec<u32> = t.iter().copied().take(20).collect();
-    println!("first toplexes: {preview:?}");
+    outln!("first toplexes: {preview:?}");
     Ok(())
 }
 
@@ -704,7 +734,7 @@ fn cmd_scomp(args: &Args) -> CliResult {
     let (components, largest) = labels
         .chunk_by(|a, b| a == b)
         .fold((0, 0), |(n, largest), run| (n + 1, largest.max(run.len())));
-    println!(
+    outln!(
         "{components} s-connected components at s={s} over {ne} hyperedges (largest: {largest})"
     );
     Ok(())
@@ -728,9 +758,12 @@ fn cmd_gen(args: &Args) -> CliResult {
     let h = profile.generate(scale, seed);
     save(out, &h)?;
     let s = h.stats();
-    println!(
+    outln!(
         "generated {} twin at 1/{scale}: |V|={} |E|={} incidences={} → {out}",
-        profile.name, s.num_hypernodes, s.num_hyperedges, s.num_incidences
+        profile.name,
+        s.num_hypernodes,
+        s.num_hyperedges,
+        s.num_incidences
     );
     Ok(())
 }
@@ -741,7 +774,7 @@ fn cmd_convert(args: &Args) -> CliResult {
     };
     let h = load(input)?;
     save(output, &h)?;
-    println!(
+    outln!(
         "converted {input} → {output} ({} hyperedges, {} incidences)",
         h.num_hyperedges(),
         h.num_incidences()
@@ -764,7 +797,7 @@ fn cmd_pack(args: &Args) -> CliResult {
     } else {
         bytes as f64 / nnz as f64
     };
-    println!(
+    outln!(
         "packed {input} → {output}: {bytes} bytes over {nnz} incidences, \
          {bpi:.3} bytes/incidence (NWHYBIN1 stores 8.000)"
     );
@@ -782,9 +815,9 @@ fn cmd_info(args: &Args) -> CliResult {
     let c = nwhy::io::open_packed(Path::new(path), backend_choice(args)?)
         .map_err(|e| CliError::io(format!("{path}: {e}")))?;
     let s = c.stats();
-    println!("file:             {path}");
-    println!("format:           NWHYPAK1 v{}", nwhy::store::VERSION);
-    println!(
+    outln!("file:             {path}");
+    outln!("format:           NWHYPAK1 v{}", nwhy::store::VERSION);
+    outln!(
         "backend:          {}",
         if c.is_mapped() {
             "mmap (zero-copy)"
@@ -792,20 +825,20 @@ fn cmd_info(args: &Args) -> CliResult {
             "owned buffer"
         }
     );
-    println!("hyperedges |E|:   {}", c.num_hyperedges());
-    println!("hypernodes |V|:   {}", c.num_hypernodes());
-    println!("incidences:       {}", c.num_incidences());
-    println!("weighted:         {}", c.is_weighted());
-    println!("total bytes:      {}", s.total_bytes);
-    println!("  index bytes:    {}", s.index_bytes);
-    println!("  payload bytes:  {}", s.payload_bytes);
-    println!("  weights bytes:  {}", s.weights_bytes);
-    println!(
+    outln!("hyperedges |E|:   {}", c.num_hyperedges());
+    outln!("hypernodes |V|:   {}", c.num_hypernodes());
+    outln!("incidences:       {}", c.num_incidences());
+    outln!("weighted:         {}", c.is_weighted());
+    outln!("total bytes:      {}", s.total_bytes);
+    outln!("  index bytes:    {}", s.index_bytes);
+    outln!("  payload bytes:  {}", s.payload_bytes);
+    outln!("  weights bytes:  {}", s.weights_bytes);
+    outln!(
         "bytes/incidence:  {:.3} (NWHYBIN1: 8.000)",
         s.bytes_per_incidence()
     );
     // open_packed succeeded, so the validating open walk passed
-    println!("integrity:        ok");
+    outln!("integrity:        ok");
     Ok(())
 }
 
@@ -1253,7 +1286,7 @@ fn emit_observability(args: &Args) -> CliResult {
             Some(path) => {
                 std::fs::write(path, rendered).map_err(|e| CliError::io(format!("{path}: {e}")))?;
             }
-            None => print!("{rendered}"),
+            None => out!("{rendered}"),
         }
     }
     if let Some(path) = args.flag("trace-out") {
@@ -1281,7 +1314,8 @@ fn main() -> ExitCode {
             let _span = nwhy::obs::span(span);
             handler(&args)
         })
-        .and_then(|()| emit_observability(&args));
+        .and_then(|()| emit_observability(&args))
+        .and_then(|()| std::io::stdout().flush().map_err(stdout_failed));
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

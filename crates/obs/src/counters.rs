@@ -1,7 +1,7 @@
 //! The fixed counter and histogram vocabularies.
 //!
 //! Counters are a closed enum rather than runtime-registered strings so
-//! the hot-path bump is a single array index into the sharded slabs — no
+//! the hot-path bump is a single array index into the counter slab — no
 //! hashing, no locks. The names mirror the quantities the paper's
 //! performance narrative turns on (§III-C.3 work heuristics, §IV
 //! direction-optimizing traversals).
@@ -120,7 +120,7 @@ impl Counter {
         }
     }
 
-    /// Dense index into the counter slabs.
+    /// Dense index into the counter slab.
     #[inline]
     pub fn index(self) -> usize {
         self as usize

@@ -27,7 +27,7 @@ pub fn escape(s: &str) -> String {
 }
 
 /// Formats an `f64` as a valid JSON value: non-finite inputs (`NaN`,
-/// `±inf` — e.g. the quantile of an empty window or the mean of a
+/// `±inf` — e.g. the quantile of an empty row or the mean of a
 /// 0-count histogram) become `null`; finite values always carry a
 /// decimal point or exponent so they re-parse as floats.
 pub fn fmt_f64(x: f64) -> String {

@@ -8,9 +8,9 @@
 //! - every family gets `# HELP` and `# TYPE` comment lines;
 //! - histograms render as cumulative `_bucket{le="…"}` series ending in
 //!   `le="+Inf"`, plus `_sum` and `_count`;
-//! - windowed quantiles render as gauges labelled
+//! - span latency quantiles render as gauges labelled
 //!   `{op="…",quantile="0.5|0.9|0.99"}` plus per-op `_count`/`_max`
-//!   gauges (empty windows emit only the `_count 0` sample — a gauge of
+//!   gauges (an empty row emits only the `_count 0` sample — a gauge of
 //!   nothing, never `NaN`);
 //! - label values escape `\`, `"` and newlines per the spec.
 //!
@@ -116,7 +116,7 @@ pub fn render_prometheus(snap: &MetricsSnapshot) -> String {
 
     if !snap.quantiles.is_empty() {
         out.push_str(
-            "# HELP nwhy_op_latency_microseconds Trailing-window latency quantiles per operation.\n\
+            "# HELP nwhy_op_latency_microseconds Span close latency quantiles per leaf name.\n\
              # TYPE nwhy_op_latency_microseconds gauge\n",
         );
         for q in &snap.quantiles {
@@ -130,7 +130,7 @@ pub fn render_prometheus(snap: &MetricsSnapshot) -> String {
             }
         }
         out.push_str(
-            "# HELP nwhy_op_latency_microseconds_count Observations inside the trailing window.\n\
+            "# HELP nwhy_op_latency_microseconds_count Span closes per leaf name.\n\
              # TYPE nwhy_op_latency_microseconds_count gauge\n",
         );
         for q in &snap.quantiles {
@@ -141,7 +141,7 @@ pub fn render_prometheus(snap: &MetricsSnapshot) -> String {
             ));
         }
         out.push_str(
-            "# HELP nwhy_op_latency_microseconds_max Largest windowed observation per operation.\n\
+            "# HELP nwhy_op_latency_microseconds_max Longest span close per leaf name.\n\
              # TYPE nwhy_op_latency_microseconds_max gauge\n",
         );
         for q in &snap.quantiles {
@@ -192,7 +192,7 @@ mod tests {
                     max: 3000,
                 },
                 QuantileSnapshot {
-                    op: "empty.window".into(),
+                    op: "empty.op".into(),
                     count: 0,
                     p50: None,
                     p90: None,
@@ -229,11 +229,11 @@ mod tests {
         ));
         assert!(doc.contains("nwhy_op_latency_microseconds_count{op=\"sline.hashmap\"} 10\n"));
         assert!(doc.contains("nwhy_op_latency_microseconds_max{op=\"sline.hashmap\"} 3000\n"));
-        // empty window: count sample only, no NaN gauges
-        assert!(doc.contains("nwhy_op_latency_microseconds_count{op=\"empty.window\"} 0\n"));
+        // empty row: count sample only, no NaN gauges
+        assert!(doc.contains("nwhy_op_latency_microseconds_count{op=\"empty.op\"} 0\n"));
         assert!(!doc.contains("quantile=\"0.5\"} NaN"));
         assert!(!doc.contains("NaN"));
-        assert!(!doc.contains("_max{op=\"empty.window\"}"));
+        assert!(!doc.contains("_max{op=\"empty.op\"}"));
     }
 
     #[test]

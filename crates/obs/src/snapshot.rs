@@ -13,7 +13,7 @@ use crate::json::{escape, fmt_f64};
 pub struct CounterSnapshot {
     /// Stable dotted name (see [`crate::Counter::name`]).
     pub name: &'static str,
-    /// Total across all shards.
+    /// Total of every bump.
     pub value: u64,
 }
 
@@ -44,17 +44,16 @@ pub struct HistSnapshot {
     pub buckets: Vec<(u64, u64)>,
 }
 
-/// Windowed latency quantiles for one named operation.
+/// Latency quantiles for one span leaf name, over every close of every
+/// path ending in it since the last [`crate::reset`].
 ///
-/// Quantile fields are `None` when the trailing window is empty (the op
-/// fired once but its samples have aged out) — rendered as JSON `null`
-/// and omitted from the Prometheus gauges.
+/// Quantile fields are `None` for a row with no observations — rendered
+/// as JSON `null` and omitted from the Prometheus gauges.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuantileSnapshot {
-    /// Operation name (a span leaf name or an explicit
-    /// [`crate::observe_latency`] op).
+    /// Span leaf name.
     pub op: String,
-    /// Observations inside the trailing window.
+    /// Closes of spans with this leaf name.
     pub count: u64,
     /// Median latency (µs, pow2-bucket upper bound).
     pub p50: Option<u64>,
@@ -62,7 +61,7 @@ pub struct QuantileSnapshot {
     pub p90: Option<u64>,
     /// 99th-percentile latency (µs).
     pub p99: Option<u64>,
-    /// Largest windowed observation (µs, exact).
+    /// Longest close (µs, exact).
     pub max: u64,
 }
 
@@ -80,7 +79,7 @@ pub struct MetricsSnapshot {
     pub spans: Vec<SpanSnapshot>,
     /// Non-empty histograms, sorted by name.
     pub hists: Vec<HistSnapshot>,
-    /// Windowed latency quantiles, sorted by op name.
+    /// Span latency quantiles, sorted by op name.
     pub quantiles: Vec<QuantileSnapshot>,
 }
 
@@ -98,7 +97,7 @@ impl MetricsSnapshot {
         self.spans.iter().find(|s| s.path == path)
     }
 
-    /// The windowed quantiles for an op by exact name.
+    /// The latency quantiles for an op by exact name.
     pub fn quantile(&self, op: &str) -> Option<&QuantileSnapshot> {
         self.quantiles.iter().find(|q| q.op == op)
     }
@@ -158,7 +157,7 @@ impl MetricsSnapshot {
             }
         }
         if !self.quantiles.is_empty() {
-            out.push_str("latency (trailing window, \u{b5}s):\n");
+            out.push_str("latency (span closes, \u{b5}s):\n");
             let width = self.quantiles.iter().map(|q| q.op.len()).max().unwrap_or(0);
             for q in &self.quantiles {
                 let fmt = |v: Option<u64>| v.map_or_else(|| "-".into(), |v| v.to_string());
@@ -230,8 +229,8 @@ impl MetricsSnapshot {
             if i > 0 {
                 out.push(',');
             }
-            // None (empty window) goes through fmt_f64's non-finite path
-            // so it lands in the document as JSON null.
+            // None (no observations) goes through fmt_f64's non-finite
+            // path so it lands in the document as JSON null.
             let qf = |v: Option<u64>| {
                 // lint: pow2 bucket bounds survive the f64 round-trip at
                 // diagnostic precision
@@ -295,7 +294,7 @@ mod tests {
                     max: 3000,
                 },
                 QuantileSnapshot {
-                    op: "stale.op".into(),
+                    op: "empty.op".into(),
                     count: 0,
                     p50: None,
                     p90: None,
@@ -337,8 +336,8 @@ mod tests {
         let quantiles = v.get("quantiles").unwrap().as_array().unwrap();
         assert_eq!(quantiles.len(), 2);
         assert_eq!(quantiles[0].get("p99").unwrap().as_u64(), Some(4095));
-        // Regression (satellite): an empty window's quantile is JSON
-        // null, not an invalid token — and the whole doc still parses.
+        // An empty row's quantile is JSON null, not an invalid token —
+        // and the whole doc still parses.
         assert_eq!(quantiles[1].get("p50"), Some(&Value::Null));
     }
 

@@ -16,7 +16,7 @@ pub struct TraceEvent {
     pub start_us: u64,
     /// Span duration in microseconds.
     pub dur_us: u64,
-    /// Logical thread id (the thread's shard index).
+    /// Logical thread id (assigned round-robin on a thread's first span).
     pub tid: u64,
 }
 

@@ -1,7 +1,7 @@
 //! Behavior of the live registry. The registry is process-global, so
 //! every test serializes on one mutex and starts from `reset()`.
 
-#![cfg(all(feature = "enabled", not(loom)))]
+#![cfg(feature = "enabled")]
 
 use std::sync::Mutex;
 
@@ -88,6 +88,9 @@ fn spans_nest_into_slash_paths() {
         assert_eq!(snap.span("phase.outer").expect("outer").count, 1);
         assert_eq!(snap.span("phase.inner").expect("root sibling").count, 1);
         assert!(nested.total_seconds >= 0.0);
+        // The quantile row of a leaf merges every path ending in it.
+        assert_eq!(snap.quantile("phase.inner").expect("leaf row").count, 3);
+        assert_eq!(snap.quantile("phase.outer").expect("leaf row").count, 1);
     });
 }
 
@@ -141,8 +144,6 @@ fn repeated_snapshots_are_identical() {
         nwhy_obs::add(Counter::SlinePairsExamined, 3);
         nwhy_obs::observe(Hist::CcFrontier, 9);
         nwhy_obs::observe(Hist::BfsFrontierEdges, 2);
-        nwhy_obs::observe_latency("op.b", 10);
-        nwhy_obs::observe_latency("op.a", 20);
         {
             let _s = nwhy_obs::span("snap.z");
         }
@@ -164,41 +165,58 @@ fn repeated_snapshots_are_identical() {
         sorted.sort_unstable();
         assert_eq!(counter_names, sorted);
         let ops: Vec<&str> = a.quantiles.iter().map(|q| q.op.as_str()).collect();
-        assert_eq!(ops, ["op.a", "op.b", "snap.a", "snap.z"]);
+        assert_eq!(ops, ["snap.a", "snap.z"]);
         let paths: Vec<&str> = a.spans.iter().map(|s| s.path.as_str()).collect();
         assert_eq!(paths, ["snap.a", "snap.z"]);
     });
 }
 
 #[test]
-fn windowed_quantiles_surface_in_snapshot_and_prom() {
+fn span_quantiles_surface_in_snapshot_and_prom() {
     isolated(|| {
-        nwhy_obs::set_manual_ticks(true);
         for _ in 0..98 {
-            nwhy_obs::observe_latency("query.sline", 100);
+            let _s = nwhy_obs::span("query.sline");
         }
-        nwhy_obs::observe_latency("query.sline", 5_000);
-        nwhy_obs::observe_latency("query.sline", 5_000);
+        for _ in 0..2 {
+            let _s = nwhy_obs::span("query.sline");
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
         let snap = nwhy_obs::snapshot();
-        let q = snap.quantile("query.sline").expect("windowed op present");
+        let q = snap.quantile("query.sline").expect("span leaf row present");
         assert_eq!(q.count, 100);
-        assert_eq!(q.p50, Some(127)); // pow2 bucket 64..127
-        assert_eq!(q.p99, Some(5_000)); // pow2 bucket 4096..8191, clamped to max
-        assert_eq!(q.max, 5_000);
+        let (p50, p99) = (q.p50.expect("p50"), q.p99.expect("p99"));
+        assert!(p50 < 5_000, "98 of 100 closes are instant: p50 {p50}");
+        assert!(p99 >= 5_000, "the 99th close slept 5 ms: p99 {p99}");
+        assert!(p99 <= q.max, "quantiles never exceed the max");
         let doc = nwhy_obs::render_prometheus(&snap);
-        assert!(
-            doc.contains("nwhy_op_latency_microseconds{op=\"query.sline\",quantile=\"0.99\"} 5000")
-        );
-        // The window slides: 9 s of manual ticks later (sub-windows are
-        // 1 s), the samples have aged out and quantiles go null-shaped.
-        nwhy_obs::advance_ticks(9_000_000);
-        let stale = nwhy_obs::snapshot();
-        let q = stale.quantile("query.sline").expect("op name persists");
-        assert_eq!(q.count, 0);
-        assert_eq!(q.p99, None);
-        let v = json::parse(&stale.to_json()).expect("stale snapshot parses");
+        assert!(doc.contains(&format!(
+            "nwhy_op_latency_microseconds{{op=\"query.sline\",quantile=\"0.99\"}} {p99}\n"
+        )));
+        assert!(doc.contains("nwhy_op_latency_microseconds_count{op=\"query.sline\"} 100\n"));
+        let v = json::parse(&snap.to_json()).expect("snapshot JSON parses");
         let quantiles = v.get("quantiles").unwrap().as_array().unwrap();
-        assert_eq!(quantiles[0].get("p99"), Some(&json::Value::Null));
+        assert_eq!(
+            quantiles[0].get("op").unwrap().as_str(),
+            Some("query.sline")
+        );
+        assert_eq!(quantiles[0].get("count").unwrap().as_u64(), Some(100));
+        assert_eq!(quantiles[0].get("p99").unwrap().as_u64(), Some(p99));
+    });
+}
+
+#[test]
+fn span_quantiles_cover_closes_on_both_sides_of_a_snapshot() {
+    isolated(|| {
+        {
+            let _s = nwhy_obs::span("aging.op");
+        }
+        assert_eq!(nwhy_obs::snapshot().quantile("aging.op").unwrap().count, 1);
+        {
+            let _s = nwhy_obs::span("aging.op");
+        }
+        let q = nwhy_obs::snapshot();
+        assert_eq!(q.quantile("aging.op").unwrap().count, 2);
+        assert_eq!(q.span("aging.op").unwrap().count, 2);
     });
 }
 

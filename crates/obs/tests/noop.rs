@@ -12,8 +12,7 @@ use nwhy_obs::{Counter, Hist, Span};
 
 #[test]
 fn enabled_is_const_false() {
-    const ON: bool = nwhy_obs::enabled();
-    assert!(!ON);
+    const { assert!(!nwhy_obs::enabled()) }
 }
 
 #[test]
@@ -22,10 +21,7 @@ fn span_is_a_zst() {
 }
 
 #[test]
-fn latency_and_ticks_are_inert() {
-    nwhy_obs::set_manual_ticks(true);
-    nwhy_obs::advance_ticks(1_000);
-    nwhy_obs::observe_latency("noop.op", 42);
+fn latency_is_inert() {
     {
         let _s = nwhy_obs::span("noop.latency");
         nwhy_obs::incr(Counter::BfsRounds);

@@ -390,7 +390,7 @@ nwhy_hist_bfs_frontier_edges_bucket{le=\"1\"} 3
 nwhy_hist_bfs_frontier_edges_bucket{le=\"+Inf\"} 4
 nwhy_hist_bfs_frontier_edges_sum 9
 nwhy_hist_bfs_frontier_edges_count 4
-# HELP nwhy_op_latency_microseconds Trailing-window latency quantiles per operation.
+# HELP nwhy_op_latency_microseconds Span close latency quantiles per leaf name.
 # TYPE nwhy_op_latency_microseconds gauge
 nwhy_op_latency_microseconds{op=\"sline.hashmap\",quantile=\"0.99\"} 127
 ";

@@ -204,7 +204,7 @@ fn id_like_name(name: &str) -> bool {
 
 // ---------------------------------------------------------------------
 // crate-boundary: the dependency DAG, read off the workspace manifests
-// (util → obs → core → {hygra, store, io} → nwhy; bench/gen leaves).
+// ({util, obs} → core → {hygra, store, io} → nwhy; bench/gen leaves).
 // ---------------------------------------------------------------------
 
 /// Workspace crates: directory under `crates/` and the identifier the
@@ -227,8 +227,8 @@ const CRATES: [(&str, &str); 10] = [
 /// own crate).
 fn allowed_deps(crate_dir: &str) -> &'static [&'static str] {
     match crate_dir {
-        "util" => &[],
-        "nwgraph" | "obs" => &["nwhy_util"],
+        "util" | "obs" => &[],
+        "nwgraph" => &["nwhy_util"],
         "core" => &["nwhy_util", "nwgraph", "nwhy_obs"],
         "hygra" => &["nwhy_util", "nwgraph", "nwhy_core", "nwhy_obs"],
         "store" => &["nwhy_util", "nwgraph", "nwhy_core"],
@@ -644,7 +644,7 @@ pub fn lint_file(path: &Path, content: &str) -> Vec<Finding> {
                     t.line,
                     format!(
                         "crate `{dir}` must not depend on `{dep}` — the dependency \
-                         DAG is util → obs → core → {{hygra, store, io}} → nwhy \
+                         DAG is {{util, obs}} → core → {{hygra, store, io}} → nwhy \
                          (bench/gen leaves); this rule has no `// lint:` escape"
                     ),
                 ));
