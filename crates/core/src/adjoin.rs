@@ -51,28 +51,42 @@ pub struct AdjoinGraph {
 }
 
 impl AdjoinGraph {
-    /// Adjoins the bi-adjacency of `h` into a single-index graph: the
-    /// hyperedge CSR, targets shifted into the node partition, followed by
-    /// the hypernode CSR. Both are sorted, so this is an O(nnz) copy.
+    /// Adjoins a copy of `h`; see [`AdjoinGraph::from_owned`], which
+    /// takes the hypergraph instead of copying it.
     pub fn from_hypergraph(h: &Hypergraph) -> Self {
+        Self::from_owned(h.clone())
+    }
+
+    /// Adjoins the bi-adjacency of `h` into a single-index graph, reusing
+    /// its arrays: the hyperedge CSR, targets shifted into the node
+    /// partition in place, followed by the hypernode CSR. Both are sorted,
+    /// so this is an O(nnz) pass. Each hypernode array is freed as soon
+    /// as it has been appended, so about `3 · 4 · nnz` bytes of targets
+    /// are live at the peak, not two whole copies of the incidences.
+    /// Weights are dropped: the adjoin graph is unweighted.
+    pub fn from_owned(h: Hypergraph) -> Self {
         let _span = nwhy_obs::span("build.adjoin");
-        let (edges, nodes) = (h.edges(), h.nodes());
         let (ne, nv, nnz) = (h.num_hyperedges(), h.num_hypernodes(), h.num_incidences());
-        let edge_offsets = edges.offsets().iter().copied();
-        let node_offsets = nodes.offsets().iter().skip(1).map(|&o| o + nnz);
-        let offsets = edge_offsets.chain(node_offsets).collect();
+        let (edges, nodes) = h.into_raw_parts();
+        let (_, mut offsets, mut targets, _) = edges.into_raw_parts();
+        let (_, node_offsets, node_targets, _) = nodes.into_raw_parts();
+        offsets.reserve_exact(nv);
+        offsets.extend(node_offsets.iter().skip(1).map(|&o| o + nnz));
+        drop(node_offsets);
         // The hypernode → shared-set shift is owned by
         // `AdjoinId::from_node`, never inlined here.
-        let shift = |&v: &Id| AdjoinId::from_node(HypernodeId::new(v), ne).raw();
-        let edge_targets = edges.targets().iter().map(shift);
-        let node_targets = nodes.targets().iter().copied();
-        let targets = edge_targets.chain(node_targets).collect();
+        for t in &mut targets {
+            *t = AdjoinId::from_node(HypernodeId::new(*t), ne).raw();
+        }
+        targets.reserve_exact(node_targets.len());
+        targets.extend_from_slice(&node_targets);
+        drop(node_targets);
         let a = Self {
             graph: Csr::from_raw_parts(ne + nv, offsets, targets, None),
             num_hyperedges: ne,
             num_hypernodes: nv,
         };
-        crate::validate::debug_validate(&a, "AdjoinGraph::from_hypergraph");
+        crate::validate::debug_validate(&a, "AdjoinGraph::from_owned");
         a
     }
 
@@ -125,6 +139,11 @@ impl AdjoinGraph {
             num_hyperedges,
             num_hypernodes,
         }
+    }
+
+    /// Heap bytes held by the graph's arrays, counted by capacity.
+    pub fn memory_bytes(&self) -> usize {
+        self.graph.memory_bytes()
     }
 
     /// The underlying plain graph.
@@ -199,17 +218,14 @@ impl AdjoinGraph {
     /// Recovers the bi-adjacency [`Hypergraph`] (inverse of
     /// [`AdjoinGraph::from_hypergraph`]).
     pub fn to_hypergraph(&self) -> Hypergraph {
+        // the first `n_e` rows are the hyperedge CSR, shifted
         let ne = self.num_hyperedges;
-        let pairs: Vec<(Id, Id)> = (0..crate::ids::from_usize(ne))
-            .flat_map(|e| {
-                self.graph
-                    .neighbors(e)
-                    .iter()
-                    .map(move |&v| (e, adjoin_to_node(AdjoinId::new(v), ne).raw()))
-            })
-            .collect();
-        let bel = crate::biedgelist::BiEdgeList::from_incidences(ne, self.num_hypernodes, pairs);
-        Hypergraph::from_biedgelist(&bel)
+        let offsets = self.graph.offsets().get(..=ne).unwrap_or(&[0]).to_vec();
+        let nnz = offsets.last().copied().unwrap_or(0);
+        let row_targets = self.graph.targets().get(..nnz).unwrap_or_default();
+        let shift = |&v: &Id| adjoin_to_node(AdjoinId::new(v), ne).raw();
+        let targets = row_targets.iter().map(shift).collect();
+        Hypergraph::from_scattered_rows(self.num_hypernodes, offsets, targets, None)
     }
 }
 
@@ -332,8 +348,46 @@ mod tests {
         assert!(e.is_empty() && v.is_empty());
     }
 
+    #[test]
+    fn from_owned_drops_weights_and_sizes_arrays_exactly() {
+        let bel = crate::biedgelist::BiEdgeList::from_weighted_incidences(
+            2,
+            3,
+            vec![(1, 2), (0, 0), (1, 2), (0, 1)],
+            vec![0.5, 1.5, 2.5, 3.5],
+        );
+        let h = Hypergraph::from_biedgelist(&bel);
+        let a = AdjoinGraph::from_owned(h.clone());
+        assert_eq!(a, AdjoinGraph::from_hypergraph(&h));
+        assert!(!a.graph().is_weighted());
+        // duplicates survive: hyperedge 1 lists hypernode 2 twice
+        assert_eq!(a.graph().neighbors(1), &[4, 4]);
+        assert_eq!(a.graph().neighbors(4), &[1, 1]);
+        let (n, nnz) = (a.num_vertices(), h.num_incidences());
+        assert_eq!(a.memory_bytes(), 8 * (n + 1) + 4 * 2 * nnz);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
+        #[test]
+        fn prop_from_owned_matches_copying_concatenation(
+            pairs in proptest::collection::vec((0u32..6, 0u32..9), 0..50)
+        ) {
+            // duplicates kept: no sort_dedup before the build
+            let bel = crate::biedgelist::BiEdgeList::from_incidences(6, 9, pairs);
+            let h = Hypergraph::from_biedgelist(&bel);
+            let nnz = h.num_incidences();
+            let (edges, nodes) = (h.edges(), h.nodes());
+            let offsets = edges.offsets().iter().copied()
+                .chain(nodes.offsets().iter().skip(1).map(|&o| o + nnz))
+                .collect();
+            let targets = edges.targets().iter().map(|&v| v + 6)
+                .chain(nodes.targets().iter().copied())
+                .collect();
+            let want = AdjoinGraph::from_raw_parts(Csr::from_raw_parts(15, offsets, targets, None), 6, 9);
+            prop_assert_eq!(AdjoinGraph::from_owned(h), want);
+        }
+
         #[test]
         fn prop_adjoin_roundtrip(
             pairs in proptest::collection::vec((0u32..6, 0u32..9), 0..50)

@@ -22,7 +22,7 @@
 
 use crate::repr::HyperAdjacency;
 use crate::{ids, Id};
-use nwhy_util::atomics::{atomic_min_u32, compress, link};
+use nwhy_util::atomics::{atomic_min_u32, compress, link, set_flag};
 use nwhy_util::sync::{AtomicBool, AtomicU32, Ordering};
 use rayon::prelude::*;
 
@@ -96,11 +96,11 @@ pub fn hyper_cc_label_propagation<A: HyperAdjacency + ?Sized>(h: &A) -> HyperCcR
             for &handle in h.edge_neighbors(ids::from_usize(e)).iter() {
                 let t = h.node_index(handle);
                 if atomic_min_u32(&node_labels[t], le) {
-                    changed.store(true, Ordering::Relaxed);
+                    set_flag(&changed);
                 }
                 let lv = node_labels[t].load(Ordering::Relaxed);
                 if atomic_min_u32(&edge_labels[e], lv) {
-                    changed.store(true, Ordering::Relaxed);
+                    set_flag(&changed);
                 }
             }
         });

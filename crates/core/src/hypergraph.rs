@@ -53,12 +53,17 @@ impl Hypergraph {
                 bel.weights(),
             )
         };
+        Self::with_transpose(edges, "Hypergraph::from_biedgelist")
+    }
+
+    /// Completes a hyperedge CSR with its transpose, the hypernode side.
+    fn with_transpose(edges: Csr, context: &str) -> Self {
         let nodes = {
             let _span = nwhy_obs::span("build.transpose");
             edges.transpose()
         };
         let h = Self { edges, nodes };
-        crate::validate::debug_validate(&h, "Hypergraph::from_biedgelist");
+        crate::validate::debug_validate(&h, context);
         h
     }
 
@@ -101,13 +106,32 @@ impl Hypergraph {
         }
         targets.truncate(write);
         let edges = Csr::from_raw_parts(space, offsets, targets, None);
-        let nodes = {
-            let _span = nwhy_obs::span("build.transpose");
-            edges.transpose()
+        Self::with_transpose(edges, "Hypergraph::from_edge_rows")
+    }
+
+    /// Builds from hyperedge rows that a reader filled with a counting
+    /// sort in stream order: row `e` is `targets[offsets[e]..offsets[e +
+    /// 1]]`, with `weights` beside `targets` if present. Rows that are not
+    /// sorted are sorted as [`Hypergraph::from_biedgelist`] sorts them, and
+    /// duplicate incidences are kept, so a reader that streams a pair list
+    /// twice (once to count, once to scatter) gets the same hypergraph as
+    /// one that builds the [`BiEdgeList`] first. One transpose then builds
+    /// the hypernode side.
+    ///
+    /// # Panics
+    /// Panics if `offsets` is empty, decreases, or runs past `targets`, or
+    /// if a target is not below `num_hypernodes`.
+    pub fn from_scattered_rows(
+        num_hypernodes: usize,
+        offsets: Vec<usize>,
+        targets: Vec<Id>,
+        weights: Option<Vec<f64>>,
+    ) -> Self {
+        let edges = {
+            let _span = nwhy_obs::span("build.csr");
+            Csr::from_scattered_rows(num_hypernodes, offsets, targets, weights)
         };
-        let h = Self { edges, nodes };
-        crate::validate::debug_validate(&h, "Hypergraph::from_edge_rows");
-        h
+        Self::with_transpose(edges, "Hypergraph::from_scattered_rows")
     }
 
     /// Assembles a hypergraph from two pre-built bi-adjacencies without
@@ -122,6 +146,17 @@ impl Hypergraph {
     /// indexing by construction.
     pub fn from_raw_parts(edges: Csr, nodes: Csr) -> Self {
         Self { edges, nodes }
+    }
+
+    /// Takes the hypergraph apart into its `(edges, nodes)`
+    /// bi-adjacencies, the inverse of [`Hypergraph::from_raw_parts`].
+    pub fn into_raw_parts(self) -> (Csr, Csr) {
+        (self.edges, self.nodes)
+    }
+
+    /// Heap bytes held by both bi-adjacencies, counted by capacity.
+    pub fn memory_bytes(&self) -> usize {
+        self.edges.memory_bytes() + self.nodes.memory_bytes()
     }
 
     /// Builds from per-hyperedge membership lists.
@@ -334,6 +369,24 @@ mod tests {
                 Hypergraph::from_memberships(&sets)
             );
         }
+    }
+
+    #[test]
+    fn memory_bytes_is_both_bi_adjacencies() {
+        // formualizer-style bound from the sizes alone: offsets, targets
+        // and weights of each side, allocated exactly
+        let h = paper_hypergraph();
+        let (ne, nv, nnz) = (h.num_hyperedges(), h.num_hypernodes(), h.num_incidences());
+        assert_eq!(h.memory_bytes(), 8 * (ne + 1) + 8 * (nv + 1) + 2 * 4 * nnz);
+        let weighted = Hypergraph::from_biedgelist(&BiEdgeList::from_weighted_incidences(
+            2,
+            2,
+            vec![(0, 1), (1, 0), (1, 1)],
+            vec![1.0, 2.0, 3.0],
+        ));
+        assert_eq!(weighted.memory_bytes(), 2 * (8 * 3 + 4 * 3 + 8 * 3));
+        let (edges, nodes) = weighted.clone().into_raw_parts();
+        assert_eq!(Hypergraph::from_raw_parts(edges, nodes), weighted);
     }
 
     #[test]

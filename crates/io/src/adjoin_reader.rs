@@ -17,7 +17,7 @@ pub fn read_adjoin<R: BufRead>(reader: R) -> Result<(AdjoinGraph, usize, usize),
     let ne = bel.num_hyperedges();
     let nv = bel.num_hypernodes();
     let h = Hypergraph::from_biedgelist(&bel);
-    Ok((AdjoinGraph::from_hypergraph(&h), ne, nv))
+    Ok((AdjoinGraph::from_owned(h), ne, nv))
 }
 
 #[cfg(test)]

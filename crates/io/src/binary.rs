@@ -14,11 +14,26 @@
 //! pairs   nnz × (u32 hyperedge, u32 hypernode)
 //! weights nnz × f64   (only if flags bit 0)
 //! ```
+//!
+//! [`read_binary`] builds the hyperedge CSR straight from the stream, in
+//! two passes over the pair section through one fixed chunk buffer, so
+//! no pair list is ever held in memory:
+//!
+//! 1. count each row's length (checking every pair's bounds);
+//! 2. seek back and scatter each target (and its weight, read from the
+//!    same chunk of the weight section) to its row's cursor, in file
+//!    order.
+//!
+//! That is the stable counting sort that [`Hypergraph::from_biedgelist`]
+//! runs, so rows that are not sorted get the same stable sort and the
+//! result is the same hypergraph, duplicate incidences included. The
+//! reader needs [`Seek`] for the second pass and to check, before sizing
+//! anything, that the stream holds the payload the header claims.
 
 use crate::error::IoError;
-use nwhy_core::{ids, BiEdgeList, Hypergraph};
+use nwhy_core::{ids, Hypergraph, Id};
 use nwhy_obs::Counter;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Seek, SeekFrom, Write};
 
 const MAGIC: &[u8; 8] = b"NWHYBIN1";
 const FLAG_WEIGHTS: u64 = 1;
@@ -38,14 +53,61 @@ fn read_u64<R: Read>(r: &mut R) -> Result<u64, IoError> {
     Ok(u64::from_le_bytes(buf))
 }
 
-/// Incidence pairs (and weights) are read in bounded chunks of this many
-/// entries, so a corrupt header claiming a huge `nnz` fails with a
-/// truncation error after at most one chunk of over-allocation instead of
-/// reserving `nnz` entries up front.
+/// Incidence pairs (and weights) are read in chunks of this many
+/// entries, so each pass holds one chunk of the file at a time.
 const READ_CHUNK: usize = 1 << 16;
 
-/// Reads the binary format into a hypergraph.
-pub fn read_binary<R: Read>(mut r: R) -> Result<Hypergraph, IoError> {
+/// Streams the `nnz` pairs that start at byte `pairs_at` in
+/// [`READ_CHUNK`] blocks, each with the matching block of the weight
+/// section when `weights_at` is set, and hands every incidence to `f` in
+/// file order after checking it against the `ne × nv` space.
+fn for_each_incidence<R: Read + Seek>(
+    r: &mut R,
+    (pairs_at, weights_at): (u64, Option<u64>),
+    (ne, nv, nnz): (usize, usize, usize),
+    mut f: impl FnMut(Id, Id, f64) -> Result<(), IoError>,
+) -> Result<(), IoError> {
+    let mut buf = vec![0u8; nnz.min(READ_CHUNK) * 8];
+    let mut wbuf = vec![0u8; if weights_at.is_some() { buf.len() } else { 0 }];
+    let mut done = 0;
+    while done < nnz {
+        let take = (nnz - done).min(READ_CHUNK);
+        let skip = done as u64 * 8;
+        let pairs = buf.get_mut(..take * 8).unwrap_or_default();
+        r.seek(SeekFrom::Start(pairs_at + skip))?;
+        r.read_exact(pairs)?;
+        let weights = wbuf.get_mut(..take * 8).unwrap_or_default();
+        if let Some(at) = weights_at {
+            r.seek(SeekFrom::Start(at + skip))?;
+            r.read_exact(weights)?;
+        }
+        let mut weights = weights.chunks_exact(8);
+        for pair in pairs.chunks_exact(8) {
+            // the pair words are read as u32 and are already `Id`-sized
+            let (e_bytes, rest) = take_array::<4>(pair)?;
+            let (v_bytes, _) = take_array::<4>(rest)?;
+            let e = u32::from_le_bytes(e_bytes);
+            let v = u32::from_le_bytes(v_bytes);
+            if ids::to_usize(e) >= ne || ids::to_usize(v) >= nv {
+                return Err(IoError::parse(
+                    1,
+                    format!("incidence ({e},{v}) out of bounds {ne}x{nv}"),
+                ));
+            }
+            let w = match weights.next() {
+                Some(w) => f64::from_le_bytes(take_array::<8>(w)?.0),
+                None => 1.0,
+            };
+            f(e, v, w)?;
+        }
+        done += take;
+    }
+    Ok(())
+}
+
+/// Reads the binary format into a hypergraph, in two passes over the
+/// stream (see the module docs).
+pub fn read_binary<R: Read + Seek>(mut r: R) -> Result<Hypergraph, IoError> {
     // Decode only: the CSR builds below carry their own spans.
     let decode = nwhy_obs::span("io.decode");
     let mut magic = [0u8; 8];
@@ -68,60 +130,57 @@ pub fn read_binary<R: Read>(mut r: R) -> Result<Hypergraph, IoError> {
     if nnz > (1usize << 40) {
         return Err(IoError::parse(1, format!("implausible nnz {nnz}")));
     }
-    // Chunked payload read: each chunk's bytes must actually arrive
-    // before the next chunk's capacity is reserved, so memory growth is
-    // bounded by the real stream length, not by the header's claim.
-    let mut incidences = Vec::new();
-    let mut buf = vec![0u8; nnz.min(READ_CHUNK) * 8];
-    let mut remaining = nnz;
-    while remaining > 0 {
-        let take = remaining.min(READ_CHUNK);
-        // lint: panic: take ≤ buf capacity by construction (buf is sized to nnz.min(READ_CHUNK) * 8)
-        let bytes = &mut buf[..take * 8];
-        r.read_exact(bytes)?;
-        incidences.reserve(take);
-        for pair in bytes.chunks_exact(8) {
-            // the pair words are read as u32 and are already `Id`-sized
-            let (e_bytes, rest) = take_array::<4>(pair)?;
-            let (v_bytes, _) = take_array::<4>(rest)?;
-            let e = u32::from_le_bytes(e_bytes);
-            let v = u32::from_le_bytes(v_bytes);
-            if ids::to_usize(e) >= ne || ids::to_usize(v) >= nv {
-                return Err(IoError::parse(
-                    1,
-                    format!("incidence ({e},{v}) out of bounds {ne}x{nv}"),
-                ));
-            }
-            incidences.push((e, v));
-        }
-        remaining -= take;
-    }
     let weighted = flags & FLAG_WEIGHTS != 0;
-    let bel = if weighted {
-        let mut weights = Vec::new();
-        let mut remaining = nnz;
-        while remaining > 0 {
-            let take = remaining.min(READ_CHUNK);
-            // lint: panic: take ≤ buf capacity by construction (buf is sized to nnz.min(READ_CHUNK) * 8)
-            let bytes = &mut buf[..take * 8];
-            r.read_exact(bytes)?;
-            weights.reserve(take);
-            for w in bytes.chunks_exact(8) {
-                let (w_bytes, _) = take_array::<8>(w)?;
-                weights.push(f64::from_le_bytes(w_bytes));
-            }
-            remaining -= take;
+    // The payload the header claims must be in the stream before
+    // anything is sized by it; trailing bytes are ignored.
+    let payload = nnz as u64 * if weighted { 16 } else { 8 };
+    let pairs_at = r.stream_position()?;
+    if r.seek(SeekFrom::End(0))?.saturating_sub(pairs_at) < payload {
+        return Err(IoError::Io(ErrorKind::UnexpectedEof.into()));
+    }
+    let weights_at = weighted.then_some(pairs_at + nnz as u64 * 8);
+    let space = (ne, nv, nnz);
+
+    // Pass 1: `offsets[e + 1]` counts row `e`, then (after the scan)
+    // serves as its write cursor, ending at the row's end.
+    let mut offsets = vec![0usize; ne + 1];
+    for_each_incidence(&mut r, (pairs_at, None), space, |e, _, _| {
+        if let Some(count) = offsets.get_mut(ids::to_usize(e) + 1) {
+            *count += 1;
         }
-        BiEdgeList::from_weighted_incidences(ne, nv, incidences, weights)
-    } else {
-        BiEdgeList::from_incidences(ne, nv, incidences)
-    };
+        Ok(())
+    })?;
+    let mut start = 0;
+    for cursor in offsets.iter_mut().skip(1) {
+        (*cursor, start) = (start, start + *cursor);
+    }
+
+    // Pass 2: scatter in file order, the stable order of a counting sort.
+    let mut targets: Vec<Id> = vec![0; nnz];
+    let mut weights = weighted.then(|| vec![0.0; nnz]);
+    let changed = || IoError::parse(1, "file changed between read passes");
+    for_each_incidence(&mut r, (pairs_at, weights_at), space, |e, v, w| {
+        let cursor = offsets.get_mut(ids::to_usize(e) + 1).ok_or_else(changed)?;
+        let at = *cursor;
+        *cursor += 1;
+        *targets.get_mut(at).ok_or_else(changed)? = v;
+        if let Some(ws) = &mut weights {
+            *ws.get_mut(at).ok_or_else(changed)? = w;
+        }
+        Ok(())
+    })?;
+    // Each cursor ends where the next row starts unless the rows grew or
+    // shrank between the passes.
+    if !offsets.is_sorted() || offsets.last() != Some(&nnz) {
+        return Err(changed());
+    }
     // header (magic + flags + 3 dims) + pairs + optional weights
-    let bytes = 40 + nnz as u64 * if weighted { 16 } else { 8 };
-    nwhy_obs::add(Counter::IoBytesRead, bytes);
+    nwhy_obs::add(Counter::IoBytesRead, 40 + payload);
     nwhy_obs::add(Counter::IoIncidencesRead, nnz as u64);
     drop(decode);
-    Ok(Hypergraph::from_biedgelist(&bel))
+    Ok(Hypergraph::from_scattered_rows(
+        nv, offsets, targets, weights,
+    ))
 }
 
 /// Writes `h` in the binary format; round-trips with [`read_binary`].
@@ -154,6 +213,8 @@ pub fn write_binary<W: Write>(mut w: W, h: &Hypergraph) -> Result<(), IoError> {
 mod tests {
     use super::*;
     use nwhy_core::fixtures::paper_hypergraph;
+    use nwhy_core::BiEdgeList;
+    use proptest::prelude::*;
     use std::io::Cursor;
 
     #[test]
@@ -290,5 +351,63 @@ mod tests {
         write_binary(&mut buf, &h).unwrap();
         let h2 = read_binary(Cursor::new(buf)).unwrap();
         assert_eq!(h2.num_hyperedges(), 0);
+    }
+
+    /// An NWHYBIN1 file holding `pairs` in the given order, which
+    /// `write_binary` (edge-major, rows sorted) cannot produce.
+    fn raw_file(ne: usize, nv: usize, pairs: &[(Id, Id)], weights: Option<&[f64]>) -> Vec<u8> {
+        let mut buf = MAGIC.to_vec();
+        let flags = if weights.is_some() { FLAG_WEIGHTS } else { 0 };
+        for word in [flags, ne as u64, nv as u64, pairs.len() as u64] {
+            buf.extend_from_slice(&word.to_le_bytes());
+        }
+        for &(e, v) in pairs {
+            buf.extend_from_slice(&e.to_le_bytes());
+            buf.extend_from_slice(&v.to_le_bytes());
+        }
+        for w in weights.unwrap_or_default() {
+            buf.extend_from_slice(&w.to_le_bytes());
+        }
+        buf
+    }
+
+    #[test]
+    fn trailing_bytes_are_ignored() {
+        let mut buf = raw_file(2, 3, &[(1, 2), (0, 1)], None);
+        buf.extend_from_slice(b"trailing");
+        let want = BiEdgeList::from_incidences(2, 3, vec![(1, 2), (0, 1)]);
+        assert_eq!(
+            read_binary(Cursor::new(buf)).unwrap(),
+            Hypergraph::from_biedgelist(&want)
+        );
+    }
+
+    proptest! {
+        /// The two-pass load equals building the pair list first, for any
+        /// pair order (rows out of order, targets unsorted within a row,
+        /// duplicate incidences with distinct weights), at any thread
+        /// count.
+        #[test]
+        fn prop_streamed_load_matches_pair_list_build(
+            case in (1usize..6, 1usize..9, 0u32..2).prop_flat_map(|(ne, nv, weighted)| {
+                let pairs = proptest::collection::vec((0..ne as u32, 0..nv as u32, 0u32..1000), 0..60);
+                pairs.prop_map(move |p| (ne, nv, weighted == 1, p))
+            })
+        ) {
+            let (ne, nv, weighted, triples) = case;
+            let pairs: Vec<(Id, Id)> = triples.iter().map(|&(e, v, _)| (e, v)).collect();
+            let ws: Vec<f64> = triples.iter().map(|&(_, _, w)| f64::from(w)).collect();
+            let (file, bel) = if weighted {
+                let bel = BiEdgeList::from_weighted_incidences(ne, nv, pairs.clone(), ws.clone());
+                (raw_file(ne, nv, &pairs, Some(&ws)), bel)
+            } else {
+                (raw_file(ne, nv, &pairs, None), BiEdgeList::from_incidences(ne, nv, pairs.clone()))
+            };
+            let want = Hypergraph::from_biedgelist(&bel);
+            for threads in [1, 2, 3] {
+                let got = nwhy_util::pool::with_threads(threads, || read_binary(Cursor::new(&file)));
+                prop_assert_eq!(got.unwrap(), want.clone(), "{} threads", threads);
+            }
+        }
     }
 }

@@ -10,7 +10,7 @@
 
 use crate::csr::Csr;
 use crate::Vertex;
-use nwhy_util::atomics::{atomic_min_u32, compress, link};
+use nwhy_util::atomics::{atomic_min_u32, compress, link, set_flag};
 use nwhy_util::fxhash::FxHashMap;
 use nwhy_util::sync::{AtomicBool, AtomicU32, Ordering};
 use rayon::prelude::*;
@@ -28,11 +28,11 @@ pub fn cc_label_propagation(g: &Csr) -> Vec<Vertex> {
             for &v in g.neighbors(u as Vertex) {
                 // Push my label down to the neighbor and pull theirs to me.
                 if atomic_min_u32(&labels[v as usize], lu) {
-                    changed.store(true, Ordering::Relaxed);
+                    set_flag(&changed);
                 }
                 let lv = labels[v as usize].load(Ordering::Relaxed);
                 if atomic_min_u32(&labels[u], lv) {
-                    changed.store(true, Ordering::Relaxed);
+                    set_flag(&changed);
                 }
             }
         });

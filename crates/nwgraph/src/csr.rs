@@ -90,15 +90,38 @@ impl Csr {
             assert_eq!(ws.len(), pairs.len(), "weights length mismatch");
         }
         let mut g = Self::counting_sort(num_sources, num_targets, pairs.iter().copied(), weights);
+        g.sort_unsorted_rows();
+        g
+    }
+
+    /// Assembles a CSR from rows that a stable counting sort filled in
+    /// stream order, as [`Csr::from_pairs`] does, and sorts them the same
+    /// way: rows that are not sorted are sorted, stably with their
+    /// weights. Duplicate targets are kept.
+    ///
+    /// # Panics
+    /// Panics if `offsets` is empty, decreases, or runs past `targets`.
+    pub fn from_scattered_rows(
+        num_targets: usize,
+        offsets: Vec<usize>,
+        targets: Vec<Vertex>,
+        weights: Option<Vec<f64>>,
+    ) -> Self {
+        let mut g = Self::from_raw_parts(num_targets, offsets, targets, weights);
+        g.sort_unsorted_rows();
+        g
+    }
+
+    fn sort_unsorted_rows(&mut self) {
         // Rows keep input order, and loaders emit edge-major incidences,
         // so most rows are already sorted; only the rest pay for a sort.
-        for u in 0..num_sources {
-            let (lo, hi) = (g.offsets[u], g.offsets[u + 1]);
-            let row = &mut g.targets[lo..hi];
+        for u in 0..self.num_vertices() {
+            let (lo, hi) = (self.offsets[u], self.offsets[u + 1]);
+            let row = &mut self.targets[lo..hi];
             if row.is_sorted() {
                 continue;
             }
-            match &mut g.weights {
+            match &mut self.weights {
                 None => row.sort_unstable(),
                 Some(ws) => {
                     // Stable, so duplicate targets keep their input weight order.
@@ -116,7 +139,6 @@ impl Csr {
                 }
             }
         }
-        g
     }
 
     /// Stable counting sort of `(source, target)` incidences into CSR
@@ -238,6 +260,23 @@ impl Csr {
             targets,
             weights,
         }
+    }
+
+    /// Takes the CSR apart into `(num_targets, offsets, targets,
+    /// weights)`, the inverse of [`Csr::from_raw_parts`].
+    pub fn into_raw_parts(self) -> (usize, Vec<usize>, Vec<Vertex>, Option<Vec<f64>>) {
+        (self.num_targets, self.offsets, self.targets, self.weights)
+    }
+
+    /// Heap bytes held by the arrays, counted by capacity.
+    pub fn memory_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.offsets.capacity() * size_of::<usize>()
+            + self.targets.capacity() * size_of::<Vertex>()
+            + self
+                .weights
+                .as_ref()
+                .map_or(0, |w| w.capacity() * size_of::<f64>())
     }
 
     /// The raw offset array (`num_vertices() + 1` entries, first 0, last
@@ -518,6 +557,33 @@ mod tests {
         let t = g.transpose();
         let wn: Vec<(u32, f64)> = t.weighted_neighbors(2).collect();
         assert_eq!(wn, vec![(0, 5.0), (1, 6.0)]);
+    }
+
+    #[test]
+    fn memory_bytes_counts_every_array_by_capacity() {
+        // formualizer-style: bytes follow from the vertex and edge counts
+        let (n, m) = (4, 4);
+        assert_eq!(toy().memory_bytes(), 8 * (n + 1) + 4 * m);
+        let g = Csr::from_pairs(3, 2, &[(2, 1), (0, 0)], Some(&[1.0, 2.0]));
+        assert_eq!(g.memory_bytes(), 8 * 4 + 4 * 2 + 8 * 2);
+        assert_eq!(g.transpose().memory_bytes(), 8 * 3 + 4 * 2 + 8 * 2);
+        let mut targets = Vec::with_capacity(100);
+        targets.push(0);
+        let spare = Csr::from_raw_parts(1, vec![0, 1], targets, None);
+        assert_eq!(spare.memory_bytes(), 8 * 2 + 4 * 100);
+        let (nt, offsets, targets, weights) = g.clone().into_raw_parts();
+        assert_eq!(Csr::from_raw_parts(nt, offsets, targets, weights), g);
+    }
+
+    #[test]
+    fn from_scattered_rows_sorts_like_from_pairs() {
+        // rows in stream order: row 0 = [2, 0, 2], row 1 = [1]
+        let ws = [1.0, 2.0, 3.0, 4.0];
+        let g = Csr::from_scattered_rows(3, vec![0, 3, 4], vec![2, 0, 2, 1], Some(ws.to_vec()));
+        let want = Csr::from_pairs(2, 3, &[(0, 2), (0, 0), (0, 2), (1, 1)], Some(&ws));
+        assert_eq!(g, want);
+        let row: Vec<(u32, f64)> = g.weighted_neighbors(0).collect();
+        assert_eq!(row, [(0, 2.0), (2, 1.0), (2, 3.0)]);
     }
 
     #[test]

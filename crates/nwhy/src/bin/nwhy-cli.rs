@@ -470,12 +470,10 @@ fn cmd_cc(args: &Args) -> CliResult {
         "hyper" => on_input!(&input, g => hyper_cc(g)).num_components(),
         "hyper-lp" => on_input!(&input, g => hyper_cc_label_propagation(g)).num_components(),
         "adjoin" => {
-            adjoin_cc_afforest(&AdjoinGraph::from_hypergraph(&input.into_memory())).num_components()
+            adjoin_cc_afforest(&AdjoinGraph::from_owned(input.into_memory())).num_components()
         }
-        "adjoin-lp" => {
-            adjoin_cc_label_propagation(&AdjoinGraph::from_hypergraph(&input.into_memory()))
-                .num_components()
-        }
+        "adjoin-lp" => adjoin_cc_label_propagation(&AdjoinGraph::from_owned(input.into_memory()))
+            .num_components(),
         "hygra" => nwhy::hygra::hygra_cc(&input.into_memory()).num_components(),
         other => return Err(CliError::usage(format!("cc: unknown --algo {other}"))),
     };
@@ -511,7 +509,7 @@ fn cmd_bfs(args: &Args) -> CliResult {
             (r.edge_levels, r.node_levels)
         }
         "adjoin" => {
-            let a = AdjoinGraph::from_hypergraph(&input.into_memory());
+            let a = AdjoinGraph::from_owned(input.into_memory());
             let r = adjoin_bfs(&a, HyperedgeId::new(source));
             (r.edge_levels, r.node_levels)
         }

@@ -37,8 +37,20 @@
 //! Under `RUSTFLAGS="--cfg loom"` the atomic types switch to the loom
 //! model checker's instrumented versions (see [`crate::sync`]).
 
-use crate::sync::{AtomicU32, Ordering};
+use crate::sync::{AtomicBool, AtomicU32, Ordering};
 use rayon::prelude::*;
+
+/// Raises a "something changed" flag that many threads share. The flag
+/// is loaded first and stored only if it is still clear, so once it is up
+/// the threads only read it and its cache line is not bounced between
+/// cores on every win. `Relaxed` both ways: the round's barrier publishes
+/// it.
+#[inline]
+pub fn set_flag(flag: &AtomicBool) {
+    if !flag.load(Ordering::Relaxed) {
+        flag.store(true, Ordering::Relaxed);
+    }
+}
 
 /// Atomically set `a = min(a, val)`.
 ///

@@ -65,6 +65,26 @@ mod tests {
     }
 
     #[test]
+    fn range_for_each_and_map_split_without_losing_order() {
+        use crate::sync::{AtomicU32, Ordering};
+        for threads in [1, 2, 3] {
+            for n in [0u32, 1, 7, 1000] {
+                let hits: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
+                with_threads(threads, || {
+                    (0..n as usize).into_par_iter().for_each(|i| {
+                        hits[i].fetch_add(1, Ordering::Relaxed);
+                    })
+                });
+                assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+                let doubled: Vec<u32> = with_threads(threads, || {
+                    (5..5 + n).into_par_iter().map(|i| 2 * i).collect()
+                });
+                assert_eq!(doubled, (5..5 + n).map(|i| 2 * i).collect::<Vec<_>>());
+            }
+        }
+    }
+
+    #[test]
     fn thread_sweep_shapes() {
         assert_eq!(thread_sweep(1), vec![1]);
         assert_eq!(thread_sweep(4), vec![1, 2, 4]);
