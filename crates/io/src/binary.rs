@@ -389,12 +389,13 @@ mod tests {
         /// count.
         #[test]
         fn prop_streamed_load_matches_pair_list_build(
-            case in (1usize..6, 1usize..9, 0u32..2).prop_flat_map(|(ne, nv, weighted)| {
-                let pairs = proptest::collection::vec((0..ne as u32, 0..nv as u32, 0u32..1000), 0..60);
-                pairs.prop_map(move |p| (ne, nv, weighted == 1, p))
+            case in (1u32..6, 1u32..9, 0u32..2).prop_flat_map(|(ne, nv, weighted)| {
+                let triples = proptest::collection::vec((0..ne, 0..nv, 0u32..1000), 0..60);
+                triples.prop_map(move |t| (ne, nv, weighted == 1, t))
             })
         ) {
             let (ne, nv, weighted, triples) = case;
+            let (ne, nv) = (ids::to_usize(ne), ids::to_usize(nv));
             let pairs: Vec<(Id, Id)> = triples.iter().map(|&(e, v, _)| (e, v)).collect();
             let ws: Vec<f64> = triples.iter().map(|&(_, _, w)| f64::from(w)).collect();
             let (file, bel) = if weighted {
