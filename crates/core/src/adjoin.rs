@@ -15,6 +15,9 @@
 //! compute hypergraph metrics, provided it is *range-aware*: results are
 //! split back into a hyperedge part and a hypernode part afterwards
 //! ([`AdjoinGraph::split_result`]).
+//!
+//! The re-indexing needs no second copy of the incidences:
+//! [`AdjoinGraph::from_owned`] takes the hypergraph's arrays over.
 
 use crate::hypergraph::Hypergraph;
 use crate::ids::{adjoin_to_node, AdjoinId, HyperedgeId, HypernodeId};

@@ -285,8 +285,8 @@ mod tests {
     #[test]
     fn lying_nnz_fails_without_huge_allocation() {
         // header claims ~1e9 incidences but the payload is 1 pair; the
-        // chunked reader must fail on the missing bytes (first chunk)
-        // rather than reserving the full claimed capacity up front.
+        // reader must fail on the missing bytes before sizing anything
+        // by the claim.
         let mut buf = Vec::new();
         buf.extend_from_slice(MAGIC);
         buf.extend_from_slice(&0u64.to_le_bytes()); // flags
